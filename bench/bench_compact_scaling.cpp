@@ -6,7 +6,7 @@
 //             plus the pass-based Bellman–Ford solver
 //   scanline  the visibility scan-line generator (sweep net finder +
 //             ordered-segment profile) plus the pass-based solver
-//   worklist  the scan-line generator plus the SPFA-style worklist solver
+//   worklist  the scan-line generator plus the worklist solver
 //
 // On top of the generator sweep, two sharded-solver benchmarks
 // (compact/sharded_solver.hpp):

@@ -31,6 +31,7 @@ void BM_MultiplierGeneration(benchmark::State& state) {
   const int size = static_cast<int>(state.range(0));
   double read_fraction = 0;
   double execute_fraction = 0;
+  double compact_fraction = 0;
   double write_fraction = 0;
   for (auto _ : state) {
     Generator generator;
@@ -39,10 +40,12 @@ void BM_MultiplierGeneration(benchmark::State& state) {
     const double total = result.times.total().count();
     read_fraction = result.times.read_sample.count() / total;
     execute_fraction = result.times.execute_design.count() / total;
+    compact_fraction = result.times.compact.count() / total;
     write_fraction = result.times.write_output.count() / total;
   }
   state.counters["frac_read_sample"] = read_fraction;
   state.counters["frac_execute"] = execute_fraction;
+  state.counters["frac_compact"] = compact_fraction;
   state.counters["frac_write"] = write_fraction;
 }
 BENCHMARK(BM_MultiplierGeneration)->Arg(8)->Arg(16)->Arg(32)->Arg(64)
@@ -54,10 +57,12 @@ void print_claim() {
   const double total = r32.times.total().count();
   std::printf("== E8 (§4.5): 32x32 multiplier generation ==\n");
   std::printf("paper: 5 s on a DEC-2060, split ~1/3 read, ~1/3 execute, ~1/3 write\n");
-  std::printf("here:  %.4f s total; split %.0f%% read sample / %.0f%% execute / %.0f%% write\n",
-              total, 100 * r32.times.read_sample.count() / total,
-              100 * r32.times.execute_design.count() / total,
-              100 * r32.times.write_output.count() / total);
+  std::printf(
+      "here:  %.4f s total; split %.0f%% read sample / %.0f%% execute / %.0f%% compact / "
+      "%.0f%% write\n",
+      total, 100 * r32.times.read_sample.count() / total,
+      100 * r32.times.execute_design.count() / total, 100 * r32.times.compact.count() / total,
+      100 * r32.times.write_output.count() / total);
   std::printf("layout: %zu flat instances, %zu flat boxes\n\n",
               r32.top->flattened_instance_count(), r32.top->flattened_box_count());
 }

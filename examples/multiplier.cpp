@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
     std::cout << "bounding box:      " << result.top->bounding_box() << "\n";
     std::cout << std::fixed << std::setprecision(3);
     std::cout << "phase times (s):   read sample " << result.times.read_sample.count()
-              << ", execute design " << result.times.execute_design.count() << ", write output "
+              << ", execute design " << result.times.execute_design.count() << ", compact "
+              << result.times.compact.count() << ", write output "
               << result.times.write_output.count() << "\n";
     std::cout << "total:             " << result.times.total().count()
               << "  (the thesis reports 5 s for 32x32 on a DEC-2060)\n";

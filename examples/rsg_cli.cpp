@@ -317,8 +317,9 @@ int main(int argc, char** argv) {
       std::cerr << "flat boxes:     " << result.top->flattened_box_count() << "\n";
       std::cerr << "bounding box:   " << result.top->bounding_box() << "\n";
       if (!snapshot_mode) {
-        std::cerr << "phases (s):     " << result.times.read_sample.count() << " / "
-                  << result.times.execute_design.count() << " / "
+        std::cerr << "phases (s):     read sample " << result.times.read_sample.count()
+                  << " / execute design " << result.times.execute_design.count()
+                  << " / compact " << result.times.compact.count() << " / write output "
                   << result.times.write_output.count() << "\n";
       }
     }

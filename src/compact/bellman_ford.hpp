@@ -16,13 +16,17 @@
 #include <vector>
 
 #include "compact/constraint_graph.hpp"
+#include "support/error.hpp"
 
 namespace rsg::compact {
 
 struct SolveStats {
   int passes = 0;                 // full sweeps over the edge list
   std::size_t relaxations = 0;    // individual successful tightenings
-  std::size_t pops = 0;           // worklist solvers: variables dequeued
+  // Worklist solvers: variables dequeued after the seeding sweep (the
+  // sweep visits every variable once and is not counted), plus every
+  // dequeue of a warm start.
+  std::size_t pops = 0;
   bool converged = false;
   // Warm start (the incremental x/y schedule seeds each round's solve from
   // the previous round's coordinates). `warm_accepted` means the seeded
@@ -44,13 +48,33 @@ enum class EdgeOrder {
 
 // Which longest-path solver compact_flat runs.
 enum class SolverKind {
-  kWorklist,   // SPFA-style: one seeding sweep, then only the out-edges of
-               // changed variables are revisited
+  kWorklist,   // one seeding sweep, then only the out-edges of changed
+               // variables are revisited (subtree disassembly, below)
   kPassBased,  // full edge-list sweeps until fixpoint (the §6.4.2 baseline)
 };
 
+// The worklist solvers' infeasibility verdict and its certificate: a
+// positive cycle of constraint indices chained head to tail
+// (constraints()[cycle[k]].to == constraints()[cycle[k + 1]].from, the last
+// closing onto the first) whose weights minus pitch terms sum to > 0.
+// Summing X[to] - X[from] >= weight - pitch term around the cycle gives
+// 0 >= that positive sum, so no placement satisfies the system.
+// relaxations() is the work the solve spent before the verdict.
+class PositiveCycle : public Error {
+ public:
+  PositiveCycle(std::vector<std::size_t> cycle, std::size_t relaxations);
+
+  const std::vector<std::size_t>& cycle() const { return cycle_; }
+  std::size_t relaxations() const { return relaxations_; }
+
+ private:
+  std::vector<std::size_t> cycle_;
+  std::size_t relaxations_ = 0;
+};
+
 // Solves into system.values. Throws rsg::Error on infeasible systems
-// (a positive cycle — the layout cannot satisfy its own constraints).
+// (a positive cycle — the layout cannot satisfy its own constraints) once
+// |V| + 2 passes have not converged.
 SolveStats solve_leftmost(ConstraintSystem& system, EdgeOrder order = EdgeOrder::kSorted);
 
 // The rightmost solution subject to every variable <= width (used by the
@@ -58,13 +82,19 @@ SolveStats solve_leftmost(ConstraintSystem& system, EdgeOrder order = EdgeOrder:
 SolveStats solve_rightmost(ConstraintSystem& system, Coord width,
                            std::vector<Coord>& upper_bounds);
 
-// Worklist (SPFA-style) variants: after one seeding sweep in §6.4.2's
-// sorted order (by the source's initial abscissa; descending sink abscissa
-// for the rightmost dual), only the out-edges (in-edges for the dual) of
-// variables whose value changed are revisited, so sparse updates stop
-// touching the whole edge list. The least (greatest) solution is unique,
-// so the values are identical to the pass-based solvers'; infeasible
-// systems throw the same rsg::Error.
+// Worklist variants, the production path: Bellman–Ford with a FIFO
+// worklist and Tarjan's subtree disassembly. The worklist's first round is
+// §6.4.2's seeding sweep: the origin constraints, then every variable's
+// out-edges (in-edges for the rightmost dual) in order of initial abscissa
+// (descending for the dual). After it only variables whose value changed
+// are revisited, so sparse updates stop touching the whole edge list. The
+// solver keeps its longest-path tree as a preorder thread: raising a
+// variable detaches its subtree, whose members are skipped until they are
+// raised again through it, and a raise from inside the raised variable's
+// own subtree closes a positive cycle — thrown as PositiveCycle, the tree
+// path plus the closing constraint as the certificate. The least
+// (greatest) solution is unique, so the values are identical to the
+// pass-based solvers'.
 //
 // `warm_seed` (optional, size == variable_count) warm-starts the solve from
 // a previous solution instead of the source distance: the values are seeded

@@ -24,10 +24,11 @@ Coord y_gap(const Box& a, const Box& b) {
 // Output-sensitive active set for the abutment sweep: a static segment
 // tree over a layer's distinct top edges (hi.y). Each active box sits at
 // its top-edge leaf in a lo.y-sorted multiset, and every internal node
-// carries the minimum lo.y in its subtree, so enumerating the active boxes
-// with hi.y >= y0 and lo.y <= y1 — exactly the closed y-interval overlaps —
-// prunes every subtree that cannot contain a match. Insert, erase and each
-// reported box cost O(log n); a query that reports nothing costs O(log n).
+// carries the minimum lo.y in its subtree, so finding the leaves holding
+// an active box with hi.y >= y0 and lo.y <= y1 — exactly the closed
+// y-interval overlaps — prunes every subtree that cannot contain a match.
+// Insert, erase and each reported leaf cost O(log n); a query that reports
+// nothing costs O(log n).
 class ActiveBoxes {
  public:
   // `tops` is the sorted, deduplicated list of hi.y values the layer uses.
@@ -51,9 +52,11 @@ class ActiveBoxes {
     update(1, 0, tops_.size(), leaf);
   }
 
-  // Calls fn(box) for every active box whose y interval touches [y0, y1].
+  // Calls fn(box) once per leaf holding an active box whose y interval
+  // touches [y0, y1], with the leaf's lowest box: the leaf's boxes share
+  // their top edge, so the lowest one touches whenever any of them does.
   template <class Fn>
-  void for_each_touching(Coord y0, Coord y1, Fn&& fn) const {
+  void for_each_touching_leaf(Coord y0, Coord y1, Fn&& fn) const {
     if (tops_.empty()) return;
     visit(1, 0, tops_.size(), leaf_of(y0), y1, fn);
   }
@@ -80,10 +83,7 @@ class ActiveBoxes {
              Fn& fn) const {
     if (hi <= first || min_lo_[node] > y1) return;
     if (hi - lo == 1) {
-      for (const auto& [lo_y, box] : entries_[lo]) {
-        if (lo_y > y1) break;
-        fn(box);
-      }
+      if (!entries_[lo].empty()) fn(entries_[lo].begin()->second);
       return;
     }
     const std::size_t mid = lo + (hi - lo) / 2;
@@ -103,10 +103,20 @@ class ActiveBoxes {
 //
 // Two builders populate the same structure: a per-layer sort/sweep over the
 // x extents (boxes abut only while their x intervals overlap, so each box
-// only meets the still-active boxes of the sweep, enumerated through the
+// only meets the still-active boxes of the sweep, found through the
 // ActiveBoxes tree), and the all-pairs scan kept as the equivalence
-// baseline. Both unite exactly the abutting pairs, so the resulting
-// connectivity is identical.
+// baseline. Both produce the same partition: the abutment relation's
+// connected components.
+//
+// The sweep unites each box with one representative per touching leaf,
+// not with every touching box. When box b is queried, every active box
+// contains x = b.lo.x (it started no later and has not expired). Two
+// boxes at one leaf share their top edge, so any two active ones touch;
+// by induction over insertions (each insert queries its own leaf) they
+// already share a net. Compaction stacks boxes — same-net fragments, and
+// whole layers without a self-spacing rule — so a leaf can hold thousands
+// of boxes, and the sweep then costs O((n + l) log n) in the box count n
+// and touching leaf count l instead of growing with the touching pairs.
 class NetFinder {
  public:
   enum class Strategy { kSweep, kQuadratic };
@@ -176,7 +186,7 @@ class NetFinder {
           active.erase(gone.leaf, gone.lo_y, gone.box);
           expiry.pop();
         }
-        active.for_each_touching(b.lo.y, b.hi.y, [&](std::size_t ia) { unite(ia, ib); });
+        active.for_each_touching_leaf(b.lo.y, b.hi.y, [&](std::size_t ia) { unite(ia, ib); });
         const std::size_t leaf = active.leaf_of(b.hi.y);
         active.insert(leaf, b.lo.y, ib);
         expiry.push({b.hi.x, leaf, b.lo.y, ib});

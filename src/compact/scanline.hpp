@@ -42,9 +42,11 @@ void add_box_variables(ConstraintSystem& system, std::vector<CompactionBox>& box
 
 // The visibility scan-line generator of Figure 6.7. Scaled implementation:
 // net discovery is a per-layer sort/sweep abutment pass over a min-lo.y
-// augmented segment tree and the visibility profile is an ordered segment
-// map, so generation is O((n + a + k) log n) in the box count n, abutting
-// pair count a, and emitted-constraint count k.
+// augmented segment tree keyed by top edge, uniting each box with one box
+// per touching top-edge leaf, and the visibility profile is an ordered
+// segment map, so generation is O((n + l + k) log n) in the box count n,
+// touching-leaf count l (boxes stacked on one top edge count once), and
+// emitted-constraint count k.
 void generate_constraints(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
                           const CompactionRules& rules);
 

@@ -13,10 +13,12 @@
 // Infeasibility (a positive cycle) stays a single verdict: a cycle inside
 // one shard trips the local SPFA enqueue guard; a cycle threaded through
 // several shards pumps its boundary variables past the sum of positive
-// weights — both throw the serial solver's exact error. If reconciliation
-// hits its round cap without converging (pathologically coupled shards),
-// the solver falls back to one serial cold solve, so the result is exact
-// regardless; the ConvergenceReport records that the cap bit.
+// weights — both throw rsg::Error with the serial solver's message prefix,
+// but only the serial solver's PositiveCycle carries the cycle. If
+// reconciliation hits its round cap without converging (pathologically
+// coupled shards), the solver falls back to one serial cold solve, so the
+// result is exact regardless; the ConvergenceReport records that the cap
+// bit.
 #pragma once
 
 #include <cstddef>

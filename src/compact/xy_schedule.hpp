@@ -99,7 +99,7 @@ struct RoundStats {
   std::size_t constraints_emitted = 0;  // both passes
   std::size_t partners_reswept = 0;     // incremental: regenerated partner entries
   std::size_t partners_reused = 0;      //   spliced from clean bands
-  std::size_t solve_pops = 0;           // worklist dequeues, both passes
+  std::size_t solve_pops = 0;           // SolveStats::pops, both passes
   bool warm_x = false;                  // warm start verified exact for the axis
   bool warm_y = false;
   // Sharded solving (FlatOptions::solve_shards != 1): shards planned (max

@@ -18,14 +18,17 @@ GeneratorResult Generator::run(const std::string& sample_text, const std::string
       load_sample_layout(sample_text, state_->cells, state_->interfaces);
   const auto t1 = Clock::now();
 
-  // Phases 2–3 are the shared run core — identical to a GenerationSession.
+  // Phases 2–4 are the shared run core — identical to a GenerationSession.
+  // Parsing the two input files counts toward executing them.
   const ParameterFile params = ParameterFile::parse(param_text);
   const lang::Program program = lang::parse_program(design_text);
+  const auto t2 = Clock::now();
   GeneratorResult result =
       detail::execute_generation(state_->cells, state_->interfaces, state_->graph, program,
                                  params, top_cell, encoding_, compaction_);
   result.sample_stats = sample_stats;
   result.times.read_sample = t1 - t0;
+  result.times.execute_design += t2 - t1;
   result.keepalive = state_;
   return result;
 }

@@ -71,6 +71,7 @@ GeneratorResult execute_generation(CellTable& cells, InterfaceTable& interfaces,
       cancel->check("compaction start");
       request.schedule.cancel = cancel;
     }
+    const auto t_compact = Clock::now();
     const std::vector<LayerBox> flat = flatten_boxes(*result.top);
     std::vector<bool> stretchable;
     if (!request.stretchable_layers.empty()) {
@@ -102,6 +103,7 @@ GeneratorResult execute_generation(CellTable& cells, InterfaceTable& interfaces,
     for (const LayerBox& lb : result.compaction.boxes) compacted.add_box(lb.layer, lb.box);
     result.top = &compacted;
     result.compacted = true;
+    result.times.compact = Clock::now() - t_compact;
   }
 
   // Phase boundary: the layout exists but rendering large CIF text is real
@@ -109,9 +111,9 @@ GeneratorResult execute_generation(CellTable& cells, InterfaceTable& interfaces,
   if (cancel != nullptr) cancel->check("output rendering");
 
   // Write the output (CIF, in memory; callers persist as needed).
+  const auto t_render = Clock::now();
   result.output = cif_to_string(*result.top);
-  const auto t3 = Clock::now();
-  result.times.write_output = t3 - t2;
+  result.times.write_output = Clock::now() - t_render;
 
   result.interface_lookups = interfaces.lookups();
   return result;

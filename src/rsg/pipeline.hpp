@@ -61,12 +61,15 @@ struct CompactionRequest {
   std::string checkpoint_out;
 };
 
+// Wall time per pipeline phase. The phases are timed separately and do
+// not overlap; total() is their sum.
 struct PhaseTimes {
-  std::chrono::duration<double> read_sample{};
-  std::chrono::duration<double> execute_design{};
-  std::chrono::duration<double> write_output{};
+  std::chrono::duration<double> read_sample{};     // sample layout + interface table
+  std::chrono::duration<double> execute_design{};  // parse + run parameter and design files
+  std::chrono::duration<double> compact{};         // flatten + x/y schedule; 0 when off
+  std::chrono::duration<double> write_output{};    // CIF render
   std::chrono::duration<double> total() const {
-    return read_sample + execute_design + write_output;
+    return read_sample + execute_design + compact + write_output;
   }
 };
 
@@ -92,11 +95,12 @@ struct GeneratorResult {
 
 namespace detail {
 
-// Phases 2–3 of the pipeline: run the parameter-file environment + design
+// Phases 2–4 of the pipeline: run the parameter-file environment + design
 // program against the given tables, pick the top cell, optionally compact,
 // and render CIF. Phase 1 (sample loading) is the caller's job — the legacy
 // Generator does it per run, CompiledDesign once at compile time. The
-// caller also stamps result.sample_stats / times.read_sample / keepalive.
+// caller also stamps result.sample_stats / times.read_sample / keepalive,
+// and adds the time it spent parsing the inputs to times.execute_design.
 //
 // `cancel` (optional) is polled at every phase boundary — before the design
 // program runs, before compaction, between compaction rounds (via

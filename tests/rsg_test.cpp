@@ -110,8 +110,20 @@ TEST(Generator, PhaseTimesAreRecorded) {
   const GeneratorResult result = generator.run(kLooseSample, kRowDesign, "n = 32");
   EXPECT_GT(result.times.total().count(), 0.0);
   EXPECT_GE(result.times.read_sample.count(), 0.0);
-  EXPECT_GE(result.times.execute_design.count(), 0.0);
-  EXPECT_GE(result.times.write_output.count(), 0.0);
+  EXPECT_GT(result.times.execute_design.count(), 0.0);
+  EXPECT_EQ(result.times.compact.count(), 0.0);  // no compaction requested
+  EXPECT_GT(result.times.write_output.count(), 0.0);
+}
+
+TEST(Generator, CompactionIsItsOwnPhase) {
+  // Flatten and the x/y schedule are timed as `compact`, so write_output
+  // is the CIF render alone.
+  Generator generator;
+  const GeneratorResult result = generator.run(kLooseSample, kRowDesign, "n = 32\n.compact:xy\n");
+  ASSERT_TRUE(result.compacted);
+  EXPECT_GT(result.times.compact.count(), 0.0);
+  EXPECT_GT(result.times.execute_design.count(), 0.0);
+  EXPECT_GT(result.times.write_output.count(), 0.0);
 }
 
 TEST(Generator, StatsArePlumbedThrough) {
