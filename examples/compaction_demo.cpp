@@ -16,6 +16,20 @@
 using namespace rsg;
 using namespace rsg::compact;
 
+namespace {
+
+// Whether a pass started from the basis its axis carried over from the
+// previous round, and if not, why the engine declined it.
+const char* warm_outcome(const LpStats& stats) {
+  if (stats.warm_accepted > 0) return "warm adopted";
+  if (stats.warm_declined_rows > 0) return "warm declined: rows differ";
+  if (stats.warm_declined_singular > 0) return "warm declined: singular basis";
+  if (stats.warm_declined_dual > 0) return "warm declined: dual-infeasible";
+  return "cold start";
+}
+
+}  // namespace
+
 int main() {
   try {
     // --- Flat compaction -----------------------------------------------------
@@ -83,8 +97,9 @@ int main() {
               << " fallbacks)\n";
     for (const LeafRoundStats& round : xy.round_stats) {
       std::cout << "  round " << round.round << ": x obj " << round.x_objective << " ("
-                << round.x_lp.iterations << " piv), y obj " << round.y_objective << " ("
-                << round.y_lp.iterations << " piv)\n";
+                << round.x_lp.iterations << " piv, " << warm_outcome(round.x_lp) << "), y obj "
+                << round.y_objective << " (" << round.y_lp.iterations << " piv, "
+                << warm_outcome(round.y_lp) << ")\n";
     }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

@@ -14,7 +14,7 @@
 # "gate" field: "passed", or "skipped_cores<4" when the host was too small
 # to assert. The leaf point also runs the warm-vs-cold schedule pair and
 # asserts warm-started re-solves use <= half the post-first-round pivots
-# of cold at 32 cells.
+# of cold at 32 cells, with a zero-pivot confirming round.
 #
 # Usage: scripts/bench_smoke.sh [build-dir] [smoke.json] [scaling.json]
 #                               [leaf.json] [xy.json] [io.json] [serve.json]
@@ -155,12 +155,15 @@ if cores < 4:
           f"artifact stamped gate=skipped_cores<4")
 EOF
 
-# Warm-start tripwire: at the 32-cell leaf schedule, carrying the previous
-# round's basis must at least HALVE the post-first-round pivot count vs
-# re-solving cold — the acceptance bar for the warm-started dual re-solves.
-# The first round is excluded on both sides (it is always cold), and the
-# warm run must actually have adopted carried bases (warm_accepted > 0) so
-# a silently-declining warm path cannot pass by accident.
+# Warm-start tripwire: at the 32-cell leaf schedule under the production
+# defaults, carrying the previous round's basis must at least HALVE the
+# post-first-round pivot count vs re-solving cold — the acceptance bar for
+# the warm-started dual re-solves. The first round is excluded on both
+# sides (it is always cold), and the warm run must actually have adopted
+# carried bases (warm_accepted > 0) so a silently-declining warm path
+# cannot pass by accident. The round that only confirms convergence must
+# re-solve in zero pivots (last_round_pivots == 0): its LP is the previous
+# round's with the rows reordered, so the carried basis is already optimal.
 python3 - "$LEAF_OUT" <<'EOF'
 import json, sys
 
@@ -173,13 +176,17 @@ if warm is None or cold is None:
     sys.exit("error: BENCH_leaf_scaling.json is missing the 32-cell warm/cold schedule pair")
 wp, cp = warm["post_round_pivots"], cold["post_round_pivots"]
 accepted = warm.get("warm_accepted", 0)
+last = warm.get("last_round_pivots")
 print(f"leaf schedule 32 cells: post-first-round pivots warm {wp:.0f} vs cold {cp:.0f} "
-      f"({cp / wp if wp else float('inf'):.2f}x), warm bases adopted {accepted:.0f}")
+      f"({cp / wp if wp else float('inf'):.2f}x), warm bases adopted {accepted:.0f}, "
+      f"warm confirming-round pivots {last}")
 if accepted <= 0:
     sys.exit("error: the warm schedule adopted no carried bases (warm_accepted == 0)")
 if wp * 2 > cp:
     sys.exit(f"error: warm-start pivot reduction below the 2x acceptance bar "
              f"(warm {wp:.0f} vs cold {cp:.0f})")
+if last != 0:
+    sys.exit(f"error: the warm schedule's confirming round took {last} pivots, not 0")
 EOF
 
 # Serving tripwires. (1) Compile-once must amortize the sample/AST work:

@@ -114,13 +114,13 @@ LeafLpModel build_leaf_lp(const CellTable& cells, const InterfaceTable& interfac
 // the PR 3-era (method, pricing) call shape for the equivalence suites.
 //
 // `warm` (optional, kSparseDual only) carries the optimal basis from one
-// solve of a structurally-identical model into the next — the leaf
-// schedule's per-round re-solves are one bound change apart, so round k's
-// basis is usually dual-feasible for round k+1 and the re-solve skips most
-// of its pivots. Pass an empty LpWarmStart on the first call and the SAME
-// handle on every subsequent one; the engine falls back to a cold start
-// (and reports it in LpStats::warm_attempted/warm_accepted) whenever the
-// carried basis is stale, singular, or dual-infeasible.
+// solve into the next. The engine matches it to the new model's rows by
+// content, so a model that re-emits the same constraints in another order
+// or with other weights (the leaf schedule's per-round re-solves) adopts
+// it and skips most of its pivots. Pass an empty LpWarmStart on the first
+// call and the SAME handle on every subsequent one; the engine falls back
+// to a cold start (and says why in LpStats::warm_declined_*) whenever the
+// carried rows do not match or the basis is singular or dual-infeasible.
 LeafResult solve_leaf_model(const LeafLpModel& model, const LpOptions& lp = {},
                             LpWarmStart* warm = nullptr);
 LeafResult solve_leaf_model(const LeafLpModel& model, LpMethod lp_method,

@@ -40,12 +40,20 @@
 //                   bound, pass 2 takes the largest-magnitude pivot inside
 //                   it, and a pivot-magnitude floor declines rather than
 //                   admit a near-singular pivot into the factorization.
+//                   Each pivot costs what its pivot row touches: the row
+//                   alpha_r = rho^T A_N is formed from the nonzeros of
+//                   rho = e_r^T B^-1 through a row-wise (CSR) copy of the
+//                   matrix, the ratio test scans those columns only, and
+//                   the reduced costs are UPDATED along the row
+//                   (d_j -= theta_d alpha_rj), re-priced from one BTRAN of
+//                   c_B only at the start and after each refactorization.
 //                   The engine also accepts an LpWarmStart basis (a
-//                   previous solve one bound change away), falling back to
-//                   the cold all-slack start when the carried basis is
-//                   singular or dual-infeasible.
+//                   previous solve over the same rows, in any order and
+//                   under any rhs), falling back to the cold all-slack
+//                   start when the carried rows do not match or the basis
+//                   is singular or dual-infeasible.
 //
-// The sparse engine prices with Dantzig's rule or devex (LpPricing):
+// The primal engine prices with Dantzig's rule or devex (LpPricing):
 // devex weighs each reduced cost by an estimate of the entering column's
 // steepness in the reference framework, typically cutting the pivot count
 // on the larger leaf libraries at one extra BTRAN per pivot. The dense
@@ -61,6 +69,7 @@
 // so every engine agrees on bounded instances.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -122,11 +131,19 @@ struct LpStats {
   double wall_ms = 0.0;  // wall time of the authoritative sparse solve
                          // (the dense baseline does not report it)
   // kSparseDual warm starts: attempts = an LpWarmStart handle with matching
-  // shape was offered; accepted = its basis factorized nonsingular AND
-  // priced dual-feasible, so the solve continued from it instead of the
-  // cold all-slack start.
+  // shape was offered; accepted = its rows matched this problem's by
+  // content, and its basis factorized nonsingular AND priced dual-feasible,
+  // so the solve continued from it instead of the cold all-slack start.
   int warm_attempted = 0;
   int warm_accepted = 0;
+  // Why an offered handle was declined, one counter per reason: its rows
+  // do not match (a different shape, which is not an attempt, or a row
+  // whose terms have no partner), its basis is singular (or names a column
+  // twice), or it is dual-infeasible under this problem's costs (or rests
+  // a column on a bound it no longer has).
+  int warm_declined_rows = 0;
+  int warm_declined_singular = 0;
+  int warm_declined_dual = 0;
   // Hyper-sparse FTRAN telemetry: total upper-triangular positions across
   // every FTRAN, and how many the graph-ordered solve never touched. The
   // skip ratio (skipped / rows) is what bench_leaf_scaling publishes per
@@ -152,6 +169,9 @@ struct LpStats {
     wall_ms += other.wall_ms;
     warm_attempted += other.warm_attempted;
     warm_accepted += other.warm_accepted;
+    warm_declined_rows += other.warm_declined_rows;
+    warm_declined_singular += other.warm_declined_singular;
+    warm_declined_dual += other.warm_declined_dual;
     ftran_rows += other.ftran_rows;
     ftran_rows_skipped += other.ftran_rows_skipped;
     return *this;
@@ -167,26 +187,33 @@ struct LpSolution {
 };
 
 // A basis carried from one kSparseDual solve into the next — the warm-start
-// contract of the leaf schedule's per-round re-solves (round k's optimal
-// basis is one bound change from round k+1's). The handle is OPAQUE state:
-// callers only construct an empty one, pass it to consecutive solves over
-// structurally-identical problems, and let the engine manage it. The engine
-// accepts the carried basis only when the problem shape matches AND the
-// basis factorizes nonsingular AND it prices dual-feasible; anything else
-// falls back to the cold all-slack start (LpStats::warm_attempted/accepted
-// tell the two apart). A solve that DECLINES to the primal engine clears
-// the handle, so a stale basis can never leak into a later round.
+// contract of the leaf schedule's per-round re-solves. The handle is OPAQUE
+// state: callers only construct an empty one, pass it to consecutive solves
+// and let the engine manage it. The carried basis names slack columns by
+// row position, but rows are matched by CONTENT: each row's key hashes its
+// merged terms (column, coefficient) and leaves the rhs out, since duals
+// do not depend on it. A problem whose rows are the carried ones in any
+// order, under any rhs, maps every slack to its row's new position; rows
+// with equal keys pair up in position order. The engine accepts the
+// carried basis only when the shape matches, every row key has a partner,
+// the basis factorizes nonsingular AND it prices dual-feasible; anything
+// else falls back to the cold all-slack start (LpStats::warm_attempted,
+// warm_accepted and warm_declined_* tell the cases apart). A hash
+// collision can cost a decline or extra pivots, never a wrong optimum: any
+// nonsingular dual-feasible basis is a valid start. A solve that DECLINES
+// to the primal engine clears the handle, so a stale basis can never leak
+// into a later round.
 struct LpWarmStart {
   std::vector<int> basis;               // slot -> column (structural or slack)
   std::vector<unsigned char> at_upper;  // nonbasic-at-upper flags, per column
+  std::vector<std::uint64_t> row_keys;  // per row: content key, rhs left out
   int num_vars = 0;                     // shape stamp: structural variables
-  int num_rows = 0;                     //   and constraint rows
-  bool valid() const { return num_rows > 0 && static_cast<int>(basis.size()) == num_rows; }
+  bool valid() const { return !row_keys.empty() && basis.size() == row_keys.size(); }
   void clear() {
     basis.clear();
     at_upper.clear();
+    row_keys.clear();
     num_vars = 0;
-    num_rows = 0;
   }
 };
 

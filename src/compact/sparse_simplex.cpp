@@ -8,8 +8,10 @@
 // form inverse either:
 //
 //   * The constraint matrix is stored once in CSC form (slack and
-//     artificial columns are implicit unit vectors), so pricing is one
-//     BTRAN plus a single pass over the stored nonzeros.
+//     artificial columns are implicit unit vectors), so primal pricing is
+//     one BTRAN plus a single pass over the stored nonzeros. The dual
+//     engine adds a CSR copy and never prices the whole matrix per pivot
+//     (see below).
 //   * The basis inverse is a sparse LU factorization (LuBasis).
 //     Refactorization runs Markowitz-ordered elimination: each pivot
 //     minimizes (row_count-1)*(col_count-1) among entries within a
@@ -49,6 +51,17 @@
 // push further (often: it is unbounded), so the engine DECLINES and the
 // primal path re-decides — the honest analogue of the old
 // bound-row-is-tight decline, minus the extra row in every factorization.
+// Each dual pivot costs what its pivot row touches. rho = e_r^T B^-1 comes
+// from a hyper-sparse BTRAN; the row alpha_r = rho^T A_N is formed by
+// walking only the CSR rows rho touches (plus their slacks), in increasing
+// row order so every entry sums its terms exactly as a column dot product
+// would. The ratio test scans the row's nonzeros alone, and the reduced
+// costs are updated along it — d_j -= theta_d alpha_rj, theta_d =
+// d_q / alpha_rq, d_q = 0, d_leaving = -theta_d — instead of being
+// re-priced. A full pricing pass (one BTRAN of c_B and one pass over the
+// columns) runs only at the start and after every refactorization, which
+// bounds the update drift; dual feasibility is checked on the columns an
+// update moved, and on all of them after a full pass.
 // The dual ratio test is two-pass Harris over BOTH nonbasic sets (at-lower
 // needs sign(alpha) opposite the violation, at-upper the same sign): pass 1
 // computes the kHarrisTol-relaxed ratio bound, pass 2 takes the
@@ -59,13 +72,18 @@
 // against that basis (pinned by sparse_simplex_test).
 //
 // Warm starts: solve_dual accepts an LpWarmStart carried from a previous
-// solve over the same-shaped problem (the leaf schedule's per-round
-// re-solves are one bound change apart). Dual feasibility depends only on
-// the costs — not the rhs or bounds — so a prior optimal basis prices
-// dual-feasible under any rhs perturbation and the re-solve starts from
-// (usually) primal-near-feasible instead of all-slack. The carried basis
-// is accepted only if it factorizes nonsingular AND prices dual-feasible;
-// anything else falls back to the cold all-slack start.
+// solve. Dual feasibility depends only on the costs and the matrix — not
+// the rhs or bounds — so a prior optimal basis prices dual-feasible under
+// any rhs perturbation and the re-solve starts from (usually)
+// primal-near-feasible instead of all-slack. The carried basis names
+// slacks by row position, but the leaf schedule re-emits the same rows in
+// an order that moves with the geometry, so rows are matched by CONTENT:
+// each row's key hashes its CSR terms (rhs left out), and a sort-merge of
+// (key, position) pairs maps every carried slack to its row's position
+// here. The basis is accepted only if every key finds a partner, it
+// factorizes nonsingular AND it prices dual-feasible; anything else falls
+// back to the cold all-slack start, and LpStats::warm_declined_* records
+// which check failed.
 //
 // The dual engine never proves anything it cannot certify: lost dual
 // feasibility, an active working bound, a vanishing pivot element or an
@@ -74,9 +92,11 @@
 // is reported under LpStats::declined_* — the primary counters describe
 // the authoritative primal solve alone.
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <queue>
 #include <utility>
@@ -132,6 +152,16 @@ constexpr int kNnzGrowthSlack = 64;
 // touches under ~30% of the rows AND the basis is big enough for the DFS
 // bookkeeping to pay for itself.
 constexpr int kHyperSparseMinRows = 32;
+// Row content keys (LpWarmStart::row_keys): a splitmix64-style fold over a
+// row's (column, coefficient bits) terms.
+constexpr std::uint64_t kRowKeySeed = 0x9E3779B97F4A7C15ull;
+
+inline std::uint64_t mix_key(std::uint64_t key, std::uint64_t word) {
+  std::uint64_t z = key ^ (word + kRowKeySeed + (key << 6) + (key >> 2));
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
 
 inline double elapsed_ms(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
@@ -759,6 +789,11 @@ class RevisedSimplex {
     pr_in_.init(m_);
     pr_out_.init(m_);
     lu_.init_scratch(m_);
+    if (dual_) {
+      build_rows();
+      d_.assign(static_cast<std::size_t>(num_cols_), 0.0);
+      prow_.init(n_ + m_);
+    }
   }
 
   // Resets every field of a (possibly reused) LpSolution to its
@@ -825,7 +860,7 @@ class RevisedSimplex {
   // primal path. Stats are reset at entry either way; on decline they
   // carry the dual's spent work so the fallback can report it under the
   // declined_* counters. On success, `warm` (if given) receives the final
-  // basis for the next same-shaped solve.
+  // basis for the next solve over the same rows.
   bool solve_dual(const LpProblem& problem, LpSolution& solution, LpWarmStart* warm) {
     reset(solution);
     std::vector<double> costs(static_cast<std::size_t>(num_cols_), 0.0);
@@ -862,12 +897,17 @@ class RevisedSimplex {
       }
       if (!refactorize(solution.stats)) return false;  // cannot happen: identity
       --solution.stats.refactorizations;  // the trivial identity factorization
+      price(costs);
     }
 
     int degenerate_streak = 0;
     bool bland = false;
-    std::vector<double> y(static_cast<std::size_t>(m_), 0.0);    // duals c_B B^-1
-    std::vector<double> rho(static_cast<std::size_t>(m_), 0.0);  // pivot row e_r B^-1
+    // Dual feasibility is checked where reduced costs moved: every column
+    // after a full pricing pass, the pivot row's columns after an update.
+    // Both checks run only once a leaving row exists, like the pricing
+    // they stand in for.
+    bool recheck_all = false;
+    recheck_.clear();
     struct Candidate {
       int col;
       double alpha;  // pivot-row entry (sign as computed)
@@ -913,18 +953,22 @@ class RevisedSimplex {
         return true;
       }
 
-      // Duals y = c_B B^-1 and the BTRANed pivot row rho = e_r B^-1.
-      for (int i = 0; i < m_; ++i) {
-        const double cb = costs[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
-        if (cb != 0.0) pr_in_.set(i, cb);
+      if (recheck_all) {
+        for (int j = 0; j < n_ + m_; ++j) {
+          if (!in_basis_[static_cast<std::size_t>(j)] && !dual_feasible(j)) return false;
+        }
+        recheck_all = false;
+      } else {
+        for (const int j : recheck_) {
+          if (!in_basis_[static_cast<std::size_t>(j)] && !dual_feasible(j)) return false;
+        }
       }
-      lu_.btran(pr_in_, pr_out_);
-      y = pr_out_.v;
-      pr_out_.clear();
+      recheck_.clear();
+
+      // The pivot row alpha_r over the nonbasic columns rho = e_r B^-1 reaches.
       pr_in_.set(r, 1.0);
       lu_.btran(pr_in_, pr_out_);
-      rho = pr_out_.v;
-      pr_out_.clear();
+      form_pivot_row();
 
       // Bounded-variable dual ratio test. e is the signed violation. An
       // at-lower column enters by INCREASING from 0 (x_B -= t B^-1 a_q),
@@ -940,16 +984,14 @@ class RevisedSimplex {
       candidates.clear();
       double limit = std::numeric_limits<double>::infinity();
       double exact_min = std::numeric_limits<double>::infinity();
-      for (int j = 0; j < n_ + m_; ++j) {
-        if (in_basis_[static_cast<std::size_t>(j)]) continue;
+      for (const int j : prow_.touched) {
+        const double alpha = prow_.v[static_cast<std::size_t>(j)];
         const bool up = at_upper_[static_cast<std::size_t>(j)] != 0;
-        double d = costs[static_cast<std::size_t>(j)] - dot_column(j, y);
-        // Dual feasibility: at-lower needs d >= 0, at-upper d <= 0.
-        if (up ? d > kDualFeasEps : d < -kDualFeasEps) return false;
-        d = up ? std::min(d, 0.0) : std::max(d, 0.0);
-        const double alpha = dot_column(j, rho);
         const bool eligible = up ? e * alpha < -kEps : e * alpha > kEps;
         if (!eligible) continue;
+        // At-lower needs d >= 0, at-upper d <= 0; clamp the roundoff.
+        const double d = up ? std::min(d_[static_cast<std::size_t>(j)], 0.0)
+                            : std::max(d_[static_cast<std::size_t>(j)], 0.0);
         const double mag = std::abs(alpha);
         const double ratio = std::abs(d) / mag;
         candidates.push_back({j, alpha, ratio});
@@ -963,6 +1005,7 @@ class RevisedSimplex {
         // The row certifies primal infeasibility (a dual ray) — but only
         // when no working bound could have absorbed the ray: with working
         // bounds in play the primal engine re-decides.
+        prow_.clear();
         if (have_working) return false;
         solution.feasible = false;
         return true;
@@ -971,7 +1014,7 @@ class RevisedSimplex {
       // Pass 2 (Harris): inside the relaxed set take the largest pivot
       // element — numerical stability over textbook minimality; under the
       // anti-cycling fallback, the lowest column index inside the EXACT
-      // minimal-ratio set.
+      // minimal-ratio set. Both choices are independent of scan order.
       int entering = -1;
       double best_alpha = 0.0;
       for (const Candidate& c : candidates) {
@@ -988,33 +1031,28 @@ class RevisedSimplex {
           best_alpha = mag;
         }
       }
-      if (entering < 0) return false;
-      if (!bland && best_alpha < kStablePivotTol) {
+      if (entering < 0 || (!bland && best_alpha < kStablePivotTol)) {
         // Every admissible pivot is numerically parallel to the leaving
         // row; updating the factorization with one would seed it with a
         // near-singular spike. Decline — the primal engine re-solves from
         // scratch.
+        prow_.clear();
         return false;
       }
       const double theta = exact_min;  // the dual step length
 
       // FTRAN the entering column and cross-check the pivot element the
-      // BTRANed row promised: a vanished or flipped pivot is numerical
+      // pivot row promised: a vanished or flipped pivot is numerical
       // trouble; decline.
       const bool entering_up = at_upper_[static_cast<std::size_t>(entering)] != 0;
-      double alpha_row = 0.0;
-      for (const Candidate& c : candidates) {
-        if (c.col == entering) {
-          alpha_row = c.alpha;
-          break;
-        }
-      }
+      const double alpha_row = prow_.v[static_cast<std::size_t>(entering)];
       load_column(entering, spike_);
       lu_.ftran(spike_, alpha_, &solution.stats);
       const double a_rq = alpha_.v[static_cast<std::size_t>(r)];
       if (std::abs(a_rq) < kStablePivotTol || a_rq * alpha_row <= 0.0) {
         spike_.clear();
         alpha_.clear();
+        prow_.clear();
         return false;
       }
 
@@ -1034,8 +1072,22 @@ class RevisedSimplex {
       double enter_val = entering_up ? upper_[static_cast<std::size_t>(entering)] - t : t;
       if (enter_val < 0.0 && enter_val > -kFeasEps) enter_val = 0.0;
 
-      // The leaving column exits at the bound it violated.
+      // Reduced costs along the pivot row: d_j -= theta_d alpha_rj, with
+      // theta_d = d_q / alpha_rq; the entering column's d becomes 0 and the
+      // leaving column's -theta_d (its pivot-row entry is 1).
       const int leaving = basis_[static_cast<std::size_t>(r)];
+      const double theta_d = d_[static_cast<std::size_t>(entering)] / alpha_row;
+      for (const int j : prow_.touched) {
+        if (j == entering) continue;
+        d_[static_cast<std::size_t>(j)] -= theta_d * prow_.v[static_cast<std::size_t>(j)];
+        recheck_.push_back(j);
+      }
+      prow_.clear();
+      d_[static_cast<std::size_t>(entering)] = 0.0;
+      d_[static_cast<std::size_t>(leaving)] = -theta_d;
+      recheck_.push_back(leaving);
+
+      // The leaving column exits at the bound it violated.
       in_basis_[static_cast<std::size_t>(leaving)] = 0;
       at_upper_[static_cast<std::size_t>(leaving)] = upper_leave ? 1 : 0;
       in_basis_[static_cast<std::size_t>(entering)] = 1;
@@ -1055,6 +1107,8 @@ class RevisedSimplex {
           ++solution.stats.nnz_refactorizations;
         }
         if (!refactorize(solution.stats)) return false;  // singular: decline
+        price(costs);
+        recheck_all = true;
       }
       if (theta <= kEps) {
         ++solution.stats.degenerate_pivots;
@@ -1135,66 +1189,178 @@ class RevisedSimplex {
     return false;
   }
 
-  // Adopts a carried LpWarmStart when its shape matches and the basis both
-  // factorizes and prices dual-feasible. Returns false (leaving the engine
-  // ready for a cold start) otherwise. `warm_attempted` counts shapes that
-  // matched; `warm_accepted` the adoptions.
+  // Adopts a carried LpWarmStart when its rows match this problem's by
+  // content and the basis both factorizes and prices dual-feasible; the
+  // adopting pricing pass leaves the reduced costs ready for the main loop.
+  // Returns false (leaving the engine ready for a cold start) otherwise and
+  // counts the reason: rows (a different shape, or a row with no partner),
+  // singular, or dual. `warm_attempted` counts handles of matching shape;
+  // `warm_accepted` the adoptions.
   bool try_warm_start(const LpWarmStart* warm, const std::vector<double>& costs, LpStats& stats) {
     if (warm == nullptr || !warm->valid()) return false;
-    if (warm->num_rows != m_ || warm->num_vars != n_ ||
+    if (warm->num_vars != n_ || static_cast<int>(warm->row_keys.size()) != m_ ||
         static_cast<int>(warm->at_upper.size()) != num_cols_) {
+      ++stats.warm_declined_rows;
       return false;
     }
     ++stats.warm_attempted;
-    std::vector<char> seen(static_cast<std::size_t>(num_cols_), 0);
-    for (const int j : warm->basis) {
-      if (j < 0 || j >= num_cols_ || seen[static_cast<std::size_t>(j)]) return false;
-      seen[static_cast<std::size_t>(j)] = 1;
+    // The carried basis names slacks by row position. A reordered emission
+    // moves each slack to its row's new position; structural columns keep
+    // their index.
+    const std::vector<int> new_row = match_rows(warm->row_keys);
+    if (new_row.empty()) {
+      ++stats.warm_declined_rows;
+      return false;
     }
-    for (int j = 0; j < num_cols_; ++j) {
+    const auto mapped = [&](int j) {
+      return j < n_ ? j : n_ + new_row[static_cast<std::size_t>(j - n_)];
+    };
+    std::fill(in_basis_.begin(), in_basis_.end(), 0);
+    for (int s = 0; s < m_; ++s) {
+      const int carried = warm->basis[static_cast<std::size_t>(s)];
+      const int j = carried < 0 || carried >= num_cols_ ? -1 : mapped(carried);
+      if (j < 0 || in_basis_[static_cast<std::size_t>(j)]) {
+        ++stats.warm_declined_singular;  // a column named twice, or none
+        return false;
+      }
+      basis_[static_cast<std::size_t>(s)] = j;
+      in_basis_[static_cast<std::size_t>(j)] = 1;
+    }
+    for (int carried = 0; carried < num_cols_; ++carried) {
+      const int j = mapped(carried);
+      const bool up = warm->at_upper[static_cast<std::size_t>(carried)] != 0;
+      at_upper_[static_cast<std::size_t>(j)] = up && !in_basis_[static_cast<std::size_t>(j)];
       // A carried at-upper status needs a finite bound to rest on; losing
       // the bound (a cost flipped sign between rounds) voids the basis.
-      if (warm->at_upper[static_cast<std::size_t>(j)] && !seen[static_cast<std::size_t>(j)] &&
+      if (at_upper_[static_cast<std::size_t>(j)] &&
           upper_[static_cast<std::size_t>(j)] == std::numeric_limits<double>::infinity()) {
+        ++stats.warm_declined_dual;
         return false;
       }
     }
-    basis_ = warm->basis;
-    std::fill(in_basis_.begin(), in_basis_.end(), 0);
-    for (const int j : basis_) in_basis_[static_cast<std::size_t>(j)] = 1;
-    for (int j = 0; j < num_cols_; ++j) {
-      at_upper_[static_cast<std::size_t>(j)] =
-          (!in_basis_[static_cast<std::size_t>(j)] && warm->at_upper[static_cast<std::size_t>(j)])
-              ? 1
-              : 0;
+    if (!refactorize(stats)) {
+      ++stats.warm_declined_singular;
+      return false;
     }
-    if (!refactorize(stats)) return false;  // singular carried basis
     // Dual feasibility of the carried basis under THIS round's costs.
-    for (int i = 0; i < m_; ++i) {
-      const double cb = costs[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
-      if (cb != 0.0) pr_in_.set(i, cb);
-    }
-    lu_.btran(pr_in_, pr_out_);
-    bool feasible = true;
-    for (int j = 0; j < n_ + m_ && feasible; ++j) {
-      if (in_basis_[static_cast<std::size_t>(j)]) continue;
-      const double d = costs[static_cast<std::size_t>(j)] - dot_column(j, pr_out_.v);
-      if (at_upper_[static_cast<std::size_t>(j)] ? d > kDualFeasEps : d < -kDualFeasEps) {
-        feasible = false;
+    price(costs);
+    for (int j = 0; j < n_ + m_; ++j) {
+      if (!in_basis_[static_cast<std::size_t>(j)] && !dual_feasible(j)) {
+        ++stats.warm_declined_dual;
+        return false;
       }
     }
-    pr_out_.clear();
-    if (!feasible) return false;
     ++stats.warm_accepted;
     return true;
+  }
+
+  // Carried row position -> this problem's row position. Both key lists
+  // are sorted as (key, position) pairs and merged, so rows with equal keys
+  // pair up in position order. Empty when some key has no partner.
+  std::vector<int> match_rows(const std::vector<std::uint64_t>& carried) const {
+    std::vector<std::pair<std::uint64_t, int>> from(static_cast<std::size_t>(m_));
+    std::vector<std::pair<std::uint64_t, int>> to(static_cast<std::size_t>(m_));
+    for (int i = 0; i < m_; ++i) {
+      from[static_cast<std::size_t>(i)] = {carried[static_cast<std::size_t>(i)], i};
+      to[static_cast<std::size_t>(i)] = {row_keys_[static_cast<std::size_t>(i)], i};
+    }
+    std::sort(from.begin(), from.end());
+    std::sort(to.begin(), to.end());
+    std::vector<int> new_row(static_cast<std::size_t>(m_));
+    for (std::size_t k = 0; k < from.size(); ++k) {
+      if (from[k].first != to[k].first) return {};
+      new_row[static_cast<std::size_t>(from[k].second)] = to[k].second;
+    }
+    return new_row;
   }
 
   void save_warm(LpWarmStart* warm) const {
     if (warm == nullptr) return;
     warm->basis = basis_;
     warm->at_upper.assign(at_upper_.begin(), at_upper_.end());
+    warm->row_keys = row_keys_;
     warm->num_vars = n_;
-    warm->num_rows = m_;
+  }
+
+  // --- dual pricing --------------------------------------------------------
+
+  // The dual engine's row-wise (CSR) copy of the structural matrix: the
+  // CSC transposed, so a row lists its columns in increasing order with
+  // the CSC's merged values. Also one content key per row, hashed from
+  // those terms without the rhs (duals do not depend on it): the identity
+  // LpWarmStart matches rows by.
+  void build_rows() {
+    row_start_.assign(static_cast<std::size_t>(m_) + 1, 0);
+    for (const int i : row_idx_) ++row_start_[static_cast<std::size_t>(i) + 1];
+    for (int i = 0; i < m_; ++i) {
+      row_start_[static_cast<std::size_t>(i) + 1] += row_start_[static_cast<std::size_t>(i)];
+    }
+    csr_col_.resize(row_idx_.size());
+    csr_val_.resize(row_idx_.size());
+    std::vector<int> next(row_start_.begin(), row_start_.end() - 1);
+    for (int j = 0; j < n_; ++j) {
+      for (int k = col_start_[static_cast<std::size_t>(j)];
+           k < col_start_[static_cast<std::size_t>(j) + 1]; ++k) {
+        const int at = next[static_cast<std::size_t>(row_idx_[static_cast<std::size_t>(k)])]++;
+        csr_col_[static_cast<std::size_t>(at)] = j;
+        csr_val_[static_cast<std::size_t>(at)] = val_[static_cast<std::size_t>(k)];
+      }
+    }
+    row_keys_.assign(static_cast<std::size_t>(m_), 0);
+    for (int i = 0; i < m_; ++i) {
+      std::uint64_t key = kRowKeySeed;
+      for (int k = row_start_[static_cast<std::size_t>(i)];
+           k < row_start_[static_cast<std::size_t>(i) + 1]; ++k) {
+        const double v = csr_val_[static_cast<std::size_t>(k)];
+        key = mix_key(key, static_cast<std::uint64_t>(csr_col_[static_cast<std::size_t>(k)]));
+        key = mix_key(key, std::bit_cast<std::uint64_t>(v == 0.0 ? 0.0 : v));
+      }
+      row_keys_[static_cast<std::size_t>(i)] = key;
+    }
+  }
+
+  // d_j = c_j - y . a_j for every nonbasic column, y = c_B B^-1 from one
+  // BTRAN: the fresh pricing the per-pivot updates start from.
+  void price(const std::vector<double>& costs) {
+    for (int i = 0; i < m_; ++i) {
+      const double cb = costs[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
+      if (cb != 0.0) pr_in_.set(i, cb);
+    }
+    lu_.btran(pr_in_, pr_out_);
+    const std::vector<double>& y = pr_out_.v;
+    for (int j = 0; j < n_ + m_; ++j) {
+      const std::size_t col = static_cast<std::size_t>(j);
+      d_[col] = in_basis_[col] ? 0.0 : costs[col] - dot_column(j, y);
+    }
+    pr_out_.clear();
+  }
+
+  // At-lower columns need d >= 0, at-upper ones d <= 0, up to kDualFeasEps.
+  bool dual_feasible(int j) const {
+    const double d = d_[static_cast<std::size_t>(j)];
+    return at_upper_[static_cast<std::size_t>(j)] ? d <= kDualFeasEps : d >= -kDualFeasEps;
+  }
+
+  // prow_ = rho^T A over the nonbasic columns, rho = e_r B^-1 in pr_out_
+  // (consumed). Walks only the rows rho touches, in increasing order, so
+  // each entry sums its terms in the CSC's row order.
+  void form_pivot_row() {
+    std::sort(pr_out_.touched.begin(), pr_out_.touched.end());
+    for (const int i : pr_out_.touched) {
+      const double rho = pr_out_.v[static_cast<std::size_t>(i)];
+      if (rho == 0.0) continue;
+      if (!in_basis_[static_cast<std::size_t>(n_ + i)]) {
+        prow_.set(n_ + i, rho * sign_[static_cast<std::size_t>(i)]);
+      }
+      for (int k = row_start_[static_cast<std::size_t>(i)];
+           k < row_start_[static_cast<std::size_t>(i) + 1]; ++k) {
+        const int j = csr_col_[static_cast<std::size_t>(k)];
+        if (!in_basis_[static_cast<std::size_t>(j)]) {
+          prow_.add(j, rho * csr_val_[static_cast<std::size_t>(k)]);
+        }
+      }
+    }
+    pr_out_.clear();
   }
 
   // --- column access -------------------------------------------------------
@@ -1487,6 +1653,11 @@ class RevisedSimplex {
   std::vector<int> col_start_;           // CSC, structural columns only
   std::vector<int> row_idx_;
   std::vector<double> val_;
+  // Dual only: the CSR copy of the same matrix, and one content key per row.
+  std::vector<int> row_start_;
+  std::vector<int> csr_col_;
+  std::vector<double> csr_val_;
+  std::vector<std::uint64_t> row_keys_;
 
   std::vector<int> basis_;     // slot -> basic column (stable across refactors)
   std::vector<char> in_basis_;
@@ -1494,6 +1665,8 @@ class RevisedSimplex {
   std::vector<char> at_upper_;          // nonbasic-at-upper status (dual)
   std::vector<double> upper_;           // per-column upper bound (dual)
   std::vector<char> working_;           // bound is artificial (dual)
+  std::vector<double> d_;               // reduced costs, nonbasic columns (dual)
+  std::vector<int> recheck_;            // columns whose d moved at the last pivot
   LuBasis lu_;
   int pivots_since_refactor_ = 0;
 
@@ -1501,6 +1674,7 @@ class RevisedSimplex {
   Scratch alpha_;   // slot-indexed FTRAN result
   Scratch pr_in_;   // slot-indexed BTRAN rhs
   Scratch pr_out_;  // row-indexed BTRAN result
+  Scratch prow_;    // column-indexed dual pivot row alpha_r (dual)
 };
 
 }  // namespace
@@ -1546,6 +1720,9 @@ void solve_lp_sparse_dual_into(const LpProblem& problem, LpPricing pricing, LpSo
   solution.stats.declined_wall_ms = declined_ms;
   solution.stats.warm_attempted = declined.warm_attempted;
   solution.stats.warm_accepted = declined.warm_accepted;
+  solution.stats.warm_declined_rows = declined.warm_declined_rows;
+  solution.stats.warm_declined_singular = declined.warm_declined_singular;
+  solution.stats.warm_declined_dual = declined.warm_declined_dual;
 }
 
 LpSolution solve_lp_sparse(const LpProblem& problem, LpPricing pricing) {

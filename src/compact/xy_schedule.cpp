@@ -282,9 +282,10 @@ LeafXyResult compact_leaf_schedule(const CellTable& cells, const InterfaceTable&
   LeafXyResult result;
   // One warm-start handle per axis, alive across rounds: round k's optimal
   // basis seeds round k+1's solve of the same axis. The engine validates
-  // the carried basis itself (shape, nonsingularity, dual feasibility) and
-  // cold-starts when it is stale — e.g. when an axis's spec list changed
-  // and the LP shape with it — so the handles need no management here.
+  // the carried basis itself (rows matched by content, nonsingularity,
+  // dual feasibility) and cold-starts when it is stale — e.g. when the
+  // rebuilt geometry dropped constraints — so the handles need no
+  // management here.
   LpWarmStart warm_x;
   LpWarmStart warm_y;
   LpWarmStart* const warm_x_ptr = options.warm_start ? &warm_x : nullptr;

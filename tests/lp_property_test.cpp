@@ -17,11 +17,17 @@
 // until-fail:3` to screen for order/state flakiness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "compact/leaf_compactor.hpp"
 #include "compact/simplex.hpp"
+#include "compact/synth_design.hpp"
 
 namespace rsg::compact {
 namespace {
@@ -350,6 +356,224 @@ TEST(LpPropertyTest, WarmStartChainsMatchColdAcrossEngines) {
   // so the total pivot spend sits well below the cold baseline's.
   EXPECT_GT(accepted, 60);
   EXPECT_LT(warm_pivots * 2, cold_pivots);
+}
+
+// Family 8: warm starts that survive row reordering. The leaf schedule's
+// confirming round re-emits the previous round's rows in another order, so
+// a carried basis must find its rows by content, not position. Each base
+// LP (seeded chains, and the LPs of 8- and 16-cell leaf libraries) is
+// solved once for a handle, then re-solved from a copy of it after
+//   (a) a row shuffle,
+//   (b) a shuffle plus one perturbed rhs,
+//   (c) a shuffle of rows that share terms but differ in rhs (equal keys).
+// The basis must be adopted every time, (a) in zero pivots, and every
+// answer must match the cold and dense-tableau ones and satisfy every row
+// and bound. A handle whose row terms changed must decline for exactly
+// that reason and still return the cold optimum.
+struct PermutedBase {
+  std::string name;
+  LpProblem lp;
+  bool integral;  // all-integer data: objectives must agree exactly
+};
+
+LpProblem warm_chain(std::uint32_t seed) {
+  auto rng = rng_for(seed ^ 0x9E37C4A1u);
+  std::uniform_int_distribution<int> dim(3, 20);
+  std::uniform_int_distribution<int> weight(1, 9);
+  std::uniform_int_distribution<int> pick(0, 3);
+  LpProblem p;
+  const int n = dim(rng);
+  p.num_vars = n;
+  for (int j = 0; j < n; ++j) {
+    p.objective.push_back(pick(rng) == 0 ? 0.0 : static_cast<double>(weight(rng)));
+  }
+  p.constraints.push_back({{{0, -1.0}}, -static_cast<double>(weight(rng))});
+  for (int v = 1; v < n; ++v) {
+    p.constraints.push_back({{{v - 1, 1.0}, {v, -1.0}}, -static_cast<double>(weight(rng))});
+    if (pick(rng) == 0 && v >= 2) {
+      p.constraints.push_back(
+          {{{v - 2, 1.0}, {v, -1.0}}, -static_cast<double>(weight(rng) + 3)});
+    }
+  }
+  p.constraints.push_back({{{n - 1, 1.0}}, 400.0});  // ceiling: feasible, bounded
+  return p;
+}
+
+std::vector<PermutedBase> permuted_bases() {
+  std::vector<PermutedBase> bases;
+  for (std::uint32_t seed = 0; seed < 40; ++seed) {
+    bases.push_back({"chain " + std::to_string(seed), warm_chain(seed), true});
+  }
+  const std::pair<int, std::uint32_t> leaf_libraries[] = {{8, 1}, {8, 2}, {16, 1}};
+  for (const auto& [cells, seed] : leaf_libraries) {
+    const SynthLeafLibrary lib = make_leaf_library(cells, 8, seed);
+    bases.push_back({"leaf " + std::to_string(cells) + "/" + std::to_string(seed),
+                     build_leaf_lp(lib.cells, lib.interfaces, lib.cell_names, lib.pitch_specs,
+                                   CompactionRules::mosis())
+                         .lp,
+                     false});
+  }
+  return bases;
+}
+
+// Every row and bound of `p` holds at `x`.
+void expect_satisfies(const LpProblem& p, const LpSolution& s, const std::string& where) {
+  ASSERT_EQ(s.x.size(), static_cast<std::size_t>(p.num_vars)) << where;
+  for (std::size_t i = 0; i < p.constraints.size(); ++i) {
+    double lhs = 0.0;
+    for (const auto& [var, coeff] : p.constraints[i].terms) {
+      lhs += coeff * s.x[static_cast<std::size_t>(var)];
+    }
+    EXPECT_LE(lhs, p.constraints[i].rhs + 1e-7) << where << " row " << i;
+  }
+  for (int j = 0; j < p.num_vars; ++j) {
+    EXPECT_GE(s.x[static_cast<std::size_t>(j)], -1e-7) << where << " var " << j;
+    if (!p.upper.empty()) {
+      EXPECT_LE(s.x[static_cast<std::size_t>(j)], p.upper[static_cast<std::size_t>(j)] + 1e-7)
+          << where << " var " << j;
+    }
+  }
+}
+
+void expect_same_objective(double got, double want, bool integral, const std::string& where) {
+  if (integral) {
+    EXPECT_EQ(got, want) << where;
+  } else {
+    EXPECT_NEAR(got, want, 1e-9 * (1.0 + std::abs(want))) << where;
+  }
+}
+
+TEST(LpPropertyTest, PermutedRowWarmStartsAdoptAndMatchCold) {
+  const LpOptions dual_opts{LpMethod::kSparseDual, LpPricing::kDantzig};
+  int duplicate_pivots = 0;
+  std::uint32_t shuffle_seed = 0;
+  for (const PermutedBase& base : permuted_bases()) {
+    auto rng = rng_for(++shuffle_seed ^ 0x5EED5u);
+    const auto shuffled = [&rng](LpProblem p) {
+      std::shuffle(p.constraints.begin(), p.constraints.end(), rng);
+      return p;
+    };
+    // Re-solves `p` from a copy of `carried` and checks the answer against
+    // the cold and dense ones; returns the warm solve.
+    const auto resolve = [&](const LpProblem& p, const LpWarmStart& carried,
+                             const std::string& where) {
+      LpWarmStart handle = carried;
+      const LpSolution warm = solve_lp(p, dual_opts, &handle);
+      const LpSolution cold = solve_lp(p, dual_opts);
+      const LpSolution dense = solve_lp(p, LpMethod::kDenseTableau);
+      EXPECT_TRUE(warm.feasible && warm.bounded && cold.feasible && dense.feasible) << where;
+      expect_same_objective(warm.objective, cold.objective, base.integral, where + " vs cold");
+      expect_same_objective(warm.objective, dense.objective, base.integral, where + " vs dense");
+      expect_satisfies(p, warm, where);
+      EXPECT_TRUE(handle.valid()) << where;
+      return warm;
+    };
+
+    LpWarmStart carried;
+    const LpSolution first = solve_lp(base.lp, dual_opts, &carried);
+    ASSERT_TRUE(first.feasible && first.bounded && carried.valid()) << base.name;
+
+    // (a) Same rows, new order: the carried vertex is already optimal.
+    const LpSolution a = resolve(shuffled(base.lp), carried, base.name + " (a)");
+    EXPECT_EQ(a.stats.warm_attempted, 1) << base.name;
+    EXPECT_EQ(a.stats.warm_accepted, 1) << base.name;
+    EXPECT_EQ(a.stats.iterations, 0) << base.name;
+    expect_same_objective(a.objective, first.objective, base.integral, base.name + " (a)");
+
+    // (b) New order and one loosened rhs: the keys leave the rhs out.
+    LpProblem perturbed = base.lp;
+    perturbed.constraints[shuffle_seed % perturbed.constraints.size()].rhs += 1.0;
+    const LpSolution b = resolve(shuffled(perturbed), carried, base.name + " (b)");
+    EXPECT_EQ(b.stats.warm_accepted, 1) << base.name;
+
+    // (c) Looser copies of every third row share its key; a shuffle can
+    // swap which copy each carried slack lands on.
+    LpProblem duplicated = base.lp;
+    for (std::size_t i = 0; i < base.lp.constraints.size(); i += 3) {
+      LpConstraint copy = base.lp.constraints[i];
+      copy.rhs += 1.0 + static_cast<double>(i % 2);
+      duplicated.constraints.push_back(std::move(copy));
+    }
+    LpWarmStart carried_dup;
+    ASSERT_TRUE(solve_lp(duplicated, dual_opts, &carried_dup).feasible) << base.name;
+    const LpSolution c = resolve(shuffled(duplicated), carried_dup, base.name + " (c)");
+    EXPECT_EQ(c.stats.warm_accepted, 1) << base.name;
+    duplicate_pivots += c.stats.iterations;
+
+    // Changed terms: one row scaled by 2 (the same half-space, new terms).
+    LpProblem rescaled = shuffled(base.lp);
+    LpConstraint& row = rescaled.constraints[shuffle_seed % rescaled.constraints.size()];
+    for (auto& term : row.terms) term.second *= 2.0;
+    row.rhs *= 2.0;
+    LpWarmStart stale = carried;
+    const LpSolution declined = solve_lp(rescaled, dual_opts, &stale);
+    const LpSolution cold = solve_lp(rescaled, dual_opts);
+    EXPECT_EQ(declined.stats.warm_attempted, 1) << base.name;
+    EXPECT_EQ(declined.stats.warm_accepted, 0) << base.name;
+    EXPECT_EQ(declined.stats.warm_declined_rows, 1) << base.name;
+    EXPECT_EQ(declined.stats.iterations, cold.stats.iterations) << base.name;
+    EXPECT_EQ(declined.objective, cold.objective) << base.name;
+  }
+  // Equal keys pair up in position order, so some shuffles hand a carried
+  // slack to its row's looser twin and the dual repairs the difference.
+  EXPECT_GT(duplicate_pivots, 0);
+}
+
+// The other two decline reasons. Dual: a cost change that makes the
+// carried optimum dual-infeasible (the chain head now wants to rise to
+// its ceiling). Singular: a hand-built handle naming two identical
+// columns. Both must report the reason and return the cold optimum.
+TEST(LpPropertyTest, WarmStartDeclinesSayWhy) {
+  const LpOptions dual_opts{LpMethod::kSparseDual, LpPricing::kDantzig};
+  for (std::uint32_t seed = 0; seed < 20; ++seed) {
+    const LpProblem p = warm_chain(seed);
+    LpWarmStart carried;
+    ASSERT_TRUE(solve_lp(p, dual_opts, &carried).feasible) << "seed " << seed;
+
+    LpProblem recosted = p;
+    double total = 0.0;
+    for (const double c : p.objective) total += c;
+    recosted.objective.back() = -(total + 1.0);
+    LpWarmStart handle = carried;
+    const LpSolution dual_declined = solve_lp(recosted, dual_opts, &handle);
+    const LpSolution cold = solve_lp(recosted, dual_opts);
+    EXPECT_EQ(dual_declined.stats.warm_attempted, 1) << "seed " << seed;
+    EXPECT_EQ(dual_declined.stats.warm_declined_dual, 1) << "seed " << seed;
+    EXPECT_EQ(dual_declined.stats.warm_accepted, 0) << "seed " << seed;
+    EXPECT_EQ(dual_declined.objective, cold.objective) << "seed " << seed;
+    EXPECT_EQ(dual_declined.objective, solve_lp(recosted, LpMethod::kDenseTableau).objective)
+        << "seed " << seed;
+
+    // Column n copies column 0 in every row; basis slots holding slacks
+    // are handed to whichever of the twins is not basic yet.
+    LpProblem twins = p;
+    const int twin = twins.num_vars++;
+    twins.objective.push_back(1.0);
+    for (LpConstraint& row : twins.constraints) {
+      const std::vector<std::pair<int, double>> terms = row.terms;
+      for (const auto& [var, coeff] : terms) {
+        if (var == 0) row.terms.emplace_back(twin, coeff);
+      }
+    }
+    LpWarmStart twin_handle;
+    const LpSolution twin_cold = solve_lp(twins, dual_opts, &twin_handle);
+    ASSERT_TRUE(twin_cold.feasible && twin_handle.valid()) << "seed " << seed;
+    for (const int column : {0, twin}) {
+      if (std::find(twin_handle.basis.begin(), twin_handle.basis.end(), column) !=
+          twin_handle.basis.end()) {
+        continue;
+      }
+      const auto slack = std::find_if(twin_handle.basis.begin(), twin_handle.basis.end(),
+                                      [&](int j) { return j >= twins.num_vars; });
+      ASSERT_NE(slack, twin_handle.basis.end()) << "seed " << seed;
+      *slack = column;
+    }
+    const LpSolution singular = solve_lp(twins, dual_opts, &twin_handle);
+    EXPECT_EQ(singular.stats.warm_attempted, 1) << "seed " << seed;
+    EXPECT_EQ(singular.stats.warm_declined_singular, 1) << "seed " << seed;
+    EXPECT_EQ(singular.stats.warm_accepted, 0) << "seed " << seed;
+    EXPECT_EQ(singular.objective, twin_cold.objective) << "seed " << seed;
+  }
 }
 
 }  // namespace

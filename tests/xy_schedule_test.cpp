@@ -167,6 +167,42 @@ TEST(LeafXySchedule, ScheduleRunsOnTheDualEngineByDefault) {
   EXPECT_EQ(result.lp_total.dual_pivots, result.lp_total.iterations);
 }
 
+TEST(LeafXySchedule, ConfirmingRoundAdoptsTheCarriedBasis) {
+  // Tripwire for leaf-cold-confirming-round: the round that only confirms
+  // convergence solves the previous round's LP with its rows emitted in
+  // another order. Its carried basis must be adopted and already optimal
+  // (zero pivots), and the result must be the cold schedule's, box for
+  // box: the cold run is the oracle.
+  LeafXyOptions cold_options;
+  cold_options.warm_start = false;
+  for (const int cells : {8, 32}) {
+    for (std::uint32_t seed = 1; seed <= 4; ++seed) {
+      const SynthLeafLibrary lib = make_leaf_library(cells, 8, seed);
+      const LeafXyResult warm = compact_leaf_schedule(lib.cells, lib.interfaces, lib.cell_names,
+                                                      lib.pitch_specs, CompactionRules::mosis());
+      const LeafXyResult cold =
+          compact_leaf_schedule(lib.cells, lib.interfaces, lib.cell_names, lib.pitch_specs,
+                                CompactionRules::mosis(), cold_options);
+      const std::string where = std::to_string(cells) + " cells, seed " + std::to_string(seed);
+      ASSERT_TRUE(warm.converged) << where;
+      ASSERT_GE(warm.rounds, 2) << where;
+      const LeafRoundStats& last = warm.round_stats.back();
+      EXPECT_EQ(last.x_lp.warm_accepted, 1) << where;
+      EXPECT_EQ(last.x_lp.iterations, 0) << where;
+      EXPECT_EQ(warm.rounds, cold.rounds) << where;
+      for (const std::string& name : lib.cell_names) {
+        EXPECT_EQ(flatten_boxes(warm.cells.get(name)), flatten_boxes(cold.cells.get(name)))
+            << where << ", cell " << name;
+      }
+      for (const PitchSpec& spec : lib.pitch_specs) {
+        EXPECT_EQ(warm.interfaces.get(spec.cell_a, spec.cell_b, spec.interface_index).vector,
+                  cold.interfaces.get(spec.cell_a, spec.cell_b, spec.interface_index).vector)
+            << where << ", " << spec.cell_a << " -> " << spec.cell_b;
+      }
+    }
+  }
+}
+
 TEST(XySchedule, ConvergesOnGridField) {
   const SynthField field = make_grid_field(8, 8);
   XyScheduleOptions schedule;
