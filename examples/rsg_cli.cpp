@@ -59,17 +59,15 @@ const char kUsage[] =
     "                      without -o, a per-run summary is printed instead of CIF\n"
     "  --stats             print pipeline statistics to stderr\n"
     "  --compact-stats     print per-round compaction telemetry to stderr: extent\n"
-    "                      deltas, constraint reuse, solver pops, x/y warm starts,\n"
-    "                      shard counts, reconcile iterations, boundary churn\n"
-    "  --compact-shards <n>  solve each compaction pass on <n> concurrent shards\n"
-    "                      (0 = one per core; byte-identical to the serial solve)\n"
+    "                      deltas, constraint reuse, solver pops, x/y warm starts\n"
     "  --checkpoint-out <f>  rewrite an RSGC checkpoint of the compaction schedule\n"
     "                      after every completed round (resume with --checkpoint-in)\n"
     "  --checkpoint-in <f>   resume the compaction schedule from an RSGC checkpoint;\n"
     "                      the result is bit-for-bit the uninterrupted run's\n"
     "  -h, --help          show this help\n";
 
-void print_compact_stats(const rsg::GeneratorResult& result) {
+// `max_rounds` is the round cap of the schedule options the run passed.
+void print_compact_stats(const rsg::GeneratorResult& result, int max_rounds) {
   using rsg::compact::RoundStats;
   if (!result.compacted) {
     std::cerr << "compaction:     not run (enable with the .compact:xy directive)\n";
@@ -78,7 +76,7 @@ void print_compact_stats(const rsg::GeneratorResult& result) {
   const rsg::compact::XyScheduleResult& c = result.compaction;
   std::fprintf(stderr,
                "compaction:     %d/%d round%s, %s; width %lld -> %lld, height %lld -> %lld\n",
-               c.convergence.iterations, c.convergence.cap, c.rounds == 1 ? "" : "s",
+               c.rounds, max_rounds, c.rounds == 1 ? "" : "s",
                c.converged ? "converged" : "capped (geometry still moving)",
                static_cast<long long>(c.width_before), static_cast<long long>(c.width_after),
                static_cast<long long>(c.height_before), static_cast<long long>(c.height_after));
@@ -86,12 +84,8 @@ void print_compact_stats(const rsg::GeneratorResult& result) {
     std::fprintf(stderr, "                best-effort skips:%s%s\n",
                  c.x_infeasible ? " x" : "", c.y_infeasible ? " y" : "");
   }
-  bool sharded = false;
-  for (const RoundStats& r : c.round_stats) sharded = sharded || r.solve_shards > 0;
-  std::fprintf(stderr, "  %-6s %-6s %-6s %-12s %-8s %-9s %-6s %-8s", "round", "dW", "dH",
-               "constraints", "reused", "pops", "warm", "skipped");
-  if (sharded) std::fprintf(stderr, " %-7s %-6s %-8s %-6s", "shards", "recon", "boundary", "churn");
-  std::fprintf(stderr, " %-8s\n", "ms");
+  std::fprintf(stderr, "  %-6s %-6s %-6s %-12s %-8s %-9s %-6s %-8s %-8s\n", "round", "dW", "dH",
+               "constraints", "reused", "pops", "warm", "skipped", "ms");
   for (const RoundStats& r : c.round_stats) {
     const std::size_t discovered = r.partners_reswept + r.partners_reused;
     char reused[16];
@@ -105,15 +99,10 @@ void print_compact_stats(const rsg::GeneratorResult& result) {
     char skipped[8];
     std::snprintf(skipped, sizeof skipped, "%s%s", r.x_skipped ? "x" : "",
                   r.y_skipped ? "y" : "");
-    std::fprintf(stderr, "  %-6d %-6lld %-6lld %-12zu %-8s %-9zu %-6s %-8s", r.round,
+    std::fprintf(stderr, "  %-6d %-6lld %-6lld %-12zu %-8s %-9zu %-6s %-8s %-8.2f\n", r.round,
                  static_cast<long long>(r.width_delta), static_cast<long long>(r.height_delta),
                  r.constraints_emitted, reused, r.solve_pops, warm,
-                 skipped[0] != '\0' ? skipped : "-");
-    if (sharded) {
-      std::fprintf(stderr, " %-7d %-6d %-8zu %-6zu", r.solve_shards, r.reconcile_rounds,
-                   r.boundary_constraints, r.boundary_churn);
-    }
-    std::fprintf(stderr, " %-8.2f\n", r.wall_ms);
+                 skipped[0] != '\0' ? skipped : "-", r.wall_ms);
   }
 }
 
@@ -144,7 +133,6 @@ int main(int argc, char** argv) {
   std::string params_sweep;
   std::string checkpoint_in;
   std::string checkpoint_out;
-  int compact_shards = 1;
   bool stats = false;
   bool compact_stats = false;
   for (int i = 1; i < argc; ++i) {
@@ -176,8 +164,6 @@ int main(int argc, char** argv) {
       checkpoint_in = value("--checkpoint-in");
     } else if (std::strcmp(argv[i], "--checkpoint-out") == 0) {
       checkpoint_out = value("--checkpoint-out");
-    } else if (std::strcmp(argv[i], "--compact-shards") == 0) {
-      compact_shards = std::atoi(value("--compact-shards").c_str());
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       stats = true;
     } else if (std::strcmp(argv[i], "--compact-stats") == 0) {
@@ -226,7 +212,10 @@ int main(int argc, char** argv) {
                     << result.top->name() << ", " << result.top->flattened_box_count()
                     << " boxes, bbox " << result.top->bounding_box() << "\n";
         }
-        if (compact_stats) print_compact_stats(result);
+        // Sweep sessions run the default compaction request.
+        if (compact_stats) {
+          print_compact_stats(result, rsg::CompactionRequest::default_schedule().max_rounds);
+        }
       }
       if (run == 0) throw rsg::Error("sweep file '" + params_sweep + "' has no runs");
       if (stats) std::cerr << "sweep:          " << run << " runs, compiled once\n";
@@ -240,16 +229,12 @@ int main(int argc, char** argv) {
   try {
     rsg::Generator generator;
     rsg::GeneratorResult result;
-    {
-      // Compaction options ride along even while enabled stays false —
-      // the `.compact:xy` directive flips the switch inside the pipeline.
-      rsg::CompactionRequest compaction;
-      compaction.flat.solve_shards = compact_shards;
-      compaction.flat.solve_threads = compact_shards;
-      compaction.checkpoint_in = checkpoint_in;
-      compaction.checkpoint_out = checkpoint_out;
-      generator.set_compaction(compaction);
-    }
+    // Compaction options ride along even while enabled stays false —
+    // the `.compact:xy` directive flips the switch inside the pipeline.
+    rsg::CompactionRequest compaction;
+    compaction.checkpoint_in = checkpoint_in;
+    compaction.checkpoint_out = checkpoint_out;
+    generator.set_compaction(compaction);
 
     if (snapshot_mode) {
       const rsg::SnapshotReadResult loaded = generator.import_snapshot(snapshot_in);
@@ -310,7 +295,7 @@ int main(int argc, char** argv) {
           generator.export_snapshot(snapshot_out, result.top->name());
       std::cout << "wrote " << snapshot_out << " (" << written.file_bytes << " bytes)\n";
     }
-    if (compact_stats) print_compact_stats(result);
+    if (compact_stats) print_compact_stats(result, compaction.schedule.max_rounds);
     if (stats) {
       std::cerr << "top cell:       " << result.top->name() << "\n";
       std::cerr << "flat instances: " << result.top->flattened_instance_count() << "\n";

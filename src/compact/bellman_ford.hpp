@@ -46,13 +46,6 @@ enum class EdgeOrder {
   kReversed,   // adversarial: worst case for the relaxation count
 };
 
-// Which longest-path solver compact_flat runs.
-enum class SolverKind {
-  kWorklist,   // one seeding sweep, then only the out-edges of changed
-               // variables are revisited (subtree disassembly, below)
-  kPassBased,  // full edge-list sweeps until fixpoint (the §6.4.2 baseline)
-};
-
 // The worklist solvers' infeasibility verdict and its certificate: a
 // positive cycle of constraint indices chained head to tail
 // (constraints()[cycle[k]].to == constraints()[cycle[k + 1]].from, the last
@@ -72,6 +65,10 @@ class PositiveCycle : public Error {
   std::size_t relaxations_ = 0;
 };
 
+// The pass-based solvers: full edge-list sweeps until fixpoint, the §6.4.2
+// baseline. No compaction pass runs them; they are the oracle the worklist
+// tests compare against and what bench_t642_bellman counts passes with.
+//
 // Solves into system.values. Throws rsg::Error on infeasible systems
 // (a positive cycle — the layout cannot satisfy its own constraints) once
 // |V| + 2 passes have not converged.
@@ -82,8 +79,9 @@ SolveStats solve_leftmost(ConstraintSystem& system, EdgeOrder order = EdgeOrder:
 SolveStats solve_rightmost(ConstraintSystem& system, Coord width,
                            std::vector<Coord>& upper_bounds);
 
-// Worklist variants, the production path: Bellman–Ford with a FIFO
-// worklist and Tarjan's subtree disassembly. The worklist's first round is
+// Worklist variants, the solvers every flat pass runs (compact_flat, the
+// incremental engine, the rubber band's slack bounds): Bellman–Ford with a
+// FIFO worklist and Tarjan's subtree disassembly. The worklist's first round is
 // §6.4.2's seeding sweep: the origin constraints, then every variable's
 // out-edges (in-edges for the rightmost dual) in order of initial abscissa
 // (descending for the dual). After it only variables whose value changed

@@ -8,17 +8,9 @@ ConstraintSystemBuilder::ConstraintSystemBuilder(const CompactionRules& rules,
 
 void ConstraintSystemBuilder::emit_batch(std::vector<CompactionBox>& boxes) {
   add_box_variables(system_, boxes);
-  switch (options_.generator) {
-    case ConstraintGenerator::kReference:
-      generate_constraints_reference(system_, boxes, rules_);
-      return;
-    case ConstraintGenerator::kNaive:
-      generate_constraints_naive(system_, boxes, rules_);
-      return;
-    case ConstraintGenerator::kScanline:
-      break;
-  }
-  if (options_.threads != 1 && boxes.size() >= options_.parallel_threshold) {
+  if (options_.generator == ConstraintGenerator::kNaive) {
+    generate_constraints_naive(system_, boxes, rules_);
+  } else if (options_.threads != 1 && boxes.size() >= options_.parallel_threshold) {
     generate_constraints_parallel(system_, boxes, rules_, options_.threads);
   } else {
     generate_constraints(system_, boxes, rules_);

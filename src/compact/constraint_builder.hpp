@@ -10,7 +10,8 @@
 // emit_batch() assigns edge variables to boxes that lack them (leaf
 // compaction shares variables between instance copies) and runs the
 // selected generator — the visibility scan line (optionally parallelized
-// per layer), the pre-scaling reference, or the §6.4.1 naive baseline.
+// per layer) or the §6.4.1 naive baseline. The pre-scaling reference
+// generator is not selectable here; tests call it directly as the oracle.
 // Batches accumulate into one system: flat compaction emits a single batch,
 // leaf compaction emits one per cell plus one per interface pair layout.
 //
@@ -30,9 +31,8 @@
 namespace rsg::compact {
 
 enum class ConstraintGenerator {
-  kScanline,   // Figure 6.7 visibility sweep (the default)
-  kReference,  // pre-scaling all-pairs / linear-profile equivalence baseline
-  kNaive,      // the §6.4.1 overconstraining pairwise generator
+  kScanline,  // Figure 6.7 visibility sweep (the default)
+  kNaive,     // the §6.4.1 overconstraining pairwise generator
 };
 
 struct BuilderOptions {

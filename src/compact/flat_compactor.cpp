@@ -87,21 +87,8 @@ FlatResult compact_flat(const std::vector<LayerBox>& boxes, const CompactionRule
   result.constraint_count = system.constraint_count();
   result.variable_count = system.variable_count();
 
-  if (options.solver == SolverKind::kWorklist && options.solve_shards != 1) {
-    const int shards =
-        options.solve_shards > 0 ? options.solve_shards : resolve_sweep_threads(0);
-    const ShardPlan plan = plan_shards(system, shards);
-    ShardedSolveOptions sharded_options;
-    sharded_options.threads = options.solve_threads;
-    result.solve = solve_leftmost_sharded(system, plan, sharded_options, &result.sharded);
-  } else {
-    result.solve = options.solver == SolverKind::kWorklist
-                       ? solve_leftmost_worklist(system)
-                       : solve_leftmost(system, options.edge_order);
-  }
-  if (options.apply_rubber_band) {
-    result.rubber = rubber_band(system, /*max_iterations=*/64, options.solver);
-  }
+  result.solve = solve_leftmost_worklist(system);
+  if (options.apply_rubber_band) result.rubber = rubber_band(system);
 
   result.boxes.reserve(cboxes.size());
   Coord width = 0;

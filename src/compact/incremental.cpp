@@ -258,28 +258,12 @@ FlatResult IncrementalCompactor::pass(AxisState& state, const std::vector<LayerB
     }
     if (feasible) seed = &state.warm;
   }
-  // A feasible warm seed beats sharding (the verified seed skips the solve
-  // almost entirely), so the sharded path runs only on cold rounds.
-  if (options_.solver == SolverKind::kWorklist && options_.solve_shards != 1 &&
-      seed == nullptr) {
-    const int shard_target =
-        options_.solve_shards > 0 ? options_.solve_shards : resolve_sweep_threads(0);
-    const ShardPlan plan = plan_shards(system, shard_target);
-    ShardedSolveOptions sharded_options;
-    sharded_options.threads = options_.solve_threads;
-    result.solve = solve_leftmost_sharded(system, plan, sharded_options, &result.sharded);
-  } else {
-    result.solve = options_.solver == SolverKind::kWorklist
-                       ? solve_leftmost_worklist(system, seed)
-                       : solve_leftmost(system, options_.edge_order);
-  }
+  result.solve = solve_leftmost_worklist(system, seed);
   // Snapshot the warm seed BEFORE the rubber band moves boxes off the
   // least solution: the next pass's warm start targets the least solve,
   // and a rubber-banded seed would fail verification every round.
   state.warm = system.values;
-  if (options_.apply_rubber_band) {
-    result.rubber = rubber_band(system, /*max_iterations=*/64, options_.solver);
-  }
+  if (options_.apply_rubber_band) result.rubber = rubber_band(system);
 
   result.boxes.reserve(cboxes.size());
   Coord width = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "compact/bellman_ford.hpp"
 #include "compact/rigid_groups.hpp"
 #include "support/error.hpp"
 
@@ -29,7 +30,7 @@ std::int64_t total_jog(const ConstraintSystem& system) {
   return jog;
 }
 
-RubberBandStats rubber_band(ConstraintSystem& system, int max_iterations, SolverKind solver) {
+RubberBandStats rubber_band(ConstraintSystem& system, int max_iterations) {
   RubberBandStats stats;
   stats.jog_before = total_jog(system);
   if (system.variable_count() == 0) {
@@ -39,11 +40,7 @@ RubberBandStats rubber_band(ConstraintSystem& system, int max_iterations, Solver
 
   const Coord width = *std::max_element(system.values.begin(), system.values.end());
   std::vector<Coord> upper;
-  if (solver == SolverKind::kWorklist) {
-    solve_rightmost_worklist(system, width, upper);
-  } else {
-    solve_rightmost(system, width, upper);
-  }
+  solve_rightmost_worklist(system, width, upper);
 
   RigidGroups groups(system);
 

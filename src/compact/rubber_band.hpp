@@ -15,7 +15,6 @@
 // jog objective, terminates when no variable moves.
 #pragma once
 
-#include "compact/bellman_ford.hpp"
 #include "compact/constraint_graph.hpp"
 
 namespace rsg::compact {
@@ -32,9 +31,7 @@ struct RubberBandStats {
 std::int64_t total_jog(const ConstraintSystem& system);
 
 // Improves system.values in place without increasing the layout width.
-// `solver` selects how the slack intervals' upper bounds are computed, so a
-// pass-based compact_flat run stays pass-based end to end.
-RubberBandStats rubber_band(ConstraintSystem& system, int max_iterations = 64,
-                            SolverKind solver = SolverKind::kWorklist);
+// The slack intervals' upper bounds come from solve_rightmost_worklist.
+RubberBandStats rubber_band(ConstraintSystem& system, int max_iterations = 64);
 
 }  // namespace rsg::compact

@@ -102,13 +102,6 @@ struct RoundStats {
   std::size_t solve_pops = 0;           // SolveStats::pops, both passes
   bool warm_x = false;                  // warm start verified exact for the axis
   bool warm_y = false;
-  // Sharded solving (FlatOptions::solve_shards != 1): shards planned (max
-  // over the two passes), reconciliation rounds, boundary constraints and
-  // boundary-violation churn (both summed over the two passes).
-  int solve_shards = 0;
-  int reconcile_rounds = 0;
-  std::size_t boundary_constraints = 0;
-  std::size_t boundary_churn = 0;
   double wall_ms = 0.0;
 };
 
@@ -122,9 +115,6 @@ struct XyScheduleResult {
   bool converged = false;   // a round left the geometry unchanged
   bool x_infeasible = false;  // best effort: some x pass was skipped
   bool y_infeasible = false;  // best effort: some y pass was skipped
-  // The schedule's round loop against its cap, in the same report shape
-  // as the sharded solver's reconciliation loop (shard_partition.hpp).
-  ConvergenceReport convergence;
   std::vector<RoundStats> round_stats;  // one entry per round run
 };
 

@@ -49,22 +49,26 @@ struct CheckpointMetaRecord {  // 40-byte stride
 };
 static_assert(sizeof(CheckpointMetaRecord) == 40);
 
-struct CheckpointRoundRecord {  // 88-byte stride, mirrors compact::RoundStats
+// 88-byte stride, mirrors compact::RoundStats. The reserved fields held
+// per-round solve-shard telemetry in files from releases that had a
+// sharded solver; writers zero them and readers ignore them, so images
+// from before and after stay readable both ways under version 1.0.
+struct CheckpointRoundRecord {
   std::int32_t round;
-  std::int32_t solve_shards;
+  std::int32_t reserved0;
   std::int64_t width_delta;
   std::int64_t height_delta;
   std::uint8_t x_skipped;
   std::uint8_t y_skipped;
   std::uint8_t warm_x;
   std::uint8_t warm_y;
-  std::int32_t reconcile_rounds;
+  std::int32_t reserved1;
   std::uint64_t constraints_emitted;
   std::uint64_t partners_reswept;
   std::uint64_t partners_reused;
   std::uint64_t solve_pops;
-  std::uint64_t boundary_constraints;
-  std::uint64_t boundary_churn;
+  std::uint64_t reserved2;
+  std::uint64_t reserved3;
   double wall_ms;
 };
 static_assert(sizeof(CheckpointRoundRecord) == 88);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -43,10 +44,6 @@ void expect_rounds_equal(const std::vector<RoundStats>& a, const std::vector<Rou
     EXPECT_EQ(a[i].solve_pops, b[i].solve_pops);
     EXPECT_EQ(a[i].warm_x, b[i].warm_x);
     EXPECT_EQ(a[i].warm_y, b[i].warm_y);
-    EXPECT_EQ(a[i].solve_shards, b[i].solve_shards);
-    EXPECT_EQ(a[i].reconcile_rounds, b[i].reconcile_rounds);
-    EXPECT_EQ(a[i].boundary_constraints, b[i].boundary_constraints);
-    EXPECT_EQ(a[i].boundary_churn, b[i].boundary_churn);
   }
 }
 
@@ -66,6 +63,18 @@ std::string checkpoint_bytes(const XyCheckpoint& checkpoint) {
   std::ostringstream out;
   write_compaction_checkpoint(out, checkpoint);
   return out.str();
+}
+
+// The checkpoint after round 3 of a schedule run to a 3-round cap.
+XyCheckpoint three_round_checkpoint(const SynthField& field) {
+  XyScheduleOptions schedule;
+  schedule.max_rounds = 3;
+  schedule.stop_when_converged = false;
+  XyCheckpoint last;
+  schedule.checkpoint_sink = [&](const XyCheckpoint& ck) { last = ck; };
+  compact_flat_schedule(field.boxes, CompactionRules::mosis(), {}, schedule,
+                        field.stretchable);
+  return last;
 }
 
 TEST(Checkpoint, SinkReceivesEveryRoundAndResumeIsBitForBit) {
@@ -127,14 +136,7 @@ TEST(Checkpoint, ResumeIsBitForBitAcrossAHundredFields) {
 }
 
 TEST(Checkpoint, FileRoundTripPreservesEveryField) {
-  const SynthField field = make_random_field(23, 25);
-  XyScheduleOptions schedule;
-  schedule.max_rounds = 3;
-  schedule.stop_when_converged = false;
-  XyCheckpoint last;
-  schedule.checkpoint_sink = [&](const XyCheckpoint& ck) { last = ck; };
-  compact_flat_schedule(field.boxes, CompactionRules::mosis(), {}, schedule,
-                        field.stretchable);
+  const XyCheckpoint last = three_round_checkpoint(make_random_field(23, 25));
   ASSERT_EQ(last.rounds_done, 3);
   ASSERT_FALSE(last.boxes.empty());
   ASSERT_EQ(last.round_stats.size(), 3u);
@@ -148,6 +150,71 @@ TEST(Checkpoint, FileRoundTripPreservesEveryField) {
   const XyCheckpoint restored = read_compaction_checkpoint_file(path);
   expect_checkpoints_equal(last, restored);
   std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ReadsImagesWithShardTelemetryInTheReservedFields) {
+  // Version 1.0 images from builds with the sharded solver carry nonzero
+  // per-round shard telemetry where the round record now has reserved
+  // fields. Plant such values in every RNDS record, re-seal the CRCs, and
+  // the image must read and resume exactly like the zeroed one.
+  const SynthField field = make_random_field(23, 25);
+  const std::string good = checkpoint_bytes(three_round_checkpoint(field));
+  std::string old_image = good;
+
+  SnapshotHeader header;
+  std::memcpy(&header, old_image.data(), sizeof(header));
+  std::vector<SnapshotSection> sections(header.section_count);
+  const std::size_t table_bytes = sections.size() * sizeof(SnapshotSection);
+  std::memcpy(sections.data(), old_image.data() + header.section_table_offset, table_bytes);
+  bool patched = false;
+  for (SnapshotSection& section : sections) {
+    if (section.type != kSectionCheckpointRounds) continue;
+    ASSERT_EQ(section.count, 3u);
+    for (std::uint32_t i = 0; i < section.count; ++i) {
+      char* record = old_image.data() + section.offset + i * sizeof(CheckpointRoundRecord);
+      CheckpointRoundRecord written;
+      std::memcpy(&written, record, sizeof(written));
+      EXPECT_EQ(written.reserved0, 0);  // the writer zeroes the reserved fields
+      EXPECT_EQ(written.reserved1, 0);
+      EXPECT_EQ(written.reserved2, 0u);
+      EXPECT_EQ(written.reserved3, 0u);
+      const std::int32_t shards = 4;
+      const std::int32_t reconcile = 2 + static_cast<std::int32_t>(i);
+      const std::uint64_t boundary = 17;
+      const std::uint64_t churn = 5 + i;
+      std::memcpy(record + offsetof(CheckpointRoundRecord, reserved0), &shards, 4);
+      std::memcpy(record + offsetof(CheckpointRoundRecord, reserved1), &reconcile, 4);
+      std::memcpy(record + offsetof(CheckpointRoundRecord, reserved2), &boundary, 8);
+      std::memcpy(record + offsetof(CheckpointRoundRecord, reserved3), &churn, 8);
+    }
+    section.crc32 = snapshot_crc32(old_image.data() + section.offset, section.size);
+    patched = true;
+  }
+  ASSERT_TRUE(patched);
+  std::memcpy(old_image.data() + header.section_table_offset, sections.data(), table_bytes);
+  header.section_table_crc32 = snapshot_crc32(sections.data(), table_bytes);
+  header.header_crc32 = snapshot_crc32(&header, 60);
+  std::memcpy(old_image.data(), &header, sizeof(header));
+  ASSERT_NE(old_image, good);
+
+  const XyCheckpoint from_old = read_compaction_checkpoint(old_image.data(), old_image.size());
+  const XyCheckpoint from_new = read_compaction_checkpoint(good.data(), good.size());
+  expect_checkpoints_equal(from_new, from_old);
+
+  const auto resume = [&](const XyCheckpoint& checkpoint) {
+    XyScheduleOptions options;
+    options.max_rounds = 6;
+    options.resume = &checkpoint;
+    return compact_flat_schedule(field.boxes, CompactionRules::mosis(), {}, options,
+                                 field.stretchable);
+  };
+  const XyScheduleResult resumed_old = resume(from_old);
+  const XyScheduleResult resumed_new = resume(from_new);
+  EXPECT_EQ(resumed_old.boxes, resumed_new.boxes);
+  EXPECT_EQ(resumed_old.rounds, resumed_new.rounds);
+  EXPECT_EQ(resumed_old.converged, resumed_new.converged);
+  EXPECT_EQ(resumed_old.width_after, resumed_new.width_after);
+  EXPECT_EQ(resumed_old.height_after, resumed_new.height_after);
 }
 
 TEST(Checkpoint, RejectsCorruptionTruncationAndVersionSkew) {
