@@ -1,25 +1,26 @@
-// The §6.1–§6.3 leaf/LP path at scale: dense tableau vs sparse revised
-// simplex (primal and dual) on growing synthetic leaf libraries.
+// The §6.1–§6.3 leaf/LP path at scale: the dense-tableau oracle vs the
+// sparse revised simplex (solve_lp's dual and its primal fallback) on
+// growing synthetic leaf libraries.
 //
-// PR 2 scaled the flat compactor; this sweep does the same falsifiable
-// measurement for the LP-backed leaf compactor. One LeafLpModel is built
-// per library size (make_leaf_library chains every cell to itself and its
-// successor, so the LP couples the whole library), then each engine solves
-// the identical LpProblem:
+// One LeafLpModel is built per library size (make_leaf_library chains
+// every cell to itself and its successor, so the LP couples the whole
+// library), then each solver solves the identical LpProblem:
 //
-//   dense    the two-phase tableau of simplex.cpp — O(m * cols) per pivot
-//   sparse   the CSC + eta-file revised simplex of sparse_simplex.cpp —
-//            O(m + nnz) per pivot (Dantzig and devex pricing)
-//   dual     the same machinery driven by the dual simplex from the
-//            all-slack basis: the compaction objective is componentwise
+//   dense    the two-phase tableau of the test-only oracle
+//            (tests/oracle/dense_tableau.hpp) — O(m * cols) per pivot
+//   sparse   the primal fallback on its own (detail::solve_lp_primal): the
+//            CSC + LU revised simplex of sparse_simplex.cpp, Dantzig
+//            pricing — O(m + nnz) per pivot
+//   dual     solve_lp: the same machinery driven by the dual simplex from
+//            the all-slack basis: the compaction objective is componentwise
 //            nonnegative, so phase 1 — ~98 % of the primal pivot count on
 //            these libraries — never runs at all
 //
 // The acceptance bars: sparse >= 10x dense at the largest swept size with
-// matching objectives (PR 3), and the dual engine at ZERO phase-1 pivots
-// with >= 2x total-pivot reduction vs primal Dantzig at the 32-cell
-// library, bit-identical objectives (this PR; sparse_simplex_test pins
-// both). CI runs the small sizes via scripts/bench_smoke.sh and uploads
+// matching objectives, and the dual at ZERO phase-1 pivots with >= 2x
+// total-pivot reduction vs the primal at the 32-cell library,
+// bit-identical objectives (sparse_simplex_test pins both). CI runs the
+// small sizes via scripts/bench_smoke.sh and uploads
 // BENCH_leaf_scaling.json; run the binary with no filter for the full
 // sweep.
 #include <benchmark/benchmark.h>
@@ -32,6 +33,7 @@
 #include "compact/leaf_compactor.hpp"
 #include "compact/synth_design.hpp"
 #include "compact/xy_schedule.hpp"
+#include "oracle/dense_tableau.hpp"
 
 namespace {
 
@@ -53,12 +55,13 @@ const LeafLpModel& model_for(int num_cells) {
   return it->second;
 }
 
-void run_method(benchmark::State& state, LpMethod method,
-                LpPricing pricing = LpPricing::kDantzig) {
+LpSolution solve_dual(const LpProblem& problem) { return solve_lp(problem); }
+
+void run_method(benchmark::State& state, LpSolution (*solve)(const LpProblem&)) {
   const LeafLpModel& model = model_for(static_cast<int>(state.range(0)));
   LpSolution solution;
   for (auto _ : state) {
-    solution = solve_lp(model.lp, method, pricing);
+    solution = solve(model.lp);
     benchmark::DoNotOptimize(solution.objective);
   }
   state.counters["rows"] = static_cast<double>(model.lp.constraints.size());
@@ -83,14 +86,11 @@ void run_method(benchmark::State& state, LpMethod method,
   state.counters["objective"] = solution.objective;
 }
 
-void BM_LeafSolveDense(benchmark::State& state) { run_method(state, LpMethod::kDenseTableau); }
-void BM_LeafSolveSparse(benchmark::State& state) { run_method(state, LpMethod::kSparseRevised); }
-void BM_LeafSolveSparseDevex(benchmark::State& state) {
-  run_method(state, LpMethod::kSparseRevised, LpPricing::kDevex);
+void BM_LeafSolveDense(benchmark::State& state) {
+  run_method(state, &oracle::solve_dense_tableau);
 }
-void BM_LeafSolveSparseDual(benchmark::State& state) {
-  run_method(state, LpMethod::kSparseDual);
-}
+void BM_LeafSolveSparse(benchmark::State& state) { run_method(state, &detail::solve_lp_primal); }
+void BM_LeafSolveSparseDual(benchmark::State& state) { run_method(state, &solve_dual); }
 
 // The warm-start acceptance workload: the full leaf x/y schedule under the
 // production defaults (LeafXyOptions{}: at most 4 rounds, stopping on
@@ -135,16 +135,12 @@ void run_schedule(benchmark::State& state, bool warm_start) {
 void BM_LeafScheduleWarm(benchmark::State& state) { run_schedule(state, /*warm_start=*/true); }
 void BM_LeafScheduleCold(benchmark::State& state) { run_schedule(state, /*warm_start=*/false); }
 
-// The dense baseline stays at its historical ceiling (a 16-cell dense
-// solve is already seconds); the sparse engines sweep on to 256 cells,
+// The dense oracle stays at its historical ceiling (a 16-cell dense solve
+// is already seconds); the sparse engines sweep on to 256 cells,
 // where the hyper-sparse solves and the LU factor sizes either pay off in
 // the artifact or visibly fail to.
 BENCHMARK(BM_LeafSolveDense)->RangeMultiplier(2)->Range(2, 32)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LeafSolveSparse)->RangeMultiplier(2)->Range(2, 256)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_LeafSolveSparseDevex)
-    ->RangeMultiplier(2)
-    ->Range(2, 256)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LeafSolveSparseDual)
     ->RangeMultiplier(2)
     ->Range(2, 256)
@@ -162,11 +158,11 @@ void print_scaling_table() {
   for (const int cells : {2, 4, 8, 16, 32}) {
     const LeafLpModel& model = model_for(cells);
     const auto t0 = Clock::now();
-    const LpSolution dense = solve_lp(model.lp, LpMethod::kDenseTableau);
+    const LpSolution dense = oracle::solve_dense_tableau(model.lp);
     const auto t1 = Clock::now();
-    const LpSolution sparse = solve_lp(model.lp, LpMethod::kSparseRevised);
+    const LpSolution sparse = detail::solve_lp_primal(model.lp);
     const auto t2 = Clock::now();
-    const LpSolution dual = solve_lp(model.lp, LpMethod::kSparseDual);
+    const LpSolution dual = solve_lp(model.lp);
     const auto t3 = Clock::now();
     const double dense_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     const double sparse_ms = std::chrono::duration<double, std::milli>(t2 - t1).count();
@@ -189,7 +185,7 @@ void print_scaling_table() {
   }
   std::printf("speedup = dense / sparse on the identical LpProblem. Acceptance bars:\n");
   std::printf(">= 10x speedup at the largest size with matching objectives, and the dual\n");
-  std::printf("engine at ZERO phase-1 pivots with piv ratio (primal/dual) >= 2 there.\n\n");
+  std::printf("simplex at ZERO phase-1 pivots with piv ratio (primal/dual) >= 2 there.\n\n");
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ ConstraintSystem make_chain(int n) {
   ConstraintSystem system;
   std::vector<int> vars;
   for (int i = 0; i < n; ++i) {
-    vars.push_back(system.add_variable("v" + std::to_string(i), i * 10));
+    vars.push_back(system.add_variable(i * 10));
   }
   for (int i = 1; i < n; ++i) {
     system.add_constraint(vars[static_cast<std::size_t>(i - 1)],

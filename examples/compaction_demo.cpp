@@ -69,7 +69,7 @@ int main() {
               << ported.pitches[0] << " ("
               << ported.variable_count << " unknowns after folding vs "
               << ported.unfolded_variable_count << " unfolded)\n";
-    std::cout << "  LP engine (dual default): " << ported.lp_stats.iterations << " pivots, "
+    std::cout << "  LP (dual simplex): " << ported.lp_stats.iterations << " pivots, "
               << ported.lp_stats.dual_pivots << " dual, " << ported.lp_stats.phase1_pivots
               << " phase-1, " << ported.lp_stats.dual_fallbacks << " fallbacks\n";
     std::cout << "a 256-cell row shrinks from " << 256 * ported.original_pitches[0] << " to "

@@ -34,8 +34,8 @@ const char kUsage[] =
     "  <params>            parameter file; notable directives:\n"
     "                        .top_cell:<name>      pick the output cell\n"
     "                        .compact:xy           post-generation x/y compaction\n"
-    "                                              (alternating-axis schedule over the\n"
-    "                                              dual-simplex leaf LP with devex pricing)\n"
+    "                                              (flat alternating-axis schedule: scanline\n"
+    "                                              constraints, worklist longest path)\n"
     "                        .snapshot_file:<f>    also write an RSGB snapshot (run_files)\n"
     "\n"
     "inputs (snapshot mode):\n"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checks run by the CI `docs` job (and usable locally).
 
-Three checks, all dependency-free:
+Four checks, all dependency-free:
 
  1. Markdown link integrity: every relative link target in every tracked
     *.md file must resolve to an existing file or directory (anchors are
@@ -12,10 +12,18 @@ Three checks, all dependency-free:
  3. Status-code coverage: the README "Serving" error-code table must match
     the StatusCode enum in src/support/status.hpp exactly — every code
     documented with its wire value, no phantom rows, both directions.
+ 4. Benchmark names: every BM_* name in README.md, docs/**/*.md and
+    scripts/*.sh must name a benchmark registered with BENCHMARK(...) in
+    bench/*.cpp, so a deleted or renamed benchmark cannot leave a stale
+    reference behind. A name followed by `*` or `.*` (a filter pattern)
+    only has to be a prefix of one; a name followed by a regex group of
+    plain alternatives, as in `BM_LeafSchedule(Warm|Cold)`, must name a
+    benchmark with each alternative appended.
 
 Exits non-zero with one line per violation.
 """
 
+import glob
 import os
 import re
 import subprocess
@@ -112,11 +120,44 @@ def check_status_codes(errors):
             errors.append(f"README.md: documents status code {name}, which is not in status.hpp")
 
 
+# BM_Name, optionally followed by a (A|B|...) group and/or a * or .* wildcard.
+BENCH_REF_RE = re.compile(r"\b(BM_\w+)(?:\(([\w|]+)\))?(\.?\*)?")
+
+
+def check_bench_names(errors):
+    """Every BM_* name the docs and scripts mention is a registered benchmark."""
+    defined = set()
+    for path in sorted(glob.glob(os.path.join(REPO, "bench", "*.cpp"))):
+        with open(path, encoding="utf-8") as f:
+            defined.update(re.findall(r"\bBENCHMARK\((BM_\w+)", f.read()))
+    if not defined:
+        errors.append("bench/*.cpp: no BENCHMARK(BM_...) registrations found (check the regex)")
+        return
+    sources = [os.path.join(REPO, "README.md")]
+    sources += glob.glob(os.path.join(REPO, "docs", "**", "*.md"), recursive=True)
+    sources += glob.glob(os.path.join(REPO, "scripts", "*.sh"))
+    for path in sorted(sources):
+        rel = os.path.relpath(path, REPO)
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        for match in BENCH_REF_RE.finditer(text):
+            base, group, wildcard = match.groups()
+            names = [base + alt for alt in group.split("|")] if group else [base]
+            for name in names:
+                if wildcard:
+                    known = any(d.startswith(name) for d in defined)
+                else:
+                    known = name in defined
+                if not known:
+                    errors.append(f"{rel}: '{match.group(0)}' names no benchmark in bench/*.cpp")
+
+
 def main():
     errors = []
     check_links(errors)
     check_bench_artifacts(errors)
     check_status_codes(errors)
+    check_bench_names(errors)
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     if errors:
@@ -124,7 +165,7 @@ def main():
     count = len(tracked_markdown())
     print(
         f"docs check passed: {count} markdown files, "
-        "links, artifact schemas, and status codes OK"
+        "links, artifact schemas, status codes and benchmark names OK"
     )
     return 0
 

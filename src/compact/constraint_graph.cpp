@@ -4,15 +4,13 @@
 
 namespace rsg::compact {
 
-int ConstraintSystem::add_variable(std::string name, Coord initial) {
-  names_.push_back(std::move(name));
+int ConstraintSystem::add_variable(Coord initial) {
   initial_.push_back(initial);
   values.push_back(initial);
   return static_cast<int>(initial_.size()) - 1;
 }
 
-int ConstraintSystem::add_pitch(std::string name, Coord initial) {
-  pitch_names_.push_back(std::move(name));
+int ConstraintSystem::add_pitch(Coord initial) {
   pitch_initial_.push_back(initial);
   pitch_values.push_back(initial);
   return static_cast<int>(pitch_initial_.size()) - 1;

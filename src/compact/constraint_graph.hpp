@@ -11,7 +11,7 @@
 // same-cell-variable edge.
 #pragma once
 
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include "geom/box.hpp"
@@ -37,8 +37,8 @@ struct Constraint {
 
 class ConstraintSystem {
  public:
-  int add_variable(std::string name, Coord initial);
-  int add_pitch(std::string name, Coord initial);
+  int add_variable(Coord initial);
+  int add_pitch(Coord initial);
 
   void add_constraint(Constraint c);
   // Convenience for the constant-weight case.
@@ -51,8 +51,8 @@ class ConstraintSystem {
   std::size_t constraint_count() const { return constraints_.size(); }
 
   // Incremental rebuilds (compact/incremental.hpp): drop the constraints
-  // but keep the variables — re-emitting into the same system skips the
-  // per-variable name allocation of a from-scratch build.
+  // but keep the variables, so re-emitting into the same system skips the
+  // per-variable allocation of a from-scratch build.
   void clear_constraints() { constraints_.clear(); }
   // Refresh a variable's initial abscissa to the current geometry (the
   // §6.4.2 seeding order sorts by it).
@@ -61,8 +61,6 @@ class ConstraintSystem {
   const std::vector<Constraint>& constraints() const { return constraints_; }
   Coord initial(int v) const { return initial_[static_cast<std::size_t>(v)]; }
   Coord pitch_initial(int p) const { return pitch_initial_[static_cast<std::size_t>(p)]; }
-  const std::string& name(int v) const { return names_[static_cast<std::size_t>(v)]; }
-  const std::string& pitch_name(int p) const { return pitch_names_[static_cast<std::size_t>(p)]; }
 
   // Solution storage (filled by the solvers).
   std::vector<Coord> values;
@@ -72,9 +70,7 @@ class ConstraintSystem {
   bool satisfied() const;
 
  private:
-  std::vector<std::string> names_;
   std::vector<Coord> initial_;
-  std::vector<std::string> pitch_names_;
   std::vector<Coord> pitch_initial_;
   std::vector<Constraint> constraints_;
 };

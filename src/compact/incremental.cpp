@@ -208,7 +208,7 @@ FlatResult IncrementalCompactor::pass(AxisState& state, const std::vector<LayerB
     if (system.variable_count() == 2 * cboxes.size() && system.pitch_count() == 0) {
       // Re-emit into the existing variables: refresh the initial abscissas
       // (the §6.4.2 seeding order keys on them) instead of reallocating
-      // every variable name.
+      // every variable.
       system.clear_constraints();
       for (std::size_t i = 0; i < cboxes.size(); ++i) {
         cboxes[i].left_var = static_cast<int>(2 * i);

@@ -60,8 +60,8 @@ LeafLpModel build_leaf_lp(const CellTable& cells, const InterfaceTable& interfac
         throw Error("leaf compaction: cell '" + name +
                     "' has boxes at negative local x; shift the cell first");
       }
-      cv.left_vars.push_back(system.add_variable(name + ".L" + std::to_string(b), box.lo.x));
-      cv.right_vars.push_back(system.add_variable(name + ".R" + std::to_string(b), box.hi.x));
+      cv.left_vars.push_back(system.add_variable(box.lo.x));
+      cv.right_vars.push_back(system.add_variable(box.hi.x));
       bv.stretchable.push_back(layer_in(stretchable_layers, cv.boxes[b].layer));
     }
     model.cells.emplace(name, std::move(cv));
@@ -87,9 +87,7 @@ LeafLpModel build_leaf_lp(const CellTable& cells, const InterfaceTable& interfac
       throw Error("leaf compaction requires a positive x pitch between '" + spec.cell_a +
                   "' and '" + spec.cell_b + "'");
     }
-    const int pitch = system.add_pitch("lambda." + spec.cell_a + "." + spec.cell_b + "#" +
-                                           std::to_string(spec.interface_index),
-                                       iface.vector.x);
+    const int pitch = system.add_pitch(iface.vector.x);
     model.pitch_ids.push_back(pitch);
     model.original_pitches.push_back(iface.vector.x);
     model.pitch_y.push_back(iface.vector.y);
@@ -123,9 +121,8 @@ LeafLpModel build_leaf_lp(const CellTable& cells, const InterfaceTable& interfac
   // box — W >= R - L with cost +width_weight — instead of the literal
   // +R/-L cost pair: at any optimum W = R - L so the value is identical,
   // but the objective stays COMPONENTWISE NONNEGATIVE, which is what makes
-  // the all-slack basis dual-feasible and lets the kSparseDual engine skip
-  // phase 1 outright (a -width_weight left-edge cost would force its
-  // artificial-bound fallback instead).
+  // the all-slack basis dual-feasible as it stands (a -width_weight
+  // left-edge cost would rest that column on a working bound instead).
   model.lp = builder.to_lp();
   for (const std::string& name : cell_names) {
     const LeafCellVars& cv = model.cells.at(name);
@@ -166,12 +163,7 @@ LeafLpModel build_leaf_lp(const CellTable& cells, const InterfaceTable& interfac
   return model;
 }
 
-LeafResult solve_leaf_model(const LeafLpModel& model, LpMethod lp_method,
-                            LpPricing lp_pricing) {
-  return solve_leaf_model(model, LpOptions{lp_method, lp_pricing});
-}
-
-LeafResult solve_leaf_model(const LeafLpModel& model, const LpOptions& lp, LpWarmStart* warm) {
+LeafResult solve_leaf_model(const LeafLpModel& model, LpWarmStart* warm) {
   LeafResult result;
   result.original_pitches = model.original_pitches;
   result.pitch_y = model.pitch_y;
@@ -179,7 +171,7 @@ LeafResult solve_leaf_model(const LeafLpModel& model, const LpOptions& lp, LpWar
   result.unfolded_variable_count = model.unfolded_variable_count;
   result.constraint_count = model.system.constraint_count();
 
-  const LpSolution solution = solve_lp(model.lp, lp, warm);
+  const LpSolution solution = solve_lp(model.lp, warm);
   result.lp_stats = solution.stats;
   if (!solution.feasible) throw Error("leaf compaction: constraint system infeasible");
   if (!solution.bounded) throw Error("leaf compaction: objective unbounded (missing anchors)");
@@ -224,20 +216,10 @@ LeafResult compact_leaf_cells(const CellTable& cells, const InterfaceTable& inte
                               const std::vector<PitchSpec>& pitch_specs,
                               const CompactionRules& rules, double width_weight,
                               const std::vector<Layer>& stretchable_layers,
-                              const LpOptions& lp, LpWarmStart* warm) {
+                              LpWarmStart* warm) {
   return solve_leaf_model(build_leaf_lp(cells, interfaces, cell_names, pitch_specs, rules,
                                         width_weight, stretchable_layers),
-                          lp, warm);
-}
-
-LeafResult compact_leaf_cells(const CellTable& cells, const InterfaceTable& interfaces,
-                              const std::vector<std::string>& cell_names,
-                              const std::vector<PitchSpec>& pitch_specs,
-                              const CompactionRules& rules, double width_weight,
-                              const std::vector<Layer>& stretchable_layers, LpMethod lp_method,
-                              LpPricing lp_pricing) {
-  return compact_leaf_cells(cells, interfaces, cell_names, pitch_specs, rules, width_weight,
-                            stretchable_layers, LpOptions{lp_method, lp_pricing});
+                          warm);
 }
 
 LeafResult compact_leaf_cells_y(const CellTable& cells, const InterfaceTable& interfaces,
@@ -245,7 +227,7 @@ LeafResult compact_leaf_cells_y(const CellTable& cells, const InterfaceTable& in
                                 const std::vector<PitchSpec>& pitch_specs,
                                 const CompactionRules& rules, double width_weight,
                                 const std::vector<Layer>& stretchable_layers,
-                                const LpOptions& lp, LpWarmStart* warm) {
+                                LpWarmStart* warm) {
   // Transpose the library: every cell's flattened geometry axis-swapped,
   // every spec'd interface's pitch vector component-swapped. The mirrored
   // preconditions are checked HERE so the errors name the y axis instead
@@ -274,7 +256,7 @@ LeafResult compact_leaf_cells_y(const CellTable& cells, const InterfaceTable& in
   }
 
   LeafResult result = compact_leaf_cells(tcells, tinterfaces, cell_names, pitch_specs, rules,
-                                         width_weight, stretchable_layers, lp, warm);
+                                         width_weight, stretchable_layers, warm);
   // Transpose back: x in the solved frame is y in the caller's. The pitch
   // bookkeeping already reads correctly — `pitches` carries the optimized
   // (transposed-x = real-y) values, `pitch_y` the untouched x components.
@@ -285,41 +267,18 @@ LeafResult compact_leaf_cells_y(const CellTable& cells, const InterfaceTable& in
 
 void make_compacted_library(const LeafResult& result, const std::vector<PitchSpec>& pitch_specs,
                             CellTable& out_cells, InterfaceTable& out_interfaces) {
-  if (result.y_axis) {
-    throw Error(
-        "make_compacted_library: result came from compact_leaf_cells_y — use "
-        "make_compacted_library_y (its pitch bookkeeping is axis-mirrored)");
-  }
   for (const auto& [name, boxes] : result.cells) {
     Cell& cell = out_cells.create(name);
     for (const LayerBox& lb : boxes) cell.add_box(lb.layer, lb.box);
   }
   for (std::size_t s = 0; s < pitch_specs.size(); ++s) {
     const PitchSpec& spec = pitch_specs[s];
+    // A y result's bookkeeping is mirrored: `pitches` are the optimized y
+    // values, `pitch_y` the untouched x components.
+    const Point vector = result.y_axis ? Point{result.pitch_y[s], result.pitches[s]}
+                                       : Point{result.pitches[s], result.pitch_y[s]};
     out_interfaces.declare(spec.cell_a, spec.cell_b, spec.interface_index,
-                           Interface{{result.pitches[s], result.pitch_y[s]},
-                                     Orientation::kNorth});
-  }
-}
-
-void make_compacted_library_y(const LeafResult& result, const std::vector<PitchSpec>& pitch_specs,
-                              CellTable& out_cells, InterfaceTable& out_interfaces) {
-  if (!result.y_axis) {
-    throw Error(
-        "make_compacted_library_y: result came from an x compaction — use "
-        "make_compacted_library");
-  }
-  for (const auto& [name, boxes] : result.cells) {
-    Cell& cell = out_cells.create(name);
-    for (const LayerBox& lb : boxes) cell.add_box(lb.layer, lb.box);
-  }
-  for (std::size_t s = 0; s < pitch_specs.size(); ++s) {
-    const PitchSpec& spec = pitch_specs[s];
-    // Mirrored bookkeeping: `pitches` are the optimized y values, `pitch_y`
-    // the untouched x components.
-    out_interfaces.declare(spec.cell_a, spec.cell_b, spec.interface_index,
-                           Interface{{result.pitch_y[s], result.pitches[s]},
-                                     Orientation::kNorth});
+                           Interface{vector, Orientation::kNorth});
   }
 }
 

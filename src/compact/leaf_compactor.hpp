@@ -13,12 +13,11 @@
 // linear program (§6.3) with a user cost function over the pitches —
 // weighted by expected replication factors, not by cell sizes (§6.2).
 //
-// The pipeline is split so the LP scaling benchmark and the dense/sparse
-// equivalence tests can hold the model fixed while swapping the solver:
-// build_leaf_lp() assembles the shared constraint system (through
-// ConstraintSystemBuilder) and its LP view; solve_leaf_model() runs the
-// selected simplex engine, rounds, verifies, and rebuilds the geometry;
-// compact_leaf_cells() is the two chained.
+// The pipeline is split so the LP scaling benchmark and the LP suites can
+// solve the model's LP on its own: build_leaf_lp() assembles the shared
+// constraint system (through ConstraintSystemBuilder) and its LP view;
+// solve_leaf_model() runs solve_lp, rounds, verifies, and rebuilds the
+// geometry; compact_leaf_cells() is the two chained.
 //
 // Restrictions (documented §6.3 scope): compaction is one-dimensional in x;
 // interfaces must be North-oriented with positive x pitch; leaf-cell boxes
@@ -28,11 +27,9 @@
 // (positive y pitch, non-negative local y); compact/xy_schedule.hpp
 // alternates the two into a leaf-aware x/y round.
 //
-// The LP engine behind a solve is an LpOptions knob; the default is the
-// kSparseDual engine (the compaction objective is emitted componentwise
-// nonnegative precisely so the dual can skip phase 1), with the primal
-// engines selectable for baselines and the dense tableau for equivalence
-// pins.
+// Every solve runs solve_lp: the dual simplex, which the componentwise
+// nonnegative objective lets start dual-feasible from the all-slack basis,
+// with its primal fallback.
 #pragma once
 
 #include <map>
@@ -72,8 +69,8 @@ struct LeafResult {
   double objective = 0.0;
   LpStats lp_stats;
   // Set by compact_leaf_cells_y: `pitches` are then the optimized Y pitches
-  // and `pitch_y` the untouched x components. make_compacted_library and
-  // its _y twin check it, so a result cannot be rebuilt axis-swapped.
+  // and `pitch_y` the untouched x components. make_compacted_library reads
+  // it to orient each rebuilt pitch vector.
   bool y_axis = false;
 };
 
@@ -107,24 +104,19 @@ LeafLpModel build_leaf_lp(const CellTable& cells, const InterfaceTable& interfac
                           double width_weight = 1e-3,
                           const std::vector<Layer>& stretchable_layers = {});
 
-// Solves the model with the selected LP engine, rounds to the integer grid
-// (relaxing pitches upward if rounding broke a constraint), and rebuilds
-// the per-cell geometry. Throws rsg::Error on infeasible systems. The
-// default engine is LpOptions{} = kSparseDual; the second overload keeps
-// the PR 3-era (method, pricing) call shape for the equivalence suites.
+// Solves the model's LP (solve_lp), rounds to the integer grid (relaxing
+// pitches upward if rounding broke a constraint), and rebuilds the
+// per-cell geometry. Throws rsg::Error on infeasible systems.
 //
-// `warm` (optional, kSparseDual only) carries the optimal basis from one
-// solve into the next. The engine matches it to the new model's rows by
-// content, so a model that re-emits the same constraints in another order
-// or with other weights (the leaf schedule's per-round re-solves) adopts
-// it and skips most of its pivots. Pass an empty LpWarmStart on the first
+// `warm` (optional) carries the optimal basis from one solve into the
+// next. The engine matches it to the new model's rows by content, so a
+// model that re-emits the same constraints in another order or with other
+// weights (the leaf schedule's per-round re-solves) adopts it and skips
+// most of its pivots. Pass an empty LpWarmStart on the first
 // call and the SAME handle on every subsequent one; the engine falls back
 // to a cold start (and says why in LpStats::warm_declined_*) whenever the
 // carried rows do not match or the basis is singular or dual-infeasible.
-LeafResult solve_leaf_model(const LeafLpModel& model, const LpOptions& lp = {},
-                            LpWarmStart* warm = nullptr);
-LeafResult solve_leaf_model(const LeafLpModel& model, LpMethod lp_method,
-                            LpPricing lp_pricing = LpPricing::kDantzig);
+LeafResult solve_leaf_model(const LeafLpModel& model, LpWarmStart* warm = nullptr);
 
 // build_leaf_lp + solve_leaf_model.
 LeafResult compact_leaf_cells(const CellTable& cells, const InterfaceTable& interfaces,
@@ -132,13 +124,7 @@ LeafResult compact_leaf_cells(const CellTable& cells, const InterfaceTable& inte
                               const std::vector<PitchSpec>& pitch_specs,
                               const CompactionRules& rules, double width_weight = 1e-3,
                               const std::vector<Layer>& stretchable_layers = {},
-                              const LpOptions& lp = {}, LpWarmStart* warm = nullptr);
-LeafResult compact_leaf_cells(const CellTable& cells, const InterfaceTable& interfaces,
-                              const std::vector<std::string>& cell_names,
-                              const std::vector<PitchSpec>& pitch_specs,
-                              const CompactionRules& rules, double width_weight,
-                              const std::vector<Layer>& stretchable_layers, LpMethod lp_method,
-                              LpPricing lp_pricing = LpPricing::kDantzig);
+                              LpWarmStart* warm = nullptr);
 
 // Leaf y-compaction by the flat path's transposition trick: transpose every
 // cell's geometry and every spec'd interface vector, run the x pipeline,
@@ -151,18 +137,15 @@ LeafResult compact_leaf_cells_y(const CellTable& cells, const InterfaceTable& in
                                 const std::vector<PitchSpec>& pitch_specs,
                                 const CompactionRules& rules, double width_weight = 1e-3,
                                 const std::vector<Layer>& stretchable_layers = {},
-                                const LpOptions& lp = {}, LpWarmStart* warm = nullptr);
+                                LpWarmStart* warm = nullptr);
 
 // Rebuilds a fresh cell table + interface table from a compaction result —
 // "after the compaction is completed, it is possible to build a new sample
 // layout for the new technology ... from the new cell definitions of the
-// leaf cells and the new pitch parameters" (§6.3). Axis-checked: the plain
-// variant takes an x result, the _y variant a compact_leaf_cells_y result
-// (whose pitch bookkeeping is mirrored); feeding either the wrong axis
-// throws instead of silently declaring component-swapped interfaces.
+// leaf cells and the new pitch parameters" (§6.3). Takes a result of
+// either axis: LeafResult::y_axis says which component of each interface
+// vector `pitches` holds.
 void make_compacted_library(const LeafResult& result, const std::vector<PitchSpec>& pitch_specs,
                             CellTable& out_cells, InterfaceTable& out_interfaces);
-void make_compacted_library_y(const LeafResult& result, const std::vector<PitchSpec>& pitch_specs,
-                              CellTable& out_cells, InterfaceTable& out_interfaces);
 
 }  // namespace rsg::compact

@@ -523,15 +523,9 @@ void generate_constraints_impl(ConstraintSystem& system, const std::vector<Compa
 }  // namespace
 
 void add_box_variables(ConstraintSystem& system, std::vector<CompactionBox>& boxes) {
-  int index = 0;
   for (CompactionBox& cb : boxes) {
-    if (cb.left_var < 0) {
-      cb.left_var = system.add_variable("L" + std::to_string(index), cb.geometry.box.lo.x);
-    }
-    if (cb.right_var < 0) {
-      cb.right_var = system.add_variable("R" + std::to_string(index), cb.geometry.box.hi.x);
-    }
-    ++index;
+    if (cb.left_var < 0) cb.left_var = system.add_variable(cb.geometry.box.lo.x);
+    if (cb.right_var < 0) cb.right_var = system.add_variable(cb.geometry.box.hi.x);
   }
 }
 

@@ -1,72 +1,59 @@
-// Linear-programming solvers for leaf-cell compaction.
+// The linear-programming solver of leaf-cell compaction.
 //
 // §6.3: the leaf-cell constraint graph "cannot be solved by shortest path
 // algorithms such as Bellman Ford because the weights on the edges are not
 // all constants ... a simple minded way to solve the system would be to
 // convert the graph to a system of linear equations and solve the system
-// using a linear programming algorithm like Simplex" — these are those
-// solvers. Two interchangeable methods sit behind one entry point:
-//
-//   kDenseTableau   the original two-phase dense tableau, O(m * cols) per
-//                   pivot. Kept as the equivalence baseline for the sparse
-//                   engine, the same way generate_constraints_reference
-//                   pins the scaled constraint generator.
-//   kSparseRevised  a revised simplex on a column-major (CSC) constraint
-//                   matrix. The basis inverse is a sparse LU factorization:
-//                   Markowitz-ordered elimination at refactorization,
-//                   Forrest–Tomlin updates per pivot, and refactorization
-//                   triggered by EITHER a pivot-count interval or measured
-//                   nnz growth of the factors. FTRAN/BTRAN are hyper-sparse:
-//                   the triangular solves walk only the positions reachable
-//                   from the nonzeros of the right-hand side (graph-ordered),
-//                   cutting over to the plain dense-ordered loop when the
-//                   rhs is dense. Leaf-compaction systems have <= 3 nonzeros
-//                   per row, so each iteration is O(m + nnz) instead of
-//                   O(m^2) — and the solves themselves touch far fewer than
-//                   m rows (LpStats::ftran_rows_skipped measures it).
-//   kSparseDual     the same CSC + LU machinery driven by the DUAL simplex
-//                   from the all-slack basis with a BOUNDED-VARIABLE ratio
-//                   test: every variable carries [0, u_j] bounds (u_j may be
-//                   +inf), nonbasic variables sit at either bound, and a
-//                   negative-cost column starts nonbasic AT ITS UPPER BOUND,
-//                   which is dual-feasible with no artificial machinery at
-//                   all — the Lemke bound row of the previous engine is
-//                   retired. Columns with a negative cost and no finite
-//                   user bound get a large WORKING bound; if the optimum
-//                   ever rests on a working bound the engine DECLINES to
-//                   the primal path (the honest analogue of the old
-//                   bound-row-tight decline). The ratio test is two-pass
-//                   Harris: pass 1 computes the tolerance-relaxed ratio
-//                   bound, pass 2 takes the largest-magnitude pivot inside
-//                   it, and a pivot-magnitude floor declines rather than
-//                   admit a near-singular pivot into the factorization.
-//                   Each pivot costs what its pivot row touches: the row
-//                   alpha_r = rho^T A_N is formed from the nonzeros of
-//                   rho = e_r^T B^-1 through a row-wise (CSR) copy of the
-//                   matrix, the ratio test scans those columns only, and
-//                   the reduced costs are UPDATED along the row
-//                   (d_j -= theta_d alpha_rj), re-priced from one BTRAN of
-//                   c_B only at the start and after each refactorization.
-//                   The engine also accepts an LpWarmStart basis (a
-//                   previous solve over the same rows, in any order and
-//                   under any rhs), falling back to the cold all-slack
-//                   start when the carried rows do not match or the basis
-//                   is singular or dual-infeasible.
-//
-// The primal engine prices with Dantzig's rule or devex (LpPricing):
-// devex weighs each reduced cost by an estimate of the entering column's
-// steepness in the reference framework, typically cutting the pivot count
-// on the larger leaf libraries at one extra BTRAN per pivot. The dense
-// baseline always prices Dantzig. Both engines fall back to Bland's rule
-// after a streak of degenerate pivots (anti-cycling), reverting once a
-// pivot makes progress.
+// using a linear programming algorithm like Simplex" — solve_lp is that
+// solver, and it has one path:
 //
 //   minimize  c . x   subject to  sum_j a_ij x_j <= b_i ,  0 <= x <= u
 //
-// Upper bounds (`LpProblem::upper`) are handled NATIVELY by the dual
-// engine; the dense tableau and the sparse primal engine solve the
-// equivalent row-augmented problem (one x_j <= u_j row per finite bound),
-// so every engine agrees on bounded instances.
+// solve_lp runs a BOUNDED-VARIABLE dual simplex (sparse_simplex.cpp) over a
+// column-major (CSC) constraint matrix, from the all-slack basis. Every
+// variable carries [0, u_j] bounds (u_j may be +inf); nonbasic variables
+// sit at either bound, and a negative-cost column starts nonbasic AT ITS
+// UPPER BOUND, which is dual-feasible with no artificial machinery and no
+// phase 1 (the leaf LP's objective is emitted componentwise nonnegative, so
+// there every column simply starts at zero). Columns with a negative cost
+// and no finite user bound get a large WORKING bound; if the optimum ever
+// rests on a working bound the engine DECLINES. The ratio test is two-pass
+// Harris: pass 1 computes the tolerance-relaxed ratio bound, pass 2 takes
+// the largest-magnitude pivot inside it, and a pivot-magnitude floor
+// declines rather than admit a near-singular pivot into the factorization.
+// Each pivot costs what its pivot row touches: the row alpha_r = rho^T A_N
+// is formed from the nonzeros of rho = e_r^T B^-1 through a row-wise (CSR)
+// copy of the matrix, the ratio test scans those columns only, and the
+// reduced costs are UPDATED along the row (d_j -= theta_d alpha_rj),
+// re-priced from one BTRAN of c_B only at the start and after each
+// refactorization.
+//
+// The basis inverse is a sparse LU factorization: Markowitz-ordered
+// elimination at refactorization, Forrest–Tomlin updates per pivot, and
+// refactorization triggered by EITHER a pivot-count interval or measured
+// nnz growth of the factors. FTRAN/BTRAN are hyper-sparse: the triangular
+// solves walk only the positions reachable from the nonzeros of the
+// right-hand side, cutting over to the plain dense-ordered loop when the
+// rhs is dense (LpStats::ftran_rows_skipped measures it).
+//
+// A DECLINE — lost dual feasibility, an active working bound, a vanishing
+// pivot, a singular refactorization or a stall — hands the unchanged
+// problem to the one fallback: a two-phase PRIMAL revised simplex on the
+// same CSC + LU machinery (detail::solve_lp_primal), pricing with
+// Dantzig's rule and solving bounded instances in their row-augmented
+// form. It switches to Bland's rule after a streak of degenerate pivots
+// (anti-cycling), reverting once a pivot makes progress. LpStats says
+// whether the fallback ran (dual_fallbacks) and what the abandoned dual
+// attempt cost (declined_*).
+//
+// solve_lp also accepts an LpWarmStart basis (a previous solve over the
+// same rows, in any order and under any rhs), falling back to the cold
+// all-slack start when the carried rows do not match or the basis is
+// singular or dual-infeasible.
+//
+// The suites check both engines against a dense two-phase tableau that
+// lives with the tests (tests/oracle/dense_tableau.hpp), not in this
+// library.
 #pragma once
 
 #include <cstdint>
@@ -90,37 +77,23 @@ struct LpProblem {
   std::vector<LpConstraint> constraints;
   // Optional per-variable upper bounds: empty means every variable is
   // unbounded above; otherwise size num_vars with kLpUnbounded for the
-  // unbounded entries. The dual engine honors these natively (nonbasic
-  // variables may rest at either bound); the primal engines solve the
+  // unbounded entries. The dual simplex honors these natively (nonbasic
+  // variables may rest at either bound); the primal fallback solves the
   // row-augmented equivalent.
   std::vector<double> upper;
-};
-
-enum class LpMethod {
-  kDenseTableau,   // the pre-scaling baseline
-  kSparseRevised,  // CSC + Markowitz-LU/Forrest–Tomlin revised simplex (primal)
-  kSparseDual,     // bounded-variable dual simplex from the all-slack basis
-};
-
-// Pricing rule of the sparse revised engine. The dense tableau is the
-// equivalence baseline and always prices Dantzig, whatever is requested.
-enum class LpPricing {
-  kDantzig,  // most negative reduced cost
-  kDevex,    // reference-framework devex (Harris): d_j^2 / w_j, weights
-             // updated from the pivot row and reset on refactorization
 };
 
 struct LpStats {
   int iterations = 0;         // pivots of the AUTHORITATIVE solve, all phases
   int degenerate_pivots = 0;  // pivots with (numerically) zero step
   int bland_pivots = 0;       // pivots taken under the anti-cycling fallback
-  int refactorizations = 0;   // sparse methods: fresh LU factorizations
+  int refactorizations = 0;   // fresh LU factorizations
   int nnz_refactorizations = 0;  // the subset triggered by factor nnz growth
                                  // (Forrest–Tomlin fill), not the pivot count
-  int phase1_pivots = 0;      // primal engines: pivots spent reaching feasibility
-  int dual_pivots = 0;        // kSparseDual: dual-iteration pivots
-  int dual_fallbacks = 0;     // kSparseDual: 1 when the dual declined and the
-                              // primal engine finished the solve
+  int phase1_pivots = 0;      // primal fallback: pivots spent reaching feasibility
+  int dual_pivots = 0;        // dual-iteration pivots
+  int dual_fallbacks = 0;     // 1 when the dual declined and the primal
+                              // fallback finished the solve
   // A declined dual attempt's work is reported HERE, not folded into the
   // primal totals above: after a DECLINE->primal fallback, `iterations` /
   // `refactorizations` / `wall_ms` describe the primal solve alone and the
@@ -128,9 +101,8 @@ struct LpStats {
   int declined_dual_pivots = 0;
   int declined_refactorizations = 0;
   double declined_wall_ms = 0.0;
-  double wall_ms = 0.0;  // wall time of the authoritative sparse solve
-                         // (the dense baseline does not report it)
-  // kSparseDual warm starts: attempts = an LpWarmStart handle with matching
+  double wall_ms = 0.0;  // wall time of the authoritative solve
+  // Warm starts: attempts = an LpWarmStart handle with matching
   // shape was offered; accepted = its rows matched this problem's by
   // content, and its basis factorized nonsingular AND priced dual-feasible,
   // so the solve continued from it instead of the cold all-slack start.
@@ -186,7 +158,7 @@ struct LpSolution {
   LpStats stats;
 };
 
-// A basis carried from one kSparseDual solve into the next — the warm-start
+// A basis carried from one solve_lp call into the next — the warm-start
 // contract of the leaf schedule's per-round re-solves. The handle is OPAQUE
 // state: callers only construct an empty one, pass it to consecutive solves
 // and let the engine manage it. The carried basis names slack columns by
@@ -201,7 +173,7 @@ struct LpSolution {
 // warm_accepted and warm_declined_* tell the cases apart). A hash
 // collision can cost a decline or extra pivots, never a wrong optimum: any
 // nonsingular dual-feasible basis is a valid start. A solve that DECLINES
-// to the primal engine clears the handle, so a stale basis can never leak
+// to the primal fallback clears the handle, so a stale basis can never leak
 // into a later round.
 struct LpWarmStart {
   std::vector<int> basis;               // slot -> column (structural or slack)
@@ -217,50 +189,40 @@ struct LpWarmStart {
   }
 };
 
-// Engine selection in one knob: which simplex runs and how it prices.
-// The default is the dual engine — on compaction LPs it skips phase 1
-// outright — with the primal engine as its documented fallback; `pricing`
-// applies to the primal engines (the dual selects rows, not columns).
-struct LpOptions {
-  LpMethod method = LpMethod::kSparseDual;
-  LpPricing pricing = LpPricing::kDantzig;
-};
+// The dual simplex with its primal fallback. `warm` (optional) is read
+// before the solve and refreshed by its optimum; see LpWarmStart for the
+// acceptance contract. Throws rsg::Error on malformed problems.
+LpSolution solve_lp(const LpProblem& problem, LpWarmStart* warm = nullptr);
 
-LpSolution solve_lp(const LpProblem& problem, const LpOptions& options);
-LpSolution solve_lp(const LpProblem& problem, LpMethod method = LpMethod::kSparseRevised,
-                    LpPricing pricing = LpPricing::kDantzig);
-// Warm-started variant: only the kSparseDual engine consumes `warm` (the
-// primal engines ignore it); see LpWarmStart for the acceptance contract.
-LpSolution solve_lp(const LpProblem& problem, const LpOptions& options, LpWarmStart* warm);
-
-// After this many consecutive degenerate pivots both methods switch from
-// Dantzig to Bland pricing until a pivot makes progress. Exposed so the
-// anti-cycling regression tests can reason about when the guard engages.
+// After this many consecutive degenerate pivots the primal simplex switches
+// from Dantzig to Bland pricing until a pivot makes progress. Exposed so
+// the anti-cycling regression tests can reason about when the guard engages.
 inline constexpr int kDegeneratePivotStreak = 12;
 
 namespace detail {
+// Throws rsg::Error unless `objective` (and a non-empty `upper`) has one
+// entry per variable. Every solve checks this first.
+void check_dimensions(const LpProblem& problem);
+
 // True when LpProblem::upper carries at least one finite bound.
 bool has_finite_upper(const LpProblem& problem);
 
 // The row-augmented equivalent: `upper` cleared, one x_j <= u_j constraint
-// appended per finite bound. The dense tableau and the sparse primal engine
-// solve THIS problem on bounded instances (identical optimum, identical x).
+// appended per finite bound. The primal fallback solves THIS problem on
+// bounded instances (identical optimum, identical x).
 LpProblem upper_bounds_as_rows(const LpProblem& problem);
 
-// The kSparseRevised engine (sparse_simplex.cpp). Call through solve_lp.
-LpSolution solve_lp_sparse(const LpProblem& problem, LpPricing pricing = LpPricing::kDantzig);
+// The primal fallback on its own (sparse_simplex.cpp), for the suites that
+// cross-check it.
+LpSolution solve_lp_primal(const LpProblem& problem);
 
-// The kSparseDual engine (sparse_simplex.cpp). Call through solve_lp.
-// `pricing` is the pricing rule of the primal fallback.
-LpSolution solve_lp_sparse_dual(const LpProblem& problem,
-                                LpPricing pricing = LpPricing::kDantzig);
-
-// Reusable-LpSolution variants: `solution` may carry state from a previous
-// solve; its stats are reset at entry (NOT accumulated — pinned by
-// sparse_simplex_test) before the result is written over it.
-void solve_lp_sparse_into(const LpProblem& problem, LpPricing pricing, LpSolution& solution);
-void solve_lp_sparse_dual_into(const LpProblem& problem, LpPricing pricing, LpSolution& solution,
-                               LpWarmStart* warm = nullptr);
+// Reusable-LpSolution variants of the primal fallback and of solve_lp:
+// `solution` may carry state from a previous solve; its stats are reset at
+// entry (NOT accumulated — pinned by sparse_simplex_test) before the result
+// is written over it.
+void solve_lp_primal_into(const LpProblem& problem, LpSolution& solution);
+void solve_lp_dual_into(const LpProblem& problem, LpSolution& solution,
+                        LpWarmStart* warm = nullptr);
 }  // namespace detail
 
 }  // namespace rsg::compact

@@ -1,16 +1,15 @@
-// The kSparseRevised / kSparseDual LP engines: a revised simplex over a
-// column-major (CSC) constraint matrix with an LU-factorized basis.
+// The engines behind solve_lp: the bounded-variable dual simplex and its
+// primal fallback, one revised simplex class over a column-major (CSC)
+// constraint matrix with an LU-factorized basis.
 //
-// The dense tableau in simplex.cpp updates every row on every pivot —
-// O(m * cols) work per iteration, which is what made the §6.1–§6.3 leaf/LP
-// path the scaling bottleneck ROADMAP names. This engine never materializes
-// the tableau, and (since the eta-file era) never materializes a product
-// form inverse either:
+// A dense tableau updates every row on every pivot — O(m * cols) work per
+// iteration. This engine never materializes the tableau, nor a product
+// form inverse:
 //
 //   * The constraint matrix is stored once in CSC form (slack and
 //     artificial columns are implicit unit vectors), so primal pricing is
 //     one BTRAN plus a single pass over the stored nonzeros. The dual
-//     engine adds a CSR copy and never prices the whole matrix per pivot
+//     simplex adds a CSR copy and never prices the whole matrix per pivot
 //     (see below).
 //   * The basis inverse is a sparse LU factorization (LuBasis).
 //     Refactorization runs Markowitz-ordered elimination: each pivot
@@ -35,22 +34,20 @@
 //     plain dense-ordered loop on dense rhs is purely a cost decision.
 //     LpStats::ftran_rows / ftran_rows_skipped measure the effect.
 //
-// Anti-cycling matches the dense path: Dantzig pricing, with Bland's rule
-// after kDegeneratePivotStreak consecutive degenerate pivots, reverting on
-// the first pivot that makes progress.
+// The primal simplex prices with Dantzig's rule, switching to Bland's rule
+// after kDegeneratePivotStreak consecutive degenerate pivots and reverting
+// on the first pivot that makes progress.
 //
-// The same class hosts the kSparseDual engine (solve_dual) as a
-// BOUNDED-VARIABLE dual simplex. Every column carries bounds [0, u_j]
-// (LpProblem::upper, +inf when absent); a nonbasic column rests at either
-// bound and a negative-cost column starts AT ITS UPPER BOUND, which makes
-// the all-slack basis dual-feasible with no artificial machinery — the
-// eta-file era's Lemke bound row (an appended constraint sum x_j <= M) is
-// retired. Negative-cost columns with no finite user bound get a large
-// WORKING bound u_j = kDualBoundScale * (1 + max |rhs|); a working bound
-// that is active at the reported optimum means the true problem wanted to
-// push further (often: it is unbounded), so the engine DECLINES and the
-// primal path re-decides — the honest analogue of the old
-// bound-row-is-tight decline, minus the extra row in every factorization.
+// The same class hosts the dual simplex (solve_dual), a BOUNDED-VARIABLE
+// dual simplex. Every column carries bounds [0, u_j] (LpProblem::upper,
+// +inf when absent); a nonbasic column rests at either bound and a
+// negative-cost column starts AT ITS UPPER BOUND, which makes the
+// all-slack basis dual-feasible with no artificial machinery.
+// Negative-cost columns with no finite user bound get a large WORKING
+// bound u_j = kDualBoundScale * (1 + max |rhs|); a working bound that is
+// active at the reported optimum means the true problem wanted to push
+// further (often: it is unbounded), so the engine DECLINES and the primal
+// path re-decides, with no extra row in any factorization.
 // Each dual pivot costs what its pivot row touches. rho = e_r^T B^-1 comes
 // from a hyper-sparse BTRAN; the row alpha_r = rho^T A_N is formed by
 // walking only the CSR rows rho touches (plus their slacks), in increasing
@@ -67,9 +64,9 @@
 // computes the kHarrisTol-relaxed ratio bound, pass 2 takes the
 // largest-|alpha| candidate inside it, and a pivot-magnitude floor
 // (kStablePivotTol) declines the solve rather than admit a near-singular
-// pivot into the factorization — the old single-floor test accepted any
-// |alpha| > kEps = 1e-9, and one such pivot can poison every later solve
-// against that basis (pinned by sparse_simplex_test).
+// pivot into the factorization: one |alpha| just above kEps = 1e-9 can
+// poison every later solve against that basis (pinned by
+// sparse_simplex_test).
 //
 // Warm starts: solve_dual accepts an LpWarmStart carried from a previous
 // solve. Dual feasibility depends only on the costs and the matrix — not
@@ -85,10 +82,10 @@
 // back to the cold all-slack start, and LpStats::warm_declined_* records
 // which check failed.
 //
-// The dual engine never proves anything it cannot certify: lost dual
+// The dual simplex never proves anything it cannot certify: lost dual
 // feasibility, an active working bound, a vanishing pivot element or an
 // iteration stall all DECLINE the solve and hand the unchanged problem to
-// the primal engine (LpStats::dual_fallbacks). A declined attempt's work
+// the primal simplex (LpStats::dual_fallbacks). A declined attempt's work
 // is reported under LpStats::declined_* — the primary counters describe
 // the authoritative primal solve alone.
 #include <algorithm>
@@ -707,12 +704,11 @@ class LuBasis {
 
 class RevisedSimplex {
  public:
-  // `dual_start` selects the kSparseDual layout: no row normalization (the
-  // slack basis starts at x_B = b, negative entries and all), no
+  // `dual_start` selects the dual simplex's layout: no row normalization
+  // (the slack basis starts at x_B = b, negative entries and all), no
   // artificials, and native [0, u] variable bounds.
-  explicit RevisedSimplex(const LpProblem& problem, LpPricing pricing, bool dual_start = false)
-      : pricing_(pricing),
-        dual_(dual_start),
+  explicit RevisedSimplex(const LpProblem& problem, bool dual_start = false)
+      : dual_(dual_start),
         m_(static_cast<int>(problem.constraints.size())),
         n_(problem.num_vars) {
     // Row normalization (primal only): rows with negative rhs are negated
@@ -738,7 +734,7 @@ class RevisedSimplex {
     num_cols_ = n_ + m_ + num_artificial_;
 
     // CSC for the structural columns, with the row signs folded in.
-    // Duplicate (row, var) terms are accumulated, matching the dense path.
+    // Duplicate (row, var) terms are accumulated (their coefficients sum).
     std::vector<std::vector<std::pair<int, double>>> cols(static_cast<std::size_t>(n_));
     for (int i = 0; i < m_; ++i) {
       const LpConstraint& c = problem.constraints[static_cast<std::size_t>(i)];
@@ -852,7 +848,7 @@ class RevisedSimplex {
     extract(problem, solution);
   }
 
-  // The kSparseDual iteration. Returns true when `solution` is
+  // The dual simplex iteration. Returns true when `solution` is
   // authoritative (optimal, or infeasibility certified with no working
   // bounds in play); false when the engine DECLINES — dual feasibility
   // lost, a working bound active at the optimum, vanishing pivot, or
@@ -1402,10 +1398,9 @@ class RevisedSimplex {
   // --- factorization lifecycle --------------------------------------------
 
   // Fresh Markowitz LU of the current basis; recomputes the basic values
-  // from scratch (discarding update drift) and resets the devex reference
-  // framework. Returns false on a numerically singular basis — the primal
-  // path throws on that, the dual path declines, a warm start falls back
-  // to cold.
+  // from scratch (discarding update drift). Returns false on a numerically
+  // singular basis — the primal path throws on that, the dual path
+  // declines, a warm start falls back to cold.
   bool refactorize(LpStats& stats) {
     ++stats.refactorizations;
     const bool ok = lu_.factorize(m_, [this](int slot, std::vector<std::pair<int, double>>& out) {
@@ -1426,9 +1421,6 @@ class RevisedSimplex {
     if (!ok) return false;
     compute_basic_values();
     pivots_since_refactor_ = 0;
-    // Devex reference framework reset: the fresh factorization is the new
-    // reference basis, so every weight restarts at 1.
-    if (!devex_w_.empty()) std::fill(devex_w_.begin(), devex_w_.end(), 1.0);
     return true;
   }
 
@@ -1473,10 +1465,6 @@ class RevisedSimplex {
   bool minimize(const std::vector<double>& costs, LpStats& stats) {
     int degenerate_streak = 0;
     bool bland = false;
-    const bool devex = pricing_ == LpPricing::kDevex;
-    // A fresh reference framework per phase: every weight restarts at 1
-    // relative to the phase's starting basis.
-    if (devex) devex_w_.assign(static_cast<std::size_t>(num_cols_), 1.0);
     for (int guard = 0; guard < 200000; ++guard) {
       // Pricing: y = c_B B^-1 (one BTRAN), then one pass over the columns.
       for (int i = 0; i < m_; ++i) {
@@ -1486,24 +1474,14 @@ class RevisedSimplex {
       lu_.btran(pr_in_, pr_out_);
       int entering = -1;
       double most_negative = -kEps;
-      double best_score = 0.0;
       for (int j = 0; j < n_ + m_; ++j) {
         if (in_basis_[static_cast<std::size_t>(j)]) continue;
         const double d = costs[static_cast<std::size_t>(j)] - dot_column(j, pr_out_.v);
         if (d >= -kEps) continue;
         if (bland) {
-          // Anti-cycling: the lowest eligible index, Dantzig/devex aside.
+          // Anti-cycling: the lowest eligible index.
           entering = j;
           break;
-        }
-        if (devex) {
-          // Devex: steepest reduced cost in the reference framework.
-          const double score = d * d / devex_w_[static_cast<std::size_t>(j)];
-          if (score > best_score) {
-            best_score = score;
-            entering = j;
-          }
-          continue;
         }
         if (d >= most_negative) continue;
         entering = j;
@@ -1535,7 +1513,6 @@ class RevisedSimplex {
         return false;  // unbounded
       }
 
-      if (devex) update_devex_weights(entering, leaving);
       pivot(entering, leaving, best, stats);
       if (bland) ++stats.bland_pivots;
       if (best <= kEps) {
@@ -1580,36 +1557,6 @@ class RevisedSimplex {
     }
   }
 
-  // Reference-framework devex update (Harris): having chosen the entering
-  // column q (FTRANed in alpha_, pivot element a_rq at `leaving_slot`),
-  // the new weight of every nonbasic column j is
-  //
-  //   w_j = max(w_j, (a_rj / a_rq)^2 * w_q)
-  //
-  // where a_rj is the pivot row — one extra BTRAN of a unit vector plus a
-  // pass over the stored nonzeros, the same cost shape as pricing. The
-  // leaving variable re-enters the nonbasic set with the transferred
-  // weight max(w_q / a_rq^2, 1). Called BEFORE pivot() so alpha_ and the
-  // basis still describe the pre-pivot state.
-  void update_devex_weights(int entering, int leaving_slot) {
-    const double a_rq = alpha_.v[static_cast<std::size_t>(leaving_slot)];
-    if (a_rq == 0.0) return;  // ratio test guarantees |a_rq| > kEps
-    const double transferred = devex_w_[static_cast<std::size_t>(entering)] / (a_rq * a_rq);
-    pr_in_.set(leaving_slot, 1.0);
-    lu_.btran(pr_in_, pr_out_);  // pr_out_ = row `leaving_slot` of B^-1
-    for (int j = 0; j < n_ + m_; ++j) {
-      if (in_basis_[static_cast<std::size_t>(j)] || j == entering) continue;
-      const double a_rj = dot_column(j, pr_out_.v);
-      if (a_rj == 0.0) continue;
-      double& w = devex_w_[static_cast<std::size_t>(j)];
-      w = std::max(w, a_rj * a_rj * transferred);
-    }
-    pr_out_.clear();
-    devex_w_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(leaving_slot)])] =
-        std::max(transferred, 1.0);
-    devex_w_[static_cast<std::size_t>(entering)] = 1.0;
-  }
-
   // Drives every artificial still basic (necessarily at value 0 after a
   // feasible phase 1) out of the basis by a degenerate pivot on the lowest
   // eligible real column. Rows with no eligible column are redundant: the
@@ -1634,9 +1581,6 @@ class RevisedSimplex {
       pivot(enter, r, 0.0, stats);
     }
   }
-
-  LpPricing pricing_ = LpPricing::kDantzig;
-  std::vector<double> devex_w_;  // reference-framework weights, nonbasic cols
 
   bool dual_ = false;
 
@@ -1679,26 +1623,27 @@ class RevisedSimplex {
 
 }  // namespace
 
-void solve_lp_sparse_into(const LpProblem& problem, LpPricing pricing, LpSolution& solution) {
+void solve_lp_primal_into(const LpProblem& problem, LpSolution& solution) {
+  check_dimensions(problem);
   const auto start = std::chrono::steady_clock::now();
   if (has_finite_upper(problem)) {
-    // The primal engine has no bounded-variable machinery; it solves the
+    // The primal simplex has no bounded-variable machinery; it solves the
     // row-augmented equivalent (same objective, same x).
     const LpProblem boxed = upper_bounds_as_rows(problem);
-    RevisedSimplex engine(boxed, pricing);
+    RevisedSimplex engine(boxed);
     engine.solve(boxed, solution);
   } else {
-    RevisedSimplex engine(problem, pricing);
+    RevisedSimplex engine(problem);
     engine.solve(problem, solution);
   }
   solution.stats.wall_ms = elapsed_ms(start);
 }
 
-void solve_lp_sparse_dual_into(const LpProblem& problem, LpPricing pricing, LpSolution& solution,
-                               LpWarmStart* warm) {
+void solve_lp_dual_into(const LpProblem& problem, LpSolution& solution, LpWarmStart* warm) {
+  check_dimensions(problem);
   const auto start = std::chrono::steady_clock::now();
   {
-    RevisedSimplex engine(problem, pricing, /*dual_start=*/true);
+    RevisedSimplex engine(problem, /*dual_start=*/true);
     if (engine.solve_dual(problem, solution, warm)) {
       solution.stats.wall_ms = elapsed_ms(start);
       return;
@@ -1709,11 +1654,11 @@ void solve_lp_sparse_dual_into(const LpProblem& problem, LpPricing pricing, LpSo
   if (warm != nullptr) warm->clear();
   const LpStats declined = solution.stats;
   const double declined_ms = elapsed_ms(start);
-  // Rerun the unchanged problem through the primal engine. The primary
+  // Rerun the unchanged problem through the primal simplex. The primary
   // counters then describe the authoritative primal solve ALONE; the
   // abandoned attempt is reported under the declined_* split (pinned by
   // sparse_simplex_test).
-  solve_lp_sparse_into(problem, pricing, solution);
+  solve_lp_primal_into(problem, solution);
   solution.stats.dual_fallbacks = 1;
   solution.stats.declined_dual_pivots = declined.dual_pivots;
   solution.stats.declined_refactorizations = declined.refactorizations;
@@ -1725,15 +1670,9 @@ void solve_lp_sparse_dual_into(const LpProblem& problem, LpPricing pricing, LpSo
   solution.stats.warm_declined_dual = declined.warm_declined_dual;
 }
 
-LpSolution solve_lp_sparse(const LpProblem& problem, LpPricing pricing) {
+LpSolution solve_lp_primal(const LpProblem& problem) {
   LpSolution solution;
-  solve_lp_sparse_into(problem, pricing, solution);
-  return solution;
-}
-
-LpSolution solve_lp_sparse_dual(const LpProblem& problem, LpPricing pricing) {
-  LpSolution solution;
-  solve_lp_sparse_dual_into(problem, pricing, solution);
+  solve_lp_primal_into(problem, solution);
   return solution;
 }
 

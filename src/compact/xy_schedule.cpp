@@ -295,7 +295,7 @@ LeafXyResult compact_leaf_schedule(const CellTable& cells, const InterfaceTable&
       const InterfaceTable pass_interfaces = state.interfaces();
       const LeafResult x = compact_leaf_cells(pass_cells, pass_interfaces, cell_names, x_specs,
                                               rules, options.width_weight,
-                                              options.stretchable_layers, options.lp, warm_x_ptr);
+                                              options.stretchable_layers, warm_x_ptr);
       for (const auto& [name, boxes] : x.cells) state.geometry[name] = boxes;
       for (std::size_t s = 0; s < x_specs.size(); ++s) {
         const PitchSpec& spec = x_specs[s];
@@ -312,8 +312,7 @@ LeafXyResult compact_leaf_schedule(const CellTable& cells, const InterfaceTable&
       const InterfaceTable pass_interfaces = state.interfaces();
       const LeafResult y = compact_leaf_cells_y(pass_cells, pass_interfaces, cell_names, y_specs,
                                                 rules, options.width_weight,
-                                                options.stretchable_layers, options.lp,
-                                                warm_y_ptr);
+                                                options.stretchable_layers, warm_y_ptr);
       for (const auto& [name, boxes] : y.cells) state.geometry[name] = boxes;
       for (std::size_t s = 0; s < y_specs.size(); ++s) {
         const PitchSpec& spec = y_specs[s];

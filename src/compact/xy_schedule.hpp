@@ -135,17 +135,15 @@ struct LeafXyOptions {
   bool stop_when_converged = true;
   double width_weight = 1e-3;
   std::vector<Layer> stretchable_layers;
-  // The LP engine of every pass; defaults to kSparseDual.
-  LpOptions lp;
-  // Carry each axis's optimal basis into the next round's solve (kSparseDual
-  // only; the other engines ignore it). The engine matches the carried
-  // basis to the new LP's rows by content, so a round whose LP holds the
-  // previous round's rows in another order, or under other bounds, adopts
-  // it; the convergence-confirming round re-solves in zero pivots. A round
-  // whose row set changed starts cold (LeafRoundStats::{x,y}_lp
-  // warm_accepted and warm_declined_* say which happened). The solved
-  // objective is identical either way — only the pivot path (and, on LPs
-  // with tied optima, which optimal vertex reports) changes.
+  // Carry each axis's optimal basis into the next round's solve. The
+  // engine matches the carried basis to the new LP's rows by content, so a
+  // round whose LP holds the previous round's rows in another order, or
+  // under other bounds, adopts it; the convergence-confirming round
+  // re-solves in zero pivots. A round whose row set changed starts cold
+  // (LeafRoundStats::{x,y}_lp warm_accepted and warm_declined_* say which
+  // happened). The solved objective is identical either way — only the
+  // pivot path (and, on LPs with tied optima, which optimal vertex
+  // reports) changes.
   bool warm_start = true;
 };
 

@@ -250,7 +250,7 @@ ConstraintSystem planted_cycle_system(std::uint32_t seed) {
   std::shuffle(x.begin() + upstream, x.begin() + upstream + ring, rng);
   ConstraintSystem system;
   for (int v = 0; v < n; ++v) {
-    system.add_variable("v" + std::to_string(v), 10 * x[static_cast<std::size_t>(v)]);
+    system.add_variable(10 * x[static_cast<std::size_t>(v)]);
   }
   const auto weight = [&] { return static_cast<Coord>(pick(1, 9)); };
   system.add_constraint(-1, 0, 0, ConstraintKind::kAnchor);
@@ -387,8 +387,8 @@ TEST(CompactScaling, HashedRigidGroupsMatchQuadratic) {
 
 TEST(CompactScaling, WorklistDetectsPositiveCycle) {
   ConstraintSystem system;
-  const int a = system.add_variable("a", 0);
-  const int b = system.add_variable("b", 10);
+  const int a = system.add_variable(0);
+  const int b = system.add_variable(10);
   system.add_constraint(a, b, 5, ConstraintKind::kSpacing);
   system.add_constraint(b, a, 5, ConstraintKind::kSpacing);
   EXPECT_THROW(solve_leftmost_worklist(system), Error);

@@ -17,7 +17,7 @@ TEST(BellmanFord, SortedOrderConvergesInOnePassOnChains) {
   ConstraintSystem system;
   std::vector<int> vars;
   for (int i = 0; i < 50; ++i) {
-    vars.push_back(system.add_variable("v" + std::to_string(i), i * 10));
+    vars.push_back(system.add_variable(i * 10));
   }
   for (int i = 1; i < 50; ++i) {
     system.add_constraint(vars[static_cast<std::size_t>(i - 1)],
@@ -36,8 +36,8 @@ TEST(BellmanFord, SortedOrderConvergesInOnePassOnChains) {
 
 TEST(BellmanFord, InfeasibleCycleThrows) {
   ConstraintSystem system;
-  const int a = system.add_variable("a", 0);
-  const int b = system.add_variable("b", 10);
+  const int a = system.add_variable(0);
+  const int b = system.add_variable(10);
   system.add_constraint(a, b, 5, ConstraintKind::kSpacing);
   system.add_constraint(b, a, 5, ConstraintKind::kSpacing);  // a >= b + 5 too
   EXPECT_THROW(solve_leftmost(system), Error);
@@ -45,9 +45,9 @@ TEST(BellmanFord, InfeasibleCycleThrows) {
 
 TEST(BellmanFord, PitchTermsShiftBounds) {
   ConstraintSystem system;
-  const int a = system.add_variable("a", 0);
-  const int b = system.add_variable("b", 0);
-  const int pitch = system.add_pitch("lambda", 10);
+  const int a = system.add_variable(0);
+  const int b = system.add_variable(0);
+  const int pitch = system.add_pitch(10);
   // b - a + λ >= 25 with λ fixed at 10: b >= a + 15.
   Constraint c;
   c.from = a;
@@ -64,8 +64,8 @@ TEST(ConstraintSystem, RejectsPitchIndexBelowMinusOne) {
   // Regression: pitch -2 used to be accepted and silently treated as "no
   // pitch" by every consumer while pitch_coeff was ignored.
   ConstraintSystem system;
-  const int a = system.add_variable("a", 0);
-  const int b = system.add_variable("b", 0);
+  const int a = system.add_variable(0);
+  const int b = system.add_variable(0);
   Constraint c;
   c.from = a;
   c.to = b;
@@ -76,8 +76,8 @@ TEST(ConstraintSystem, RejectsPitchIndexBelowMinusOne) {
 
 TEST(ConstraintSystem, RejectsPitchCoeffWithoutPitchVariable) {
   ConstraintSystem system;
-  const int a = system.add_variable("a", 0);
-  const int b = system.add_variable("b", 0);
+  const int a = system.add_variable(0);
+  const int b = system.add_variable(0);
   Constraint c;
   c.from = a;
   c.to = b;

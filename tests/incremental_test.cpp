@@ -306,8 +306,8 @@ TEST(Incremental, WarmStartMatchesColdForBothWorklistSolvers) {
 
 TEST(Incremental, WarmStartStillDetectsPositiveCycles) {
   ConstraintSystem system;
-  const int a = system.add_variable("a", 0);
-  const int b = system.add_variable("b", 10);
+  const int a = system.add_variable(0);
+  const int b = system.add_variable(10);
   system.add_constraint(a, b, 5, ConstraintKind::kSpacing);
   system.add_constraint(b, a, 5, ConstraintKind::kSpacing);
   const std::vector<Coord> seed{0, 10};

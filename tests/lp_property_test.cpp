@@ -1,15 +1,14 @@
-// Generative property tests for the LP engine zoo (§6.3's solver, four
-// ways): seeded random instances spanning the shapes that break simplex
-// implementations in practice — degenerate plateaus, unbounded rays,
-// infeasible systems, and the near-unimodular difference-constraint
-// matrices leaf compaction actually emits — asserting that the dense
-// tableau, sparse Dantzig, sparse devex and sparse dual engines agree on
-// feasibility, boundedness and objective value on every single one. The
-// harness is the example-driven validation idea of the ROADMAP: the
-// specification ("all engines are the same function") is checked against a
-// generated example population rather than hand-picked cases, in the
-// spirit of `Generating Significant Examples for Conceptual Schema
-// Validation`.
+// Generative property tests for §6.3's LP solver: seeded random instances
+// spanning the shapes that break simplex implementations in practice —
+// degenerate plateaus, unbounded rays, infeasible systems, and the
+// near-unimodular difference-constraint matrices leaf compaction actually
+// emits — asserting that solve_lp (the dual simplex), its primal fallback
+// on its own, and the dense-tableau oracle agree on feasibility,
+// boundedness and objective value on every single one. The harness is the
+// example-driven validation idea of the ROADMAP: the specification ("every
+// engine is the same function") is checked against a generated example
+// population rather than hand-picked cases, in the spirit of `Generating
+// Significant Examples for Conceptual Schema Validation`.
 //
 // Determinism: every instance derives from a fixed seed; there is no
 // wall-clock or global entropy anywhere, so a failure reproduces by seed.
@@ -28,6 +27,7 @@
 #include "compact/leaf_compactor.hpp"
 #include "compact/simplex.hpp"
 #include "compact/synth_design.hpp"
+#include "oracle/dense_tableau.hpp"
 
 namespace rsg::compact {
 namespace {
@@ -37,14 +37,14 @@ struct EngineRun {
   LpSolution solution;
 };
 
-// Solves `p` with all four engines and cross-checks them; returns the
-// dense solution for family-specific assertions.
+// Solves `p` with the oracle, the primal fallback and solve_lp and
+// cross-checks them; returns the dense solution for family-specific
+// assertions.
 LpSolution expect_engines_agree(const LpProblem& p, std::uint32_t seed, const char* family) {
   const EngineRun runs[] = {
-      {"dense", solve_lp(p, LpMethod::kDenseTableau)},
-      {"sparse-dantzig", solve_lp(p, LpMethod::kSparseRevised, LpPricing::kDantzig)},
-      {"sparse-devex", solve_lp(p, LpMethod::kSparseRevised, LpPricing::kDevex)},
-      {"sparse-dual", solve_lp(p, LpMethod::kSparseDual)},
+      {"dense", oracle::solve_dense_tableau(p)},
+      {"sparse-dantzig", detail::solve_lp_primal(p)},
+      {"sparse-dual", solve_lp(p)},
   };
   const LpSolution& dense = runs[0].solution;
   for (const EngineRun& run : runs) {
@@ -58,9 +58,9 @@ LpSolution expect_engines_agree(const LpProblem& p, std::uint32_t seed, const ch
                 1e-6 * (1.0 + std::abs(dense.objective)))
         << family << " seed " << seed << " engine " << run.name;
   }
-  // The satellite contract, stated directly: the dual engine reports
+  // Stated directly for the two sparse loops: the dual simplex reports
   // infeasible exactly when the primal does.
-  EXPECT_EQ(runs[3].solution.feasible, runs[1].solution.feasible)
+  EXPECT_EQ(runs[2].solution.feasible, runs[1].solution.feasible)
       << family << " seed " << seed;
   return dense;
 }
@@ -126,7 +126,7 @@ TEST(LpPropertyTest, MixedSignCostsAgreeIncludingUnbounded) {
 
 // Family 3: known-infeasible systems (x <= a and x >= a + gap, folded into
 // random padding rows). Every engine must report infeasible — in
-// particular dual <=> primal, the satellite's equivalence.
+// particular dual <=> primal.
 TEST(LpPropertyTest, InfeasibleInstancesAgreeAcrossEngines) {
   for (std::uint32_t seed = 0; seed < 80; ++seed) {
     auto rng = rng_for(seed ^ 0x1BADB002u);
@@ -157,7 +157,7 @@ TEST(LpPropertyTest, InfeasibleInstancesAgreeAcrossEngines) {
 
 // Family 4: degenerate plateaus — many rows tight at the origin (zero
 // rhs), duplicated rows, and zero-cost ties. The anti-cycling guards of
-// all four engines have to survive these; the objective is pinned by one
+// every engine have to survive these; the objective is pinned by one
 // non-degenerate row per instance.
 TEST(LpPropertyTest, DegenerateInstancesTerminateAndAgree) {
   for (std::uint32_t seed = 0; seed < 80; ++seed) {
@@ -185,8 +185,8 @@ TEST(LpPropertyTest, DegenerateInstancesTerminateAndAgree) {
 // Family 5: near-unimodular difference-constraint systems — integer +-1
 // coefficients and integer bounds, the exact matrix class leaf compaction
 // emits. All arithmetic is exact here, so the agreement bar is EQUALITY,
-// and the dual engine must clear every instance with zero phase-1 pivots
-// and zero fallbacks (the tentpole's claim, fuzzed).
+// and the dual simplex must clear every instance with zero phase-1 pivots
+// and zero fallbacks (its start-basis claim, fuzzed).
 TEST(LpPropertyTest, NearUnimodularChainsAgreeBitForBitAndDualSkipsPhaseOne) {
   for (std::uint32_t seed = 0; seed < 120; ++seed) {
     auto rng = rng_for(seed ^ 0x5EAFC311u);
@@ -210,26 +210,24 @@ TEST(LpPropertyTest, NearUnimodularChainsAgreeBitForBitAndDualSkipsPhaseOne) {
       }
     }
     p.constraints.push_back({{{n - 1, 1.0}}, 200.0});  // global ceiling: feasible, bounded
-    const LpSolution dense = solve_lp(p, LpMethod::kDenseTableau);
-    const LpSolution dantzig = solve_lp(p, LpMethod::kSparseRevised, LpPricing::kDantzig);
-    const LpSolution devex = solve_lp(p, LpMethod::kSparseRevised, LpPricing::kDevex);
-    const LpSolution dual = solve_lp(p, LpMethod::kSparseDual);
+    const LpSolution dense = oracle::solve_dense_tableau(p);
+    const LpSolution dantzig = detail::solve_lp_primal(p);
+    const LpSolution dual = solve_lp(p);
     ASSERT_TRUE(dense.feasible && dense.bounded) << "seed " << seed;
     EXPECT_EQ(dantzig.objective, dense.objective) << "seed " << seed;
-    EXPECT_EQ(devex.objective, dense.objective) << "seed " << seed;
     EXPECT_EQ(dual.objective, dense.objective) << "seed " << seed;
     EXPECT_EQ(dual.stats.phase1_pivots, 0) << "seed " << seed;
     EXPECT_EQ(dual.stats.dual_fallbacks, 0) << "seed " << seed;
   }
 }
 
-// Family 6 (this PR): bounded-variable LPs with finite upper bounds ACTIVE
+// Family 6: bounded-variable LPs with finite upper bounds ACTIVE
 // at the optimum — the bounded-variable ratio test's home turf. Every
 // negative-cost column gets a finite integer bound (so instances are
 // bounded by construction, never via working bounds), coefficients are
 // +-1 integers and bounds/rhs integers, so the agreement bar is EQUALITY:
 // the dual solves the bounds natively while dense / sparse-primal solve
-// the row-augmented equivalent, and all four must land on the identical
+// the row-augmented equivalent, and all three must land on the identical
 // objective.
 TEST(LpPropertyTest, BoundedVariableInstancesAgreeWithBoundsActiveAtOptimum) {
   int feasible_seen = 0;
@@ -267,8 +265,8 @@ TEST(LpPropertyTest, BoundedVariableInstancesAgreeWithBoundsActiveAtOptimum) {
     if (!dense.feasible || !dense.bounded) continue;
     ++feasible_seen;
     // All-integer +-1 data: the native-bounds dual and the row-augmented
-    // dense baseline must agree EXACTLY, not just within tolerance.
-    const LpSolution dual = solve_lp(p, LpMethod::kSparseDual);
+    // dense oracle must agree EXACTLY, not just within tolerance.
+    const LpSolution dual = solve_lp(p);
     EXPECT_EQ(dual.objective, dense.objective) << "seed " << seed;
     for (int j = 0; j < n; ++j) {
       if (p.upper[static_cast<std::size_t>(j)] != kLpUnbounded &&
@@ -284,7 +282,7 @@ TEST(LpPropertyTest, BoundedVariableInstancesAgreeWithBoundsActiveAtOptimum) {
   EXPECT_GT(bound_active_seen, 20);
 }
 
-// Family 7 (this PR): warm-start chains — solve, perturb one bound, re-solve
+// Family 7: warm-start chains — solve, perturb one bound, re-solve
 // with the carried basis vs cold, and the two must be indistinguishable in
 // outcome: identical objective (exact, integer data), a solution feasible
 // against every row, and the cross-engine agreement holds on the perturbed
@@ -296,7 +294,6 @@ TEST(LpPropertyTest, WarmStartChainsMatchColdAcrossEngines) {
   int accepted = 0;
   long warm_pivots = 0;
   long cold_pivots = 0;
-  const LpOptions dual_opts{LpMethod::kSparseDual, LpPricing::kDantzig};
   for (std::uint32_t seed = 0; seed < 80; ++seed) {
     auto rng = rng_for(seed ^ 0x3A37ED5u);
     std::uniform_int_distribution<int> dim(3, 20);
@@ -316,7 +313,7 @@ TEST(LpPropertyTest, WarmStartChainsMatchColdAcrossEngines) {
     p.constraints.push_back({{{n - 1, 1.0}}, 400.0});  // ceiling: feasible, bounded
 
     LpWarmStart warm;
-    const LpSolution first = solve_lp(p, dual_opts, &warm);
+    const LpSolution first = solve_lp(p, &warm);
     ASSERT_TRUE(first.feasible && first.bounded) << "seed " << seed;
     ASSERT_TRUE(warm.valid()) << "seed " << seed;
 
@@ -326,8 +323,8 @@ TEST(LpPropertyTest, WarmStartChainsMatchColdAcrossEngines) {
     const std::size_t row = static_cast<std::size_t>(seed) % (p2.constraints.size() - 1);
     p2.constraints[row].rhs -= 1.0;  // tighten: x_row's gap grows by 1
 
-    const LpSolution warm_run = solve_lp(p2, dual_opts, &warm);
-    const LpSolution cold_run = solve_lp(p2, dual_opts);
+    const LpSolution warm_run = solve_lp(p2, &warm);
+    const LpSolution cold_run = solve_lp(p2);
     const LpSolution dense = expect_engines_agree(p2, seed, "warm-chain");
     ASSERT_TRUE(dense.feasible && dense.bounded) << "seed " << seed;
     ASSERT_TRUE(warm_run.feasible && cold_run.feasible) << "seed " << seed;
@@ -444,7 +441,6 @@ void expect_same_objective(double got, double want, bool integral, const std::st
 }
 
 TEST(LpPropertyTest, PermutedRowWarmStartsAdoptAndMatchCold) {
-  const LpOptions dual_opts{LpMethod::kSparseDual, LpPricing::kDantzig};
   int duplicate_pivots = 0;
   std::uint32_t shuffle_seed = 0;
   for (const PermutedBase& base : permuted_bases()) {
@@ -458,9 +454,9 @@ TEST(LpPropertyTest, PermutedRowWarmStartsAdoptAndMatchCold) {
     const auto resolve = [&](const LpProblem& p, const LpWarmStart& carried,
                              const std::string& where) {
       LpWarmStart handle = carried;
-      const LpSolution warm = solve_lp(p, dual_opts, &handle);
-      const LpSolution cold = solve_lp(p, dual_opts);
-      const LpSolution dense = solve_lp(p, LpMethod::kDenseTableau);
+      const LpSolution warm = solve_lp(p, &handle);
+      const LpSolution cold = solve_lp(p);
+      const LpSolution dense = oracle::solve_dense_tableau(p);
       EXPECT_TRUE(warm.feasible && warm.bounded && cold.feasible && dense.feasible) << where;
       expect_same_objective(warm.objective, cold.objective, base.integral, where + " vs cold");
       expect_same_objective(warm.objective, dense.objective, base.integral, where + " vs dense");
@@ -470,7 +466,7 @@ TEST(LpPropertyTest, PermutedRowWarmStartsAdoptAndMatchCold) {
     };
 
     LpWarmStart carried;
-    const LpSolution first = solve_lp(base.lp, dual_opts, &carried);
+    const LpSolution first = solve_lp(base.lp, &carried);
     ASSERT_TRUE(first.feasible && first.bounded && carried.valid()) << base.name;
 
     // (a) Same rows, new order: the carried vertex is already optimal.
@@ -495,7 +491,7 @@ TEST(LpPropertyTest, PermutedRowWarmStartsAdoptAndMatchCold) {
       duplicated.constraints.push_back(std::move(copy));
     }
     LpWarmStart carried_dup;
-    ASSERT_TRUE(solve_lp(duplicated, dual_opts, &carried_dup).feasible) << base.name;
+    ASSERT_TRUE(solve_lp(duplicated, &carried_dup).feasible) << base.name;
     const LpSolution c = resolve(shuffled(duplicated), carried_dup, base.name + " (c)");
     EXPECT_EQ(c.stats.warm_accepted, 1) << base.name;
     duplicate_pivots += c.stats.iterations;
@@ -506,8 +502,8 @@ TEST(LpPropertyTest, PermutedRowWarmStartsAdoptAndMatchCold) {
     for (auto& term : row.terms) term.second *= 2.0;
     row.rhs *= 2.0;
     LpWarmStart stale = carried;
-    const LpSolution declined = solve_lp(rescaled, dual_opts, &stale);
-    const LpSolution cold = solve_lp(rescaled, dual_opts);
+    const LpSolution declined = solve_lp(rescaled, &stale);
+    const LpSolution cold = solve_lp(rescaled);
     EXPECT_EQ(declined.stats.warm_attempted, 1) << base.name;
     EXPECT_EQ(declined.stats.warm_accepted, 0) << base.name;
     EXPECT_EQ(declined.stats.warm_declined_rows, 1) << base.name;
@@ -524,24 +520,23 @@ TEST(LpPropertyTest, PermutedRowWarmStartsAdoptAndMatchCold) {
 // its ceiling). Singular: a hand-built handle naming two identical
 // columns. Both must report the reason and return the cold optimum.
 TEST(LpPropertyTest, WarmStartDeclinesSayWhy) {
-  const LpOptions dual_opts{LpMethod::kSparseDual, LpPricing::kDantzig};
   for (std::uint32_t seed = 0; seed < 20; ++seed) {
     const LpProblem p = warm_chain(seed);
     LpWarmStart carried;
-    ASSERT_TRUE(solve_lp(p, dual_opts, &carried).feasible) << "seed " << seed;
+    ASSERT_TRUE(solve_lp(p, &carried).feasible) << "seed " << seed;
 
     LpProblem recosted = p;
     double total = 0.0;
     for (const double c : p.objective) total += c;
     recosted.objective.back() = -(total + 1.0);
     LpWarmStart handle = carried;
-    const LpSolution dual_declined = solve_lp(recosted, dual_opts, &handle);
-    const LpSolution cold = solve_lp(recosted, dual_opts);
+    const LpSolution dual_declined = solve_lp(recosted, &handle);
+    const LpSolution cold = solve_lp(recosted);
     EXPECT_EQ(dual_declined.stats.warm_attempted, 1) << "seed " << seed;
     EXPECT_EQ(dual_declined.stats.warm_declined_dual, 1) << "seed " << seed;
     EXPECT_EQ(dual_declined.stats.warm_accepted, 0) << "seed " << seed;
     EXPECT_EQ(dual_declined.objective, cold.objective) << "seed " << seed;
-    EXPECT_EQ(dual_declined.objective, solve_lp(recosted, LpMethod::kDenseTableau).objective)
+    EXPECT_EQ(dual_declined.objective, oracle::solve_dense_tableau(recosted).objective)
         << "seed " << seed;
 
     // Column n copies column 0 in every row; basis slots holding slacks
@@ -556,7 +551,7 @@ TEST(LpPropertyTest, WarmStartDeclinesSayWhy) {
       }
     }
     LpWarmStart twin_handle;
-    const LpSolution twin_cold = solve_lp(twins, dual_opts, &twin_handle);
+    const LpSolution twin_cold = solve_lp(twins, &twin_handle);
     ASSERT_TRUE(twin_cold.feasible && twin_handle.valid()) << "seed " << seed;
     for (const int column : {0, twin}) {
       if (std::find(twin_handle.basis.begin(), twin_handle.basis.end(), column) !=
@@ -568,7 +563,7 @@ TEST(LpPropertyTest, WarmStartDeclinesSayWhy) {
       ASSERT_NE(slack, twin_handle.basis.end()) << "seed " << seed;
       *slack = column;
     }
-    const LpSolution singular = solve_lp(twins, dual_opts, &twin_handle);
+    const LpSolution singular = solve_lp(twins, &twin_handle);
     EXPECT_EQ(singular.stats.warm_attempted, 1) << "seed " << seed;
     EXPECT_EQ(singular.stats.warm_declined_singular, 1) << "seed " << seed;
     EXPECT_EQ(singular.stats.warm_accepted, 0) << "seed " << seed;

@@ -1,34 +1,37 @@
-// Tests for the two-phase simplex solvers used by leaf-cell compaction
-// (§6.3). Every case runs against both engines — the dense tableau baseline
-// and the sparse revised simplex — through the value-parameterized fixture,
-// so the solvers cannot drift apart behaviourally.
+// Tests for the simplex solvers of leaf-cell compaction (§6.3). Every case
+// runs against solve_lp (the dual simplex), its primal fallback on its own,
+// and the dense-tableau oracle, through the value-parameterized fixture, so
+// the solvers cannot drift apart behaviourally.
 #include "compact/simplex.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "oracle/dense_tableau.hpp"
 #include "support/error.hpp"
 
 namespace rsg::compact {
 namespace {
 
-class SimplexMethod : public ::testing::TestWithParam<LpMethod> {
+struct Engine {
+  const char* name;
+  LpSolution (*solve)(const LpProblem&);
+};
+
+LpSolution solve_dual(const LpProblem& p) { return solve_lp(p); }
+
+class SimplexMethod : public ::testing::TestWithParam<Engine> {
  protected:
-  LpSolution solve(const LpProblem& p) const { return solve_lp(p, GetParam()); }
+  LpSolution solve(const LpProblem& p) const { return GetParam().solve(p); }
 };
 
 INSTANTIATE_TEST_SUITE_P(Engines, SimplexMethod,
-                         ::testing::Values(LpMethod::kDenseTableau, LpMethod::kSparseRevised,
-                                           LpMethod::kSparseDual),
-                         [](const ::testing::TestParamInfo<LpMethod>& info) {
-                           switch (info.param) {
-                             case LpMethod::kDenseTableau:
-                               return "Dense";
-                             case LpMethod::kSparseRevised:
-                               return "Sparse";
-                             case LpMethod::kSparseDual:
-                               return "SparseDual";
-                           }
-                           return "Unknown";
+                         ::testing::Values(Engine{"Dense", &oracle::solve_dense_tableau},
+                                           Engine{"Sparse", &detail::solve_lp_primal},
+                                           Engine{"SparseDual", &solve_dual}),
+                         [](const ::testing::TestParamInfo<Engine>& info) {
+                           return std::string(info.param.name);
                          });
 
 TEST_P(SimplexMethod, TrivialMinimumAtOrigin) {
@@ -189,7 +192,7 @@ TEST_P(SimplexMethod, DegenerateTiesDoNotCycle) {
   // The degenerate plateau is a primal phenomenon: the dual engine walks a
   // different vertex sequence (and may fall back), so only the primal
   // engines are pinned to visit it.
-  if (GetParam() != LpMethod::kSparseDual) {
+  if (GetParam().solve != &solve_dual) {
     EXPECT_GT(s.stats.degenerate_pivots, 0);
   }
 }

@@ -1,103 +1,79 @@
-// Equivalence and robustness tests for the sparse revised simplex: the new
-// engine must reproduce the dense tableau baseline's objectives on the
-// leaf-compaction workloads it was built to scale (and its geometry where
-// the optimum is unique), stay exact on randomized small LPs, and survive
-// known-degenerate systems through the Bland anti-cycling fallback.
+// Equivalence and robustness tests for the sparse revised simplex — solve_lp
+// (the dual simplex) and its primal fallback: both must reproduce the
+// dense-tableau oracle's objectives on the leaf-compaction workloads they
+// were built to scale (and its geometry where the optimum is unique), stay
+// exact on randomized small LPs, and survive known-degenerate systems
+// through the Bland anti-cycling fallback.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
+#include <utility>
 
 #include "compact/leaf_compactor.hpp"
 #include "compact/simplex.hpp"
 #include "compact/synth_design.hpp"
+#include "oracle/dense_tableau.hpp"
 #include "support/error.hpp"
 
 namespace rsg::compact {
 namespace {
 
+// The three instances this file pins the dual simplex declining on; each
+// decline hands the unchanged problem to the primal fallback.
+
+// min -x with x unconstrained above: the negative-cost column gets a
+// WORKING upper bound, and the extended optimum rides it.
+LpProblem working_bound_ray() {
+  LpProblem p;
+  p.num_vars = 1;
+  p.objective = {-1.0};
+  return p;
+}
+
+// min -x0 + x1 - x2 with x0 boxed by rows and a forcing row that needs dual
+// repair first, plus an uncovered negative-cost column x2 whose working
+// bound carries the optimum: the dual pivots before it declines.
+LpProblem declined_work() {
+  LpProblem p;
+  p.num_vars = 3;
+  p.objective = {-1.0, 1.0, -1.0};
+  p.constraints = {
+      {{{0, 1.0}}, 5.0},              // x0 <= 5
+      {{{0, -1.0}, {1, 1.0}}, -2.0},  // x0 - x1 >= 2: forces dual pivots
+  };
+  return p;
+}
+
+// 1e-8 x0 + x1 >= 1 with a near-free x0: the Harris window admits only the
+// alpha = -1e-8 candidate (the well-scaled column's ratio lies far outside
+// the relaxed bound), which sits below the pivot-magnitude floor.
+LpProblem near_singular_pivot() {
+  LpProblem p;
+  p.num_vars = 2;
+  p.objective = {1e-10, 20.0};
+  p.constraints = {
+      {{{0, -1e-8}, {1, -1.0}}, -1.0},  // 1e-8 x0 + x1 >= 1
+  };
+  return p;
+}
+
 TEST(SparseSimplex, MatchesDenseObjectiveOnSeededLeafLibraries) {
   // The acceptance workload: the same synthetic libraries bench_leaf_scaling
-  // sweeps, across seeds and sizes. Identical LpProblem, both engines under
-  // both pricing rules, the objectives must agree to relative 1e-6.
+  // sweeps, across seeds and sizes. Identical LpProblem, the primal
+  // fallback against the oracle, the objectives must agree to relative 1e-6.
   for (const std::uint32_t seed : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u}) {
     const int num_cells = 2 + static_cast<int>(seed % 4) * 2;
     const SynthLeafLibrary lib = make_leaf_library(num_cells, 6, seed);
     const LeafLpModel model = build_leaf_lp(lib.cells, lib.interfaces, lib.cell_names,
                                             lib.pitch_specs, CompactionRules::mosis());
-    const LpSolution dense = solve_lp(model.lp, LpMethod::kDenseTableau);
+    const LpSolution dense = oracle::solve_dense_tableau(model.lp);
     ASSERT_TRUE(dense.feasible && dense.bounded) << "seed " << seed;
-    for (const LpPricing pricing : {LpPricing::kDantzig, LpPricing::kDevex}) {
-      const LpSolution sparse = solve_lp(model.lp, LpMethod::kSparseRevised, pricing);
-      ASSERT_TRUE(sparse.feasible && sparse.bounded) << "seed " << seed;
-      EXPECT_NEAR(sparse.objective, dense.objective,
-                  1e-6 * (1.0 + std::abs(dense.objective)))
-          << "seed " << seed << " pricing " << static_cast<int>(pricing);
-    }
-  }
-}
-
-TEST(SparseSimplex, DevexMatchesDenseBitForBitOnBenchLeafLibraries) {
-  // The PR 4 acceptance pin: on the exact libraries bench_leaf_scaling
-  // sweeps (seed 7, 8 boxes per cell), devex must price its way to the
-  // BIT-IDENTICAL objective the dense Dantzig tableau reaches, and never
-  // spend more pivots than sparse Dantzig. On these near-unimodular
-  // compaction matrices every pivot element is +-1, all arithmetic is
-  // exact, and phase 1 needs one pivot per artificial row — a floor Dantzig
-  // already sits on — so devex ties the pivot count here (equality) while
-  // genuinely reducing it on heterogeneous LPs (see
-  // DevexReducesPivotsOnHeterogeneousLps).
-  for (const int num_cells : {16, 32}) {
-    const SynthLeafLibrary lib = make_leaf_library(num_cells, 8, 7);
-    const LeafLpModel model = build_leaf_lp(lib.cells, lib.interfaces, lib.cell_names,
-                                            lib.pitch_specs, CompactionRules::mosis());
-    const LpSolution dense = solve_lp(model.lp, LpMethod::kDenseTableau);
-    const LpSolution dantzig = solve_lp(model.lp, LpMethod::kSparseRevised, LpPricing::kDantzig);
-    const LpSolution devex = solve_lp(model.lp, LpMethod::kSparseRevised, LpPricing::kDevex);
-    ASSERT_TRUE(dense.feasible && dense.bounded) << num_cells << " cells";
-    ASSERT_TRUE(devex.feasible && devex.bounded) << num_cells << " cells";
-    EXPECT_EQ(devex.objective, dense.objective) << num_cells << " cells";
-    EXPECT_EQ(devex.objective, dantzig.objective) << num_cells << " cells";
-    EXPECT_LE(devex.stats.iterations, dantzig.stats.iterations) << num_cells << " cells";
-  }
-}
-
-TEST(SparseSimplex, DevexReducesPivotsOnHeterogeneousLps) {
-  // Where column norms differ, the reference framework pays off: across a
-  // seeded ensemble of random LPs devex must spend strictly fewer total
-  // pivots than Dantzig while agreeing on every objective.
-  long dantzig_pivots = 0;
-  long devex_pivots = 0;
-  for (std::uint32_t seed = 0; seed < 200; ++seed) {
-    std::mt19937 rng(seed * 2654435761u + 1);
-    std::uniform_int_distribution<int> dim(4, 24);
-    std::uniform_real_distribution<double> coeff(-3.0, 3.0);
-    std::uniform_real_distribution<double> cost(0.0, 2.0);
-    LpProblem p;
-    p.num_vars = dim(rng);
-    for (int j = 0; j < p.num_vars; ++j) p.objective.push_back(cost(rng));
-    const int rows = dim(rng);
-    for (int i = 0; i < rows; ++i) {
-      LpConstraint c;
-      for (int j = 0; j < p.num_vars; ++j) {
-        const double v = coeff(rng);
-        if (std::abs(v) > 1.0) c.terms.emplace_back(j, v);
-      }
-      c.rhs = coeff(rng);
-      p.constraints.push_back(std::move(c));
-    }
-    const LpSolution dantzig = solve_lp(p, LpMethod::kSparseRevised, LpPricing::kDantzig);
-    const LpSolution devex = solve_lp(p, LpMethod::kSparseRevised, LpPricing::kDevex);
-    ASSERT_EQ(dantzig.feasible, devex.feasible) << "seed " << seed;
-    if (!dantzig.feasible) continue;
-    ASSERT_EQ(dantzig.bounded, devex.bounded) << "seed " << seed;
-    if (!dantzig.bounded) continue;
-    EXPECT_NEAR(devex.objective, dantzig.objective,
-                1e-6 * (1.0 + std::abs(dantzig.objective)))
+    const LpSolution sparse = detail::solve_lp_primal(model.lp);
+    ASSERT_TRUE(sparse.feasible && sparse.bounded) << "seed " << seed;
+    EXPECT_NEAR(sparse.objective, dense.objective, 1e-6 * (1.0 + std::abs(dense.objective)))
         << "seed " << seed;
-    dantzig_pivots += dantzig.stats.iterations;
-    devex_pivots += devex.stats.iterations;
   }
-  EXPECT_LT(devex_pivots, dantzig_pivots);
 }
 
 TEST(SparseSimplex, DualMatchesDenseBitForBitWithZeroPhaseOnePivots) {
@@ -106,17 +82,21 @@ TEST(SparseSimplex, DualMatchesDenseBitForBitWithZeroPhaseOnePivots) {
   // objective is emitted componentwise nonnegative, so the dual must run
   // start to finish with NO phase-1 pivots, NO primal fallback, reach the
   // BIT-IDENTICAL objective of the dense Dantzig tableau, and spend at
-  // most half the primal Dantzig pivot count.
+  // most half the primal Dantzig pivot count. On these near-unimodular
+  // matrices every pivot element is +-1 and all arithmetic is exact, so the
+  // primal fallback must reach the identical objective too.
   for (const int num_cells : {16, 32}) {
     const SynthLeafLibrary lib = make_leaf_library(num_cells, 8, 7);
     const LeafLpModel model = build_leaf_lp(lib.cells, lib.interfaces, lib.cell_names,
                                             lib.pitch_specs, CompactionRules::mosis());
-    const LpSolution dense = solve_lp(model.lp, LpMethod::kDenseTableau);
-    const LpSolution primal = solve_lp(model.lp, LpMethod::kSparseRevised);
-    const LpSolution dual = solve_lp(model.lp, LpMethod::kSparseDual);
+    const LpSolution dense = oracle::solve_dense_tableau(model.lp);
+    const LpSolution primal = detail::solve_lp_primal(model.lp);
+    const LpSolution dual = solve_lp(model.lp);
     ASSERT_TRUE(dense.feasible && dense.bounded) << num_cells << " cells";
+    ASSERT_TRUE(primal.feasible && primal.bounded) << num_cells << " cells";
     ASSERT_TRUE(dual.feasible && dual.bounded) << num_cells << " cells";
     EXPECT_EQ(dual.objective, dense.objective) << num_cells << " cells";
+    EXPECT_EQ(primal.objective, dense.objective) << num_cells << " cells";
     EXPECT_EQ(dual.stats.phase1_pivots, 0) << num_cells << " cells";
     EXPECT_EQ(dual.stats.dual_fallbacks, 0) << num_cells << " cells";
     EXPECT_EQ(dual.stats.dual_pivots, dual.stats.iterations) << num_cells << " cells";
@@ -127,15 +107,15 @@ TEST(SparseSimplex, DualMatchesDenseBitForBitWithZeroPhaseOnePivots) {
 
 TEST(SparseSimplex, DualMatchesDenseObjectiveOnSeededLeafLibraries) {
   // The seeded-ensemble version of the pin: every library the primal
-  // equivalence test replays, solved by the dual engine — same objective,
-  // never a phase-1 pivot, never a fallback.
+  // equivalence test replays, solved by solve_lp — same objective, never a
+  // phase-1 pivot, never a fallback.
   for (const std::uint32_t seed : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u}) {
     const int num_cells = 2 + static_cast<int>(seed % 4) * 2;
     const SynthLeafLibrary lib = make_leaf_library(num_cells, 6, seed);
     const LeafLpModel model = build_leaf_lp(lib.cells, lib.interfaces, lib.cell_names,
                                             lib.pitch_specs, CompactionRules::mosis());
-    const LpSolution dense = solve_lp(model.lp, LpMethod::kDenseTableau);
-    const LpSolution dual = solve_lp(model.lp, LpMethod::kSparseDual);
+    const LpSolution dense = oracle::solve_dense_tableau(model.lp);
+    const LpSolution dual = solve_lp(model.lp);
     ASSERT_TRUE(dense.feasible && dense.bounded) << "seed " << seed;
     ASSERT_TRUE(dual.feasible && dual.bounded) << "seed " << seed;
     EXPECT_NEAR(dual.objective, dense.objective, 1e-6 * (1.0 + std::abs(dense.objective)))
@@ -146,14 +126,9 @@ TEST(SparseSimplex, DualMatchesDenseObjectiveOnSeededLeafLibraries) {
 }
 
 TEST(SparseSimplex, DualFallsBackToPrimalOnItsOwnTerritory) {
-  // min -x with x unconstrained above: the negative-cost column gets a
-  // WORKING upper bound (no Lemke bound row exists anymore), the extended
-  // optimum rides that bound, and the engine must hand the problem to the
-  // primal path — which proves it unbounded — while recording the fallback.
-  LpProblem p;
-  p.num_vars = 1;
-  p.objective = {-1.0};
-  const LpSolution s = solve_lp(p, LpMethod::kSparseDual);
+  // The working-bound ray: the engine must hand the problem to the primal
+  // path — which proves it unbounded — while recording the fallback.
+  const LpSolution s = solve_lp(working_bound_ray());
   ASSERT_TRUE(s.feasible);
   EXPECT_FALSE(s.bounded);
   EXPECT_EQ(s.stats.dual_fallbacks, 1);
@@ -163,21 +138,13 @@ TEST(SparseSimplex, DualFallsBackToPrimalOnItsOwnTerritory) {
 }
 
 TEST(SparseSimplex, DeclinedDualWorkIsReportedUnderDistinctCounters) {
-  // Regression (this PR): the DECLINE->primal fallback used to fold the
-  // abandoned dual attempt's counters into the primal totals, so
-  // `iterations` and `refactorizations` described neither solve. Build a
-  // problem where the dual genuinely iterates before discovering its
-  // optimum rides a working bound: min -x0 + x1 with x0 boxed by rows and
-  // a forcing row that needs dual repair first, plus an uncovered
-  // negative-cost column x2 whose working bound carries the optimum.
-  LpProblem p;
-  p.num_vars = 3;
-  p.objective = {-1.0, 1.0, -1.0};
-  p.constraints = {
-      {{{0, 1.0}}, 5.0},               // x0 <= 5
-      {{{0, -1.0}, {1, 1.0}}, -2.0},   // x0 - x1 >= 2: forces dual pivots
-  };
-  const LpSolution s = solve_lp(p, LpMethod::kSparseDual);
+  // Regression: the DECLINE->primal fallback used to fold the abandoned
+  // dual attempt's counters into the primal totals, so `iterations` and
+  // `refactorizations` described neither solve. On this problem the dual
+  // genuinely iterates before discovering its optimum rides a working
+  // bound.
+  const LpProblem p = declined_work();
+  const LpSolution s = solve_lp(p);
   ASSERT_TRUE(s.feasible);
   EXPECT_FALSE(s.bounded);  // x2 is a free ray
   ASSERT_EQ(s.stats.dual_fallbacks, 1);
@@ -189,31 +156,23 @@ TEST(SparseSimplex, DeclinedDualWorkIsReportedUnderDistinctCounters) {
   // The split, asserted exactly: the fallback's primary counters must be
   // INDISTINGUISHABLE from a pure primal solve of the same problem —
   // nothing of the dual attempt folded in.
-  const LpSolution primal = solve_lp(p, LpMethod::kSparseRevised);
+  const LpSolution primal = detail::solve_lp_primal(p);
   EXPECT_EQ(s.stats.iterations, primal.stats.iterations);
   EXPECT_EQ(s.stats.refactorizations, primal.stats.refactorizations);
   EXPECT_EQ(s.stats.phase1_pivots, primal.stats.phase1_pivots);
 }
 
 TEST(SparseSimplex, DualDeclinesNearSingularPivotInsteadOfTakingIt) {
-  // Regression (this PR): the single-pass ratio test accepted any pivot
-  // with |alpha| > kEps = 1e-9. On this instance the Harris window admits
-  // only the alpha = -1e-8 candidate (the well-scaled column's ratio lies
-  // far outside the relaxed bound), so the old test pivoted on 1e-8 and
-  // seeded the factorization with a near-singular update. The two-pass
-  // test's pivot-magnitude floor (kStablePivotTol = 1e-7) must DECLINE the
-  // solve instead; the primal fallback then reaches the exact optimum
-  // x0 = 1e8, objective 0.01, which pins the verdict against the dense
-  // baseline.
-  LpProblem p;
-  p.num_vars = 2;
-  p.objective = {1e-10, 20.0};
-  p.constraints = {
-      {{{0, -1e-8}, {1, -1.0}}, -1.0},  // 1e-8 x0 + x1 >= 1
-  };
-  const LpSolution dense = solve_lp(p, LpMethod::kDenseTableau);
+  // Regression: a single-pass ratio test accepting any pivot with
+  // |alpha| > kEps = 1e-9 pivots on this instance's 1e-8 and seeds the
+  // factorization with a near-singular update. The two-pass test's
+  // pivot-magnitude floor (kStablePivotTol = 1e-7) must DECLINE the solve
+  // instead; the primal fallback then reaches the exact optimum x0 = 1e8,
+  // objective 0.01, which pins the verdict against the oracle.
+  const LpProblem p = near_singular_pivot();
+  const LpSolution dense = oracle::solve_dense_tableau(p);
   ASSERT_TRUE(dense.feasible && dense.bounded);
-  const LpSolution dual = solve_lp(p, LpMethod::kSparseDual);
+  const LpSolution dual = solve_lp(p);
   ASSERT_TRUE(dual.feasible && dual.bounded);
   EXPECT_EQ(dual.stats.dual_fallbacks, 1);  // declined, not pivoted
   EXPECT_EQ(dual.stats.declined_dual_pivots, 0);
@@ -221,11 +180,42 @@ TEST(SparseSimplex, DualDeclinesNearSingularPivotInsteadOfTakingIt) {
   EXPECT_NEAR(dual.objective, 0.01, 1e-9);
 }
 
+TEST(SparseSimplex, DualDeclineVoidsTheWarmHandle) {
+  // The LpWarmStart contract: a solve that declines to the primal fallback
+  // clears the handle it was given, because the primal answer certifies no
+  // dual-feasible basis. Fill a handle from a feasible solve, hand it to
+  // each declining instance, and the next solve of the feasible problem
+  // must find nothing to attempt.
+  LpProblem feasible;  // min x0 + x1, x0 >= 1, x1 >= x0 + 2
+  feasible.num_vars = 2;
+  feasible.objective = {1.0, 1.0};
+  feasible.constraints = {
+      {{{0, -1.0}}, -1.0},
+      {{{0, 1.0}, {1, -1.0}}, -2.0},
+  };
+  const std::pair<const char*, LpProblem> declining[] = {
+      {"working-bound ray", working_bound_ray()},
+      {"declined work", declined_work()},
+      {"near-singular pivot", near_singular_pivot()},
+  };
+  for (const auto& [name, p] : declining) {
+    LpWarmStart handle;
+    ASSERT_TRUE(solve_lp(feasible, &handle).feasible) << name;
+    ASSERT_TRUE(handle.valid()) << name;
+    ASSERT_EQ(solve_lp(feasible, &handle).stats.warm_attempted, 1) << name;
+
+    const LpSolution s = solve_lp(p, &handle);
+    EXPECT_EQ(s.stats.dual_fallbacks, 1) << name;
+    EXPECT_FALSE(handle.valid()) << name;
+    EXPECT_EQ(solve_lp(feasible, &handle).stats.warm_attempted, 0) << name;
+  }
+}
+
 TEST(SparseSimplex, DualHandlesMixedSignObjectivesNatively) {
   // The bounded-variable ratio test's core claim: a mixed-sign objective
   // whose negative-cost columns are all covered by finite user bounds
   // solves start to finish in the dual — no fallback, no phase-1 pivots —
-  // and bit-agrees with the dense baseline on this all-integer instance.
+  // and bit-agrees with the oracle on this all-integer instance.
   LpProblem p;
   p.num_vars = 3;
   p.objective = {-2.0, 0.5, -1.0};
@@ -234,9 +224,9 @@ TEST(SparseSimplex, DualHandlesMixedSignObjectivesNatively) {
       {{{0, 1.0}, {1, -1.0}}, 2.0},   // x0 - x1 <= 2
       {{{0, 1.0}, {2, 1.0}}, 6.0},    // x0 + x2 <= 6
   };
-  const LpSolution dense = solve_lp(p, LpMethod::kDenseTableau);
+  const LpSolution dense = oracle::solve_dense_tableau(p);
   ASSERT_TRUE(dense.feasible && dense.bounded);
-  const LpSolution dual = solve_lp(p, LpMethod::kSparseDual);
+  const LpSolution dual = solve_lp(p);
   ASSERT_TRUE(dual.feasible && dual.bounded);
   EXPECT_EQ(dual.objective, dense.objective);
   EXPECT_EQ(dual.stats.dual_fallbacks, 0);
@@ -248,7 +238,7 @@ TEST(SparseSimplex, DualHandlesMixedSignObjectivesNatively) {
 }
 
 TEST(SparseSimplex, StatsResetBetweenSolvesOnReusedSolution) {
-  // Regression (this PR): the engine accumulated LpStats into whatever
+  // Regression: the engine accumulated LpStats into whatever
   // `solution` it was handed, so reusing an LpSolution across solve calls
   // doubled the refactorization counter. The chain problem below crosses
   // the refactorization interval, which makes the accumulation observable:
@@ -264,16 +254,16 @@ TEST(SparseSimplex, StatsResetBetweenSolvesOnReusedSolution) {
     p.constraints.push_back({{{v - 1, 1.0}, {v, -1.0}}, -1.0});
   }
   LpSolution reused;
-  detail::solve_lp_sparse_into(p, LpPricing::kDantzig, reused);
+  detail::solve_lp_primal_into(p, reused);
   const LpStats first = reused.stats;
   ASSERT_GT(first.refactorizations, 0);
-  detail::solve_lp_sparse_into(p, LpPricing::kDantzig, reused);
+  detail::solve_lp_primal_into(p, reused);
   EXPECT_EQ(reused.stats.refactorizations, first.refactorizations);
   EXPECT_EQ(reused.stats.iterations, first.iterations);
 
-  detail::solve_lp_sparse_dual_into(p, LpPricing::kDantzig, reused);
+  detail::solve_lp_dual_into(p, reused);
   const LpStats dual_first = reused.stats;
-  detail::solve_lp_sparse_dual_into(p, LpPricing::kDantzig, reused);
+  detail::solve_lp_dual_into(p, reused);
   EXPECT_EQ(reused.stats.refactorizations, dual_first.refactorizations);
   EXPECT_EQ(reused.stats.iterations, dual_first.iterations);
   EXPECT_EQ(reused.stats.dual_pivots, dual_first.dual_pivots);
@@ -286,12 +276,12 @@ TEST(SparseSimplex, StatsResetBetweenSolvesOnReusedSolution) {
   infeasible.objective = {1.0};
   infeasible.constraints = {{{{0, 1.0}}, 1.0}, {{{0, -1.0}}, -3.0}};
   for (const bool dual : {false, true}) {
-    detail::solve_lp_sparse_into(p, LpPricing::kDantzig, reused);
+    detail::solve_lp_primal_into(p, reused);
     ASSERT_TRUE(reused.feasible && !reused.x.empty());
     if (dual) {
-      detail::solve_lp_sparse_dual_into(infeasible, LpPricing::kDantzig, reused);
+      detail::solve_lp_dual_into(infeasible, reused);
     } else {
-      detail::solve_lp_sparse_into(infeasible, LpPricing::kDantzig, reused);
+      detail::solve_lp_primal_into(infeasible, reused);
     }
     EXPECT_FALSE(reused.feasible);
     EXPECT_TRUE(reused.bounded);
@@ -302,7 +292,9 @@ TEST(SparseSimplex, StatsResetBetweenSolvesOnReusedSolution) {
 
 TEST(SparseSimplex, MatchesDenseGeometryOnUniqueOptimum) {
   // End to end through the leaf compactor on the Figure 6.3-style cell of
-  // leafcell_test, whose optimum is unique (rigid widths force every edge).
+  // leafcell_test, whose optimum is unique (rigid widths force every edge):
+  // the oracle and the primal fallback must land on the edges and pitch
+  // the compactor's solve_lp path rebuilds the geometry from.
   CellTable cells;
   InterfaceTable interfaces;
   Cell& a = cells.create("a");
@@ -311,21 +303,32 @@ TEST(SparseSimplex, MatchesDenseGeometryOnUniqueOptimum) {
   interfaces.declare("a", "a", 1, Interface{{60, 0}, Orientation::kNorth});
   const std::vector<PitchSpec> specs = {{"a", "a", 1, 1.0}};
 
-  const LeafResult dense = compact_leaf_cells(cells, interfaces, {"a"}, specs,
-                                              CompactionRules::mosis(), 1e-3, {},
-                                              LpMethod::kDenseTableau);
-  const LeafResult sparse = compact_leaf_cells(cells, interfaces, {"a"}, specs,
-                                               CompactionRules::mosis(), 1e-3, {},
-                                               LpMethod::kSparseRevised);
-  // The default engine is now the dual (LpOptions{}); the unique optimum
-  // forces it onto the identical geometry.
-  const LeafResult dual =
-      compact_leaf_cells(cells, interfaces, {"a"}, specs, CompactionRules::mosis());
-  EXPECT_EQ(dense.pitches, sparse.pitches);
-  EXPECT_EQ(dense.cells.at("a"), sparse.cells.at("a"));
+  const LeafLpModel model =
+      build_leaf_lp(cells, interfaces, {"a"}, specs, CompactionRules::mosis());
+  const LpSolution dense = oracle::solve_dense_tableau(model.lp);
+  const LpSolution sparse = detail::solve_lp_primal(model.lp);
+  const LeafResult dual = solve_leaf_model(model);
+  ASSERT_TRUE(dense.feasible && dense.bounded);
+  ASSERT_TRUE(sparse.feasible && sparse.bounded);
+  // The LP's leading columns are the system's edge variables, then its
+  // pitches (ConstraintSystemBuilder::edge_column / pitch_column).
+  const auto at = [](const LpSolution& s, std::size_t column) {
+    return static_cast<Coord>(std::llround(s.x[column]));
+  };
+  const std::size_t pitch_column =
+      model.system.variable_count() + static_cast<std::size_t>(model.pitch_ids[0]);
+  const LeafCellVars& vars = model.cells.at("a");
+  const std::vector<LayerBox>& boxes = dual.cells.at("a");
+  ASSERT_EQ(boxes.size(), vars.boxes.size());
+  for (const LpSolution* solution : {&dense, &sparse}) {
+    for (std::size_t b = 0; b < boxes.size(); ++b) {
+      EXPECT_EQ(boxes[b].box.lo.x, at(*solution, static_cast<std::size_t>(vars.left_vars[b])));
+      EXPECT_EQ(boxes[b].box.hi.x, at(*solution, static_cast<std::size_t>(vars.right_vars[b])));
+    }
+    EXPECT_EQ(dual.pitches[0], at(*solution, pitch_column));
+  }
   EXPECT_NEAR(dense.objective, sparse.objective, 1e-6);
-  EXPECT_EQ(dense.pitches, dual.pitches);
-  EXPECT_EQ(dense.cells.at("a"), dual.cells.at("a"));
+  EXPECT_NEAR(dense.objective, dual.objective, 1e-6);
   EXPECT_EQ(dual.lp_stats.phase1_pivots, 0);
   EXPECT_EQ(dual.lp_stats.dual_fallbacks, 0);
 }
@@ -353,25 +356,23 @@ TEST(SparseSimplex, MatchesDenseOnRandomSmallLps) {
       p.constraints.push_back(std::move(c));
     }
 
-    const LpSolution dense = solve_lp(p, LpMethod::kDenseTableau);
-    for (const LpPricing pricing : {LpPricing::kDantzig, LpPricing::kDevex}) {
-      const LpSolution sparse = solve_lp(p, LpMethod::kSparseRevised, pricing);
-      ASSERT_EQ(dense.feasible, sparse.feasible) << "seed " << seed;
-      if (!dense.feasible) continue;
-      ASSERT_EQ(dense.bounded, sparse.bounded) << "seed " << seed;
-      if (!dense.bounded) continue;
-      EXPECT_NEAR(sparse.objective, dense.objective,
-                  1e-6 * (1.0 + std::abs(dense.objective)))
-          << "seed " << seed << " pricing " << static_cast<int>(pricing);
-    }
+    const LpSolution dense = oracle::solve_dense_tableau(p);
+    const LpSolution sparse = detail::solve_lp_primal(p);
+    ASSERT_EQ(dense.feasible, sparse.feasible) << "seed " << seed;
+    if (!dense.feasible) continue;
+    ASSERT_EQ(dense.bounded, sparse.bounded) << "seed " << seed;
+    if (!dense.bounded) continue;
+    EXPECT_NEAR(sparse.objective, dense.objective, 1e-6 * (1.0 + std::abs(dense.objective)))
+        << "seed " << seed;
   }
 }
 
 TEST(SparseSimplex, BlandFallbackEngagesOnDegenerateStreak) {
   // A known-degenerate plateau: k rows x_{k+1} <= x_i are all tight at the
   // origin, so the walk to the optimum is a long chain of zero-step pivots.
-  // The streak guard must flip both engines to Bland's rule (observable in
-  // the stats) and both must still reach the true optimum x = 1.
+  // The streak guard must flip the primal fallback and the oracle to
+  // Bland's rule (observable in the stats) and both must still reach the
+  // true optimum x = 1.
   LpProblem p;
   constexpr int kChain = 20;
   p.num_vars = kChain + 1;
@@ -382,20 +383,13 @@ TEST(SparseSimplex, BlandFallbackEngagesOnDegenerateStreak) {
     p.constraints.push_back({{{i, 1.0}}, 1.0});                  // x_i <= 1
   }
   p.constraints.push_back({{{kChain, 1.0}}, 1.0});  // x_{k+1} <= 1
-  for (const LpMethod method : {LpMethod::kDenseTableau, LpMethod::kSparseRevised}) {
-    const LpSolution s = solve_lp(p, method);
+  for (const LpSolution& s : {oracle::solve_dense_tableau(p), detail::solve_lp_primal(p)}) {
     ASSERT_TRUE(s.feasible);
     ASSERT_TRUE(s.bounded);
     EXPECT_NEAR(s.objective, -1.0, 1e-6);
     EXPECT_GE(s.stats.degenerate_pivots, kDegeneratePivotStreak);
     EXPECT_GT(s.stats.bland_pivots, 0);
   }
-  // The anti-cycling fallback is pricing-independent: devex must survive
-  // the same plateau and land on the same optimum.
-  const LpSolution devex = solve_lp(p, LpMethod::kSparseRevised, LpPricing::kDevex);
-  ASSERT_TRUE(devex.feasible);
-  ASSERT_TRUE(devex.bounded);
-  EXPECT_NEAR(devex.objective, -1.0, 1e-6);
 }
 
 TEST(SparseSimplex, BealeCyclingExampleTerminates) {
@@ -410,8 +404,7 @@ TEST(SparseSimplex, BealeCyclingExampleTerminates) {
       {{{0, 0.5}, {1, -90.0}, {2, -0.02}}, 0.0},
       {{{2, 1.0}}, 1.0},
   };
-  for (const LpMethod method : {LpMethod::kDenseTableau, LpMethod::kSparseRevised}) {
-    const LpSolution s = solve_lp(p, method);
+  for (const LpSolution& s : {oracle::solve_dense_tableau(p), detail::solve_lp_primal(p)}) {
     ASSERT_TRUE(s.feasible);
     ASSERT_TRUE(s.bounded);
     EXPECT_NEAR(s.objective, -0.05, 1e-6);
@@ -432,7 +425,7 @@ TEST(SparseSimplex, RefactorizationSurvivesLongRuns) {
   for (int v = 1; v < kVars; ++v) {
     p.constraints.push_back({{{v - 1, 1.0}, {v, -1.0}}, -1.0});  // x_v >= x_{v-1} + 1
   }
-  const LpSolution s = solve_lp(p, LpMethod::kSparseRevised);
+  const LpSolution s = detail::solve_lp_primal(p);
   ASSERT_TRUE(s.feasible);
   ASSERT_TRUE(s.bounded);
   EXPECT_NEAR(s.objective, static_cast<double>(kVars), 1e-6);

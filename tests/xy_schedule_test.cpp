@@ -63,23 +63,25 @@ TEST(LeafXySchedule, LeafYCompactionPinsTransposedFigure63Cell) {
   EXPECT_EQ(boxes[0].box, Box(0, 0, 4, 10));
   EXPECT_EQ(boxes[1].box, Box(0, 16, 4, 26));
 
-  // Rebuild is axis-checked: the y result must go through the _y variant
-  // (which un-mirrors the pitch bookkeeping); the x variant throws rather
-  // than silently declaring a component-swapped interface.
-  CellTable new_cells;
-  InterfaceTable new_interfaces;
-  EXPECT_THROW(
-      make_compacted_library(result, {{"a", "a", 1, 1.0}}, new_cells, new_interfaces), Error);
-  make_compacted_library_y(result, {{"a", "a", 1, 1.0}}, new_cells, new_interfaces);
-  EXPECT_EQ(new_interfaces.get("a", "a", 1).vector, (Point{0, 32}));
-  // And an x result refuses the _y variant.
+  // The rebuild orients each pitch vector from the result's axis: the y
+  // result un-mirrors its bookkeeping into a (0, 32) interface...
+  EXPECT_TRUE(result.y_axis);
+  CellTable y_cells;
+  InterfaceTable y_interfaces;
+  make_compacted_library(result, {{"a", "a", 1, 1.0}}, y_cells, y_interfaces);
+  EXPECT_EQ(y_interfaces.get("a", "a", 1).vector, (Point{0, 32}));
+  EXPECT_EQ(flatten_boxes(y_cells.get("a")), boxes);
+  // ...and an x result of the same cell keeps its pitch on x: the bars sit
+  // side by side 4 wide, so the packed pitch is 4 + metal spacing 6 = 10.
   interfaces.declare("a", "a", 2, Interface{{20, 0}, Orientation::kNorth});
   const LeafResult x_result = compact_leaf_cells(cells, interfaces, {"a"}, {{"a", "a", 2, 1.0}},
                                                  CompactionRules::mosis());
   EXPECT_FALSE(x_result.y_axis);
-  EXPECT_THROW(
-      make_compacted_library_y(x_result, {{"a", "a", 2, 1.0}}, new_cells, new_interfaces),
-      Error);
+  CellTable x_cells;
+  InterfaceTable x_interfaces;
+  make_compacted_library(x_result, {{"a", "a", 2, 1.0}}, x_cells, x_interfaces);
+  EXPECT_EQ(x_interfaces.get("a", "a", 2).vector, (Point{x_result.pitches[0], 0}));
+  EXPECT_EQ(x_interfaces.get("a", "a", 2).vector, (Point{10, 0}));
 }
 
 TEST(LeafXySchedule, LeafYCompactionValidation) {
@@ -155,9 +157,9 @@ TEST(LeafXySchedule, ScheduleCompactsBothAxesToDrcCleanGrid) {
 }
 
 TEST(LeafXySchedule, ScheduleRunsOnTheDualEngineByDefault) {
-  // The options knob's default is the kSparseDual engine; on the leaf
-  // LPs it must never touch phase 1 or fall back, and every pivot it
-  // reports must be a dual pivot.
+  // Every pass runs solve_lp's dual simplex; on the leaf LPs it must never
+  // touch phase 1 or fall back, and every pivot it reports must be a dual
+  // pivot.
   const SynthLeafLibrary lib = make_leaf_library_2d(4, 6, /*seed=*/9);
   const LeafXyResult result = compact_leaf_schedule(lib.cells, lib.interfaces, lib.cell_names,
                                                     lib.pitch_specs, CompactionRules::mosis());
