@@ -73,6 +73,8 @@ void run_method(benchmark::State& state, LpSolution (*solve)(const LpProblem&)) 
   state.counters["refactorizations"] = static_cast<double>(solution.stats.refactorizations);
   state.counters["nnz_refactorizations"] =
       static_cast<double>(solution.stats.nnz_refactorizations);
+  // How much of the last solve's wall time went to refactorizing.
+  state.counters["refactor_ms"] = solution.stats.refactor_ms;
   // The hyper-sparse claim, per size: the fraction of upper-triangular
   // positions the graph-ordered FTRAN never touched. Grows with the
   // library (the rhs stays a few nonzeros while m grows), which is what

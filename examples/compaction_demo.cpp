@@ -4,7 +4,9 @@
 // (cells + pitches) is rebuilt from the result (§6.3), then both axes at
 // once through the leaf x/y schedule with the dual-simplex engine's
 // telemetry on display.
+#include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "compact/flat_compactor.hpp"
 #include "compact/layer_expand.hpp"
@@ -26,6 +28,13 @@ const char* warm_outcome(const LpStats& stats) {
   if (stats.warm_declined_singular > 0) return "warm declined: singular basis";
   if (stats.warm_declined_dual > 0) return "warm declined: dual-infeasible";
   return "cold start";
+}
+
+// A wall time in milliseconds, to the microsecond.
+std::string ms(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.3f ms", value);
+  return buf;
 }
 
 }  // namespace
@@ -97,9 +106,11 @@ int main() {
               << " fallbacks)\n";
     for (const LeafRoundStats& round : xy.round_stats) {
       std::cout << "  round " << round.round << ": x obj " << round.x_objective << " ("
-                << round.x_lp.iterations << " piv, " << warm_outcome(round.x_lp) << "), y obj "
+                << round.x_lp.iterations << " piv, " << ms(round.x_lp.refactor_ms)
+                << " refactorizing, " << warm_outcome(round.x_lp) << "), y obj "
                 << round.y_objective << " (" << round.y_lp.iterations << " piv, "
-                << warm_outcome(round.y_lp) << ")\n";
+                << ms(round.y_lp.refactor_ms) << " refactorizing, " << warm_outcome(round.y_lp)
+                << ")\n";
     }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

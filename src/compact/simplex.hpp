@@ -28,10 +28,20 @@
 // re-priced from one BTRAN of c_B only at the start and after each
 // refactorization.
 //
+// The leaving row is the largest bound violation among the slots a bitmap
+// flags: those violating when the basic values were last recomputed plus
+// every slot a pivot has moved since, each unflagged once a scan finds it
+// feasible. That is a superset of the violating slots, scanned in slot
+// order with the full scan's comparison, so the choice is the full scan's.
+//
 // The basis inverse is a sparse LU factorization: Markowitz-ordered
 // elimination at refactorization, Forrest–Tomlin updates per pivot, and
 // refactorization triggered by EITHER a pivot-count interval or measured
-// nnz growth of the factors. FTRAN/BTRAN are hyper-sparse: the triangular
+// nnz growth of the factors. A refactorization reuses the storage of the
+// one before (cleared workspaces, one flat L file), and an update moves
+// its slot to the end of the pivot order in O(1) (a fresh position plus a
+// tombstone the dense solves skip). LpStats::refactor_ms is the wall time
+// refactorizing takes. FTRAN/BTRAN are hyper-sparse: the triangular
 // solves walk only the positions reachable from the nonzeros of the
 // right-hand side, cutting over to the plain dense-ordered loop when the
 // rhs is dense (LpStats::ftran_rows_skipped measures it).
@@ -102,6 +112,10 @@ struct LpStats {
   int declined_refactorizations = 0;
   double declined_wall_ms = 0.0;
   double wall_ms = 0.0;  // wall time of the authoritative solve
+  // The part of wall_ms spent refactorizing: LU factorization plus the
+  // recomputed basic values, the initial slack-basis factorization
+  // included.
+  double refactor_ms = 0.0;
   // Warm starts: attempts = an LpWarmStart handle with matching
   // shape was offered; accepted = its rows matched this problem's by
   // content, and its basis factorized nonsingular AND priced dual-feasible,
@@ -139,6 +153,7 @@ struct LpStats {
     declined_refactorizations += other.declined_refactorizations;
     declined_wall_ms += other.declined_wall_ms;
     wall_ms += other.wall_ms;
+    refactor_ms += other.refactor_ms;
     warm_attempted += other.warm_attempted;
     warm_accepted += other.warm_accepted;
     warm_declined_rows += other.warm_declined_rows;

@@ -21,7 +21,15 @@
 //   * Each pivot applies a Forrest–Tomlin update: the spiked column is
 //     moved to the last pivot position and the spiked ROW is eliminated
 //     against the in-between rows of U, appending one row eta to the L
-//     file — O(row fill) per pivot instead of a fresh factorization.
+//     file — O(row fill) per pivot instead of a fresh factorization. The
+//     move is O(1): the slot takes a fresh position past every other and
+//     leaves a tombstone that the dense solves skip; every other slot
+//     keeps its position, and positions are only ever compared.
+//   * A refactorization reuses its predecessor's storage: the
+//     elimination's working matrix, U's row lists and the user lists are
+//     members cleared rather than reassigned, so they keep their capacity,
+//     and L is one flat file (per op: pivot row, kind and a term range into
+//     shared row and multiplier arrays) with no allocation per eta.
 //   * Refactorization triggers on EITHER a pivot-count interval or on
 //     measured nnz growth of the factors (LpStats::nnz_refactorizations
 //     counts the latter), so pathological Forrest–Tomlin fill cannot
@@ -48,6 +56,12 @@
 // active at the reported optimum means the true problem wanted to push
 // further (often: it is unbounded), so the engine DECLINES and the primal
 // path re-decides, with no extra row in any factorization.
+// The leaving row is the largest bound violation, found by scanning only
+// the slots a bitmap flags: a superset of the violating slots, rebuilt
+// with the basic values at each refactorization, set for every slot a
+// pivot moves, and cleared lazily when the scan finds a flagged slot
+// feasible. The scan runs in increasing slot order with the full scan's
+// comparison and tie-break, so it picks the same row.
 // Each dual pivot costs what its pivot row touches. rho = e_r^T B^-1 comes
 // from a hyper-sparse BTRAN; the row alpha_r = rho^T A_N is formed by
 // walking only the CSR rows rho touches (plus their slacks), in increasing
@@ -209,17 +223,11 @@ struct Scratch {
 // always holds basis column basis_[s], across refactorizations and
 // updates; what moves is the slot's pivot row and its place in the pivot
 // order. FTRAN output is slot-indexed, BTRAN output row-indexed.
+//
+// Every array here is a member that factorize() clears rather than
+// reassigns: a refactorization reuses the capacity the previous one left.
 class LuBasis {
  public:
-  // One elementary L operation, applied to a row-indexed vector w:
-  //   column eta (factorization):    w[i] -= mult_i * w[pivot_row]  per term
-  //   row eta (Forrest–Tomlin):      w[pivot_row] -= sum mult_i * w[i]
-  struct LOp {
-    int pivot_row = 0;
-    bool row_op = false;
-    std::vector<std::pair<int, double>> terms;  // (row, multiplier)
-  };
-
   // Row `row` of U for one slot: diagonal entry plus the off-diagonal
   // entries (slot, value) — every off slot sits LATER in the pivot order.
   struct URow {
@@ -235,47 +243,56 @@ class LuBasis {
   }
 
   // Markowitz-ordered factorization of the m x m basis whose column for
-  // slot s is produced by load_col(s, entries) (entries: (row, value),
-  // duplicate-free). Returns false when the basis is numerically singular;
-  // the factor state is unusable until the next successful factorize.
+  // slot s is appended to an empty `entries` by load_col(s, entries)
+  // ((row, value) pairs, duplicate-free). Returns false when the basis is
+  // numerically singular; the factor state is unusable until the next
+  // successful factorize.
   template <typename ColFn>
   bool factorize(int m, ColFn&& load_col) {
     m_ = m;
-    lops_.clear();
+    lop_row_.clear();
+    lop_is_row_.clear();
+    lop_start_.assign(1, 0);
+    lterm_row_.clear();
+    lterm_mult_.clear();
     order_.clear();
     order_.reserve(static_cast<std::size_t>(m));
-    urow_.assign(static_cast<std::size_t>(m), URow{});
+    urow_.resize(static_cast<std::size_t>(m));
+    for (URow& u : urow_) {
+      u.row = -1;
+      u.diag = 0.0;
+      u.off.clear();
+    }
     pos_.assign(static_cast<std::size_t>(m), -1);
     slot_of_row_.assign(static_cast<std::size_t>(m), -1);
-    users_.assign(static_cast<std::size_t>(m), {});
+    clear_lists(users_, m);
     fresh_nnz_ = m;  // diagonals
     current_nnz_ = m;
     if (m == 0) return true;
 
     // The active working matrix: per-column entry lists (exact), per-row
     // nnz counts, and stale-tolerant row->slots lists for pivot-row walks.
-    std::vector<std::vector<std::pair<int, double>>> wcols(static_cast<std::size_t>(m));
-    std::vector<std::vector<int>> rowlist(static_cast<std::size_t>(m));
-    std::vector<int> row_nnz(static_cast<std::size_t>(m), 0);
-    std::vector<char> active_row(static_cast<std::size_t>(m), 1);
-    std::vector<char> active_col(static_cast<std::size_t>(m), 1);
+    clear_lists(wcols_, m);
+    clear_lists(rowlist_, m);
+    row_nnz_.assign(static_cast<std::size_t>(m), 0);
+    active_col_.assign(static_cast<std::size_t>(m), 1);
     // Columns bucketed by nnz; entries go stale when a column's count
     // changes or it leaves the active set, and are dropped when scanned.
-    std::vector<std::vector<int>> bucket(static_cast<std::size_t>(m) + 1);
+    clear_lists(bucket_, m + 1);
     for (int s = 0; s < m; ++s) {
-      load_col(s, wcols[static_cast<std::size_t>(s)]);
-      if (wcols[static_cast<std::size_t>(s)].empty()) return false;
-      for (const auto& [r, v] : wcols[static_cast<std::size_t>(s)]) {
+      load_col(s, wcols_[static_cast<std::size_t>(s)]);
+      if (wcols_[static_cast<std::size_t>(s)].empty()) return false;
+      for (const auto& [r, v] : wcols_[static_cast<std::size_t>(s)]) {
         (void)v;
-        rowlist[static_cast<std::size_t>(r)].push_back(s);
-        ++row_nnz[static_cast<std::size_t>(r)];
+        rowlist_[static_cast<std::size_t>(r)].push_back(s);
+        ++row_nnz_[static_cast<std::size_t>(r)];
       }
-      bucket[wcols[static_cast<std::size_t>(s)].size()].push_back(s);
+      bucket_[wcols_[static_cast<std::size_t>(s)].size()].push_back(s);
     }
     // Dense update scratch: multipliers per row of the pivot column, and a
     // per-column "already updated" flag, both reset per use.
-    std::vector<double> mult(static_cast<std::size_t>(m), 0.0);
-    std::vector<char> hit(static_cast<std::size_t>(m), 0);
+    mult_.assign(static_cast<std::size_t>(m), 0.0);
+    hit_.assign(static_cast<std::size_t>(m), 0);
 
     for (int step = 0; step < m; ++step) {
       // --- pivot selection -------------------------------------------------
@@ -285,18 +302,18 @@ class LuBasis {
       long long best_score = std::numeric_limits<long long>::max();
       int scanned = 0;
       for (int count = 1; count <= m && best_score > 0; ++count) {
-        auto& b = bucket[static_cast<std::size_t>(count)];
+        auto& b = bucket_[static_cast<std::size_t>(count)];
         for (std::size_t bi = 0; bi < b.size() && best_score > 0;) {
           const int c = b[bi];
-          if (!active_col[static_cast<std::size_t>(c)] ||
-              static_cast<int>(wcols[static_cast<std::size_t>(c)].size()) != count) {
+          if (!active_col_[static_cast<std::size_t>(c)] ||
+              static_cast<int>(wcols_[static_cast<std::size_t>(c)].size()) != count) {
             b[bi] = b.back();
             b.pop_back();
             continue;
           }
           ++bi;
           double colmax = 0.0;
-          for (const auto& [r, v] : wcols[static_cast<std::size_t>(c)]) {
+          for (const auto& [r, v] : wcols_[static_cast<std::size_t>(c)]) {
             (void)r;
             colmax = std::max(colmax, std::abs(v));
           }
@@ -308,11 +325,12 @@ class LuBasis {
           int col_r = -1;
           double col_v = 0.0;
           long long col_score = std::numeric_limits<long long>::max();
-          for (const auto& [r, v] : wcols[static_cast<std::size_t>(c)]) {
+          for (const auto& [r, v] : wcols_[static_cast<std::size_t>(c)]) {
             const double a = std::abs(v);
             if (a < kPivotEps || a < kMarkowitzRel * colmax) continue;
-            const long long score = static_cast<long long>(row_nnz[static_cast<std::size_t>(r)] - 1) *
-                                    static_cast<long long>(count - 1);
+            const long long score =
+                static_cast<long long>(row_nnz_[static_cast<std::size_t>(r)] - 1) *
+                static_cast<long long>(count - 1);
             if (score < col_score || (score == col_score && (a > std::abs(col_v) ||
                                                              (a == std::abs(col_v) && r < col_r)))) {
               col_score = score;
@@ -343,78 +361,78 @@ class LuBasis {
       u.row = r;
       u.diag = pv;
 
-      // Column eta: the multipliers of the pivot column's other entries.
-      LOp col_op;
-      col_op.pivot_row = r;
-      for (const auto& [i, v] : wcols[static_cast<std::size_t>(c)]) {
+      // Column eta: the multipliers of the pivot column's other entries,
+      // written straight into the L file as terms [t0, t1).
+      const std::size_t t0 = lterm_row_.size();
+      for (const auto& [i, v] : wcols_[static_cast<std::size_t>(c)]) {
         if (i == r) continue;
-        col_op.terms.emplace_back(i, v / pv);
-        --row_nnz[static_cast<std::size_t>(i)];  // column c leaves the matrix
+        lterm_row_.push_back(i);
+        lterm_mult_.push_back(v / pv);
+        --row_nnz_[static_cast<std::size_t>(i)];  // column c leaves the matrix
       }
+      const std::size_t t1 = lterm_row_.size();
 
       // U row: walk row r's slots, harvesting (and physically removing)
       // its entries from the still-active columns.
-      for (const int c2 : rowlist[static_cast<std::size_t>(r)]) {
-        if (c2 == c || !active_col[static_cast<std::size_t>(c2)]) continue;
-        auto& col2 = wcols[static_cast<std::size_t>(c2)];
+      for (const int c2 : rowlist_[static_cast<std::size_t>(r)]) {
+        if (c2 == c || !active_col_[static_cast<std::size_t>(c2)]) continue;
+        auto& col2 = wcols_[static_cast<std::size_t>(c2)];
         for (std::size_t k = 0; k < col2.size(); ++k) {
           if (col2[k].first != r) continue;
           u.off.emplace_back(c2, col2[k].second);
           users_[static_cast<std::size_t>(c2)].push_back(c);
           col2[k] = col2.back();
           col2.pop_back();
-          bucket[col2.size()].push_back(c2);
+          bucket_[col2.size()].push_back(c2);
           break;  // entries are duplicate-free
         }
       }
-      active_col[static_cast<std::size_t>(c)] = 0;
-      active_row[static_cast<std::size_t>(r)] = 0;
+      active_col_[static_cast<std::size_t>(c)] = 0;
 
       // --- eliminate: submatrix -= mult (outer) u.off ----------------------
-      if (!col_op.terms.empty() && !u.off.empty()) {
-        for (const auto& [i, mv] : col_op.terms) mult[static_cast<std::size_t>(i)] = mv;
+      if (t1 > t0 && !u.off.empty()) {
+        for (std::size_t t = t0; t < t1; ++t) {
+          mult_[static_cast<std::size_t>(lterm_row_[t])] = lterm_mult_[t];
+        }
         for (const auto& [c2, uv] : u.off) {
-          auto& col2 = wcols[static_cast<std::size_t>(c2)];
+          auto& col2 = wcols_[static_cast<std::size_t>(c2)];
           for (std::size_t k = 0; k < col2.size();) {
             const int i = col2[k].first;
-            if (mult[static_cast<std::size_t>(i)] == 0.0) {
+            if (mult_[static_cast<std::size_t>(i)] == 0.0) {
               ++k;
               continue;
             }
-            hit[static_cast<std::size_t>(i)] = 1;
-            col2[k].second -= mult[static_cast<std::size_t>(i)] * uv;
+            hit_[static_cast<std::size_t>(i)] = 1;
+            col2[k].second -= mult_[static_cast<std::size_t>(i)] * uv;
             if (std::abs(col2[k].second) < kDropTol) {
               col2[k] = col2.back();
               col2.pop_back();
-              --row_nnz[static_cast<std::size_t>(i)];
+              --row_nnz_[static_cast<std::size_t>(i)];
             } else {
               ++k;
             }
           }
           // Fill: pivot-column rows this column had no entry for.
-          for (const auto& [i, mv] : col_op.terms) {
-            if (hit[static_cast<std::size_t>(i)]) {
-              hit[static_cast<std::size_t>(i)] = 0;
+          for (std::size_t t = t0; t < t1; ++t) {
+            const int i = lterm_row_[t];
+            if (hit_[static_cast<std::size_t>(i)]) {
+              hit_[static_cast<std::size_t>(i)] = 0;
               continue;
             }
-            const double f = -mv * uv;
+            const double f = -lterm_mult_[t] * uv;
             if (std::abs(f) < kDropTol) continue;
             col2.emplace_back(i, f);
-            rowlist[static_cast<std::size_t>(i)].push_back(c2);
-            ++row_nnz[static_cast<std::size_t>(i)];
+            rowlist_[static_cast<std::size_t>(i)].push_back(c2);
+            ++row_nnz_[static_cast<std::size_t>(i)];
           }
-          bucket[std::min(col2.size(), static_cast<std::size_t>(m))].push_back(c2);
+          bucket_[std::min(col2.size(), static_cast<std::size_t>(m))].push_back(c2);
         }
-        for (const auto& [i, mv] : col_op.terms) {
-          (void)mv;
-          mult[static_cast<std::size_t>(i)] = 0.0;
-        }
+        for (std::size_t t = t0; t < t1; ++t) mult_[static_cast<std::size_t>(lterm_row_[t])] = 0.0;
       }
 
-      fresh_nnz_ += static_cast<long long>(col_op.terms.size() + u.off.size());
-      if (!col_op.terms.empty()) lops_.push_back(std::move(col_op));
+      fresh_nnz_ += static_cast<long long>(t1 - t0 + u.off.size());
+      close_l_op(r, /*row_op=*/false);
     }
-    (void)active_row;
     current_nnz_ = fresh_nnz_;
     return true;
   }
@@ -460,8 +478,9 @@ class LuBasis {
       }
       if (stats) stats->ftran_rows_skipped += m_ - static_cast<long long>(x.touched.size());
     } else {
-      for (int k = m_ - 1; k >= 0; --k) {
-        const int s = order_[static_cast<std::size_t>(k)];
+      for (std::size_t k = order_.size(); k-- > 0;) {
+        const int s = order_[k];
+        if (s < 0) continue;  // a slot an update moved to the end
         const URow& u = urow_[static_cast<std::size_t>(s)];
         double val = w.v[static_cast<std::size_t>(u.row)];
         for (const auto& [s2, uv] : u.off) val -= uv * x.v[static_cast<std::size_t>(s2)];
@@ -508,8 +527,8 @@ class LuBasis {
         for (const auto& [s2, uv] : u.off) c.add(s2, -z * uv);
       }
     } else {
-      for (int k = 0; k < m_; ++k) {
-        const int s = order_[static_cast<std::size_t>(k)];
+      for (const int s : order_) {
+        if (s < 0) continue;  // a slot an update moved to the end
         const URow& u = urow_[static_cast<std::size_t>(s)];
         const double cv = c.v[static_cast<std::size_t>(s)];
         if (cv == 0.0) continue;
@@ -521,27 +540,31 @@ class LuBasis {
     c.clear();
     // L^T, reverse order: a column eta transposes to a gather into its
     // pivot row; a row eta to a scatter out of it.
-    for (auto it = lops_.rbegin(); it != lops_.rend(); ++it) {
-      if (it->row_op) {
-        const double yp = y.v[static_cast<std::size_t>(it->pivot_row)];
+    for (std::size_t k = lop_row_.size(); k-- > 0;) {
+      const std::size_t pivot_row = static_cast<std::size_t>(lop_row_[k]);
+      const int begin = lop_start_[k];
+      const int end = lop_start_[k + 1];
+      if (lop_is_row_[k]) {
+        const double yp = y.v[pivot_row];
         if (yp == 0.0) continue;
-        for (const auto& [i, mv] : it->terms) {
+        for (int t = begin; t < end; ++t) {
+          const int i = lterm_row_[static_cast<std::size_t>(t)];
           y.touch(i);
-          y.v[static_cast<std::size_t>(i)] -= mv * yp;
+          y.v[static_cast<std::size_t>(i)] -= lterm_mult_[static_cast<std::size_t>(t)] * yp;
         }
       } else {
         double acc = 0.0;
         bool any = false;
-        for (const auto& [i, mv] : it->terms) {
-          const double yi = y.v[static_cast<std::size_t>(i)];
+        for (int t = begin; t < end; ++t) {
+          const double yi = y.v[static_cast<std::size_t>(lterm_row_[static_cast<std::size_t>(t)])];
           if (yi != 0.0) {
-            acc += mv * yi;
+            acc += lterm_mult_[static_cast<std::size_t>(t)] * yi;
             any = true;
           }
         }
         if (any) {
-          y.touch(it->pivot_row);
-          y.v[static_cast<std::size_t>(it->pivot_row)] -= acc;
+          y.touch(lop_row_[k]);
+          y.v[pivot_row] -= acc;
         }
       }
     }
@@ -576,12 +599,15 @@ class LuBasis {
     // post-move position, or the min-heap can pop slots out of pivot
     // order and fold fill into an already-eliminated slot, silently
     // corrupting U (the drift then surfaces pivots later as an
-    // infeasible "optimum").
-    order_.erase(order_.begin() + kp);
+    // infeasible "optimum"). The move is O(1): p takes a fresh position
+    // past every other and leaves a tombstone (-1) at its old one, which
+    // the dense solves skip. Positions are only ever compared — by the
+    // heap, the hyper-sparse sorts and the dense solves' visiting order —
+    // and no other slot's position changes, so all of them see p last and
+    // every other slot in its old relative order.
+    order_[static_cast<std::size_t>(kp)] = -1;
+    pos_[static_cast<std::size_t>(p)] = static_cast<int>(order_.size());
     order_.push_back(p);
-    for (std::size_t k = static_cast<std::size_t>(kp); k < order_.size(); ++k) {
-      pos_[static_cast<std::size_t>(order_[k])] = static_cast<int>(k);
-    }
 
     // The old row R's entries are about to be eliminated; they seed the
     // accumulator. (Their user-list edges go stale — tolerated.)
@@ -607,11 +633,10 @@ class LuBasis {
       ++current_nnz_;
     }
 
-    // Eliminate row R in pivot order. Fill lands only at LATER positions
-    // (off edges point forward), so each slot pops at most once.
-    LOp row_op;
-    row_op.pivot_row = R;
-    row_op.row_op = true;
+    // Eliminate row R in pivot order, appending the row eta's terms to the
+    // L file. Fill lands only at LATER positions (off edges point
+    // forward), so each slot pops at most once.
+    const std::size_t t0 = lterm_row_.size();
     while (!heap_.empty()) {
       const int s = heap_.top().second;
       heap_.pop();
@@ -619,7 +644,8 @@ class LuBasis {
       if (std::abs(val) < kDropTol) continue;
       const URow& u = urow_[static_cast<std::size_t>(s)];
       const double mv = val / u.diag;
-      row_op.terms.emplace_back(u.row, mv);
+      lterm_row_.push_back(u.row);
+      lterm_mult_.push_back(mv);
       for (const auto& [s2, uv] : u.off) {
         if (s2 == p) {
           diag -= mv * uv;
@@ -632,13 +658,15 @@ class LuBasis {
       }
     }
     acc_.clear();
-    if (std::abs(diag) < kPivotEps) return false;
+    if (std::abs(diag) < kPivotEps) {
+      lterm_row_.resize(t0);  // drop the unfinished row eta
+      lterm_mult_.resize(t0);
+      return false;
+    }
     urow_[static_cast<std::size_t>(p)].row = R;
     urow_[static_cast<std::size_t>(p)].diag = diag;
-    if (!row_op.terms.empty()) {
-      current_nnz_ += static_cast<long long>(row_op.terms.size());
-      lops_.push_back(std::move(row_op));
-    }
+    current_nnz_ += static_cast<long long>(lterm_row_.size() - t0);
+    close_l_op(R, /*row_op=*/true);
     return true;
   }
 
@@ -654,44 +682,85 @@ class LuBasis {
     return m_ >= kHyperSparseMinRows && touched * 10 < m_ * 3;
   }
 
+  // `size` empty lists, each keeping the capacity it had.
+  template <typename T>
+  static void clear_lists(std::vector<std::vector<T>>& lists, int size) {
+    lists.resize(static_cast<std::size_t>(size));
+    for (std::vector<T>& list : lists) list.clear();
+  }
+
+  // Closes one L op over the terms appended since the last op closed; an
+  // op with no terms is dropped.
+  void close_l_op(int pivot_row, bool row_op) {
+    if (static_cast<int>(lterm_row_.size()) == lop_start_.back()) return;
+    lop_row_.push_back(pivot_row);
+    lop_is_row_.push_back(row_op ? 1 : 0);
+    lop_start_.push_back(static_cast<int>(lterm_row_.size()));
+  }
+
+  // w = L^-1 w: the L file in order, each op's terms in order.
   void apply_l(Scratch& w) const {
-    for (const LOp& op : lops_) {
-      if (op.row_op) {
+    for (std::size_t k = 0; k < lop_row_.size(); ++k) {
+      const std::size_t pivot_row = static_cast<std::size_t>(lop_row_[k]);
+      const int begin = lop_start_[k];
+      const int end = lop_start_[k + 1];
+      if (lop_is_row_[k]) {
         double acc = 0.0;
         bool any = false;
-        for (const auto& [i, mv] : op.terms) {
-          const double wi = w.v[static_cast<std::size_t>(i)];
+        for (int t = begin; t < end; ++t) {
+          const double wi = w.v[static_cast<std::size_t>(lterm_row_[static_cast<std::size_t>(t)])];
           if (wi != 0.0) {
-            acc += mv * wi;
+            acc += lterm_mult_[static_cast<std::size_t>(t)] * wi;
             any = true;
           }
         }
         if (any) {
-          w.touch(op.pivot_row);
-          w.v[static_cast<std::size_t>(op.pivot_row)] -= acc;
+          w.touch(lop_row_[k]);
+          w.v[pivot_row] -= acc;
         }
       } else {
-        const double wp = w.v[static_cast<std::size_t>(op.pivot_row)];
+        const double wp = w.v[pivot_row];
         if (wp == 0.0) continue;
-        for (const auto& [i, mv] : op.terms) {
+        for (int t = begin; t < end; ++t) {
+          const int i = lterm_row_[static_cast<std::size_t>(t)];
           w.touch(i);
-          w.v[static_cast<std::size_t>(i)] -= mv * wp;
+          w.v[static_cast<std::size_t>(i)] -= lterm_mult_[static_cast<std::size_t>(t)] * wp;
         }
       }
     }
   }
 
   int m_ = 0;
-  std::vector<LOp> lops_;
+  // The L file, flat. Op k has pivot row lop_row_[k], is a row eta
+  // (Forrest–Tomlin) when lop_is_row_[k] and a column eta (factorization)
+  // otherwise, and owns terms [lop_start_[k], lop_start_[k + 1]) of
+  // lterm_row_ / lterm_mult_. Applied to a row-indexed vector w:
+  //   column eta:  w[i] -= mult_i * w[pivot_row]  per term
+  //   row eta:     w[pivot_row] -= sum mult_i * w[i]
+  std::vector<int> lop_row_;
+  std::vector<char> lop_is_row_;
+  std::vector<int> lop_start_;
+  std::vector<int> lterm_row_;
+  std::vector<double> lterm_mult_;
   std::vector<URow> urow_;       // slot -> its U row
-  std::vector<int> order_;       // pivot order: position -> slot
-  std::vector<int> pos_;         // slot -> position
+  // Pivot order: position -> slot, -1 at a position an update vacated.
+  std::vector<int> order_;
+  std::vector<int> pos_;         // slot -> position (increasing = later)
   std::vector<int> slot_of_row_; // pivot row -> slot
   // users_[s]: slots whose U row references slot s (stale-edge tolerant;
   // rebuilt exactly at factorize, appended-to by update).
   std::vector<std::vector<int>> users_;
   long long fresh_nnz_ = 0;
   long long current_nnz_ = 0;
+
+  // factorize()'s working matrix, kept between calls for its capacity.
+  std::vector<std::vector<std::pair<int, double>>> wcols_;
+  std::vector<std::vector<int>> rowlist_;
+  std::vector<int> row_nnz_;
+  std::vector<char> active_col_;
+  std::vector<std::vector<int>> bucket_;
+  std::vector<double> mult_;
+  std::vector<char> hit_;
 
   Scratch acc_;  // FT row-elimination accumulator (slot-indexed)
   std::priority_queue<std::pair<int, int>, std::vector<std::pair<int, int>>,
@@ -789,6 +858,8 @@ class RevisedSimplex {
       build_rows();
       d_.assign(static_cast<std::size_t>(num_cols_), 0.0);
       prow_.init(n_ + m_);
+      upper_basic_.assign(static_cast<std::size_t>(m_), std::numeric_limits<double>::infinity());
+      violated_.assign((static_cast<std::size_t>(m_) + 63) / 64, 0);
     }
   }
 
@@ -913,30 +984,37 @@ class RevisedSimplex {
     for (int guard = 0; guard < 200000; ++guard) {
       // Leaving row: largest bound violation — below zero or above upper —
       // the dual analogue of Dantzig pricing; ties to the lowest basis
-      // index for determinism.
+      // index for determinism. Only the slots flagged in violated_ can
+      // violate, so the scan visits those alone, in increasing slot order
+      // as a full scan would, and unflags each one it finds feasible.
       int r = -1;
       bool upper_leave = false;
       double best_viol = kFeasEps;
-      for (int i = 0; i < m_; ++i) {
-        const double v = x_basic_[static_cast<std::size_t>(i)];
-        const double u = upper_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
-        double viol;
-        bool from_upper;
-        if (v < 0.0) {
-          viol = -v;
-          from_upper = false;
-        } else if (v > u) {
-          viol = v - u;
-          from_upper = true;
-        } else {
-          continue;
-        }
-        if (viol > best_viol + kEps ||
-            (viol > best_viol - kEps && r >= 0 &&
-             basis_[static_cast<std::size_t>(i)] < basis_[static_cast<std::size_t>(r)])) {
-          best_viol = std::max(best_viol, viol);
-          r = i;
-          upper_leave = from_upper;
+      for (std::size_t word = 0; word < violated_.size(); ++word) {
+        for (std::uint64_t bits = violated_[word]; bits != 0; bits &= bits - 1) {
+          const int bit = std::countr_zero(bits);
+          const int i = static_cast<int>(word * 64) + bit;
+          const double v = x_basic_[static_cast<std::size_t>(i)];
+          const double u = upper_basic_[static_cast<std::size_t>(i)];
+          double viol;
+          bool from_upper;
+          if (v < 0.0) {
+            viol = -v;
+            from_upper = false;
+          } else if (v > u) {
+            viol = v - u;
+            from_upper = true;
+          } else {
+            violated_[word] &= ~(std::uint64_t{1} << bit);
+            continue;
+          }
+          if (viol > best_viol + kEps ||
+              (viol > best_viol - kEps && r >= 0 &&
+               basis_[static_cast<std::size_t>(i)] < basis_[static_cast<std::size_t>(r)])) {
+            best_viol = std::max(best_viol, viol);
+            r = i;
+            upper_leave = from_upper;
+          }
         }
       }
       if (r < 0) {
@@ -972,11 +1050,9 @@ class RevisedSimplex {
       // e and alpha share a sign; an at-upper column enters by DECREASING
       // from its bound (x_B += t B^-1 a_q), needing t = -e / alpha >= 0,
       // i.e. opposite signs. Both give the uniform ratio |d| / |alpha|.
-      const double e = upper_leave
-                           ? x_basic_[static_cast<std::size_t>(r)] -
-                                 upper_[static_cast<std::size_t>(
-                                     basis_[static_cast<std::size_t>(r)])]
-                           : x_basic_[static_cast<std::size_t>(r)];
+      const double e = upper_leave ? x_basic_[static_cast<std::size_t>(r)] -
+                                         upper_basic_[static_cast<std::size_t>(r)]
+                                   : x_basic_[static_cast<std::size_t>(r)];
       candidates.clear();
       double limit = std::numeric_limits<double>::infinity();
       double exact_min = std::numeric_limits<double>::infinity();
@@ -1054,7 +1130,8 @@ class RevisedSimplex {
 
       // Step: drive x_B[r] exactly onto its violated bound. An at-lower
       // entering column increases from 0 by t; an at-upper one decreases
-      // from its bound by t — both t >= 0 up to roundoff.
+      // from its bound by t — both t >= 0 up to roundoff. Every slot whose
+      // value moves is flagged for the next leaving-row scan.
       const double t = entering_up ? -e / a_rq : e / a_rq;
       const double dir = entering_up ? 1.0 : -1.0;
       for (const int i : alpha_.touched) {
@@ -1062,8 +1139,9 @@ class RevisedSimplex {
         double& xv = x_basic_[static_cast<std::size_t>(i)];
         xv += dir * t * alpha_.v[static_cast<std::size_t>(i)];
         if (xv < 0.0 && xv > -kFeasEps) xv = 0.0;
-        const double u = upper_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
+        const double u = upper_basic_[static_cast<std::size_t>(i)];
         if (xv > u && xv < u + kFeasEps) xv = u;
+        flag_violated(i);
       }
       double enter_val = entering_up ? upper_[static_cast<std::size_t>(entering)] - t : t;
       if (enter_val < 0.0 && enter_val > -kFeasEps) enter_val = 0.0;
@@ -1089,7 +1167,9 @@ class RevisedSimplex {
       in_basis_[static_cast<std::size_t>(entering)] = 1;
       at_upper_[static_cast<std::size_t>(entering)] = 0;
       basis_[static_cast<std::size_t>(r)] = entering;
+      upper_basic_[static_cast<std::size_t>(r)] = upper_[static_cast<std::size_t>(entering)];
       x_basic_[static_cast<std::size_t>(r)] = enter_val;
+      flag_violated(r);
 
       ++solution.stats.iterations;
       ++solution.stats.dual_pivots;
@@ -1162,24 +1242,24 @@ class RevisedSimplex {
     }
   }
 
-  // True when a WORKING bound constrains the reported optimum: a nonbasic
-  // working column resting at it, or a basic one within
-  // kDualBoundSlackFrac of it. The real problem wanted to push further
-  // (often: it is unbounded), so the primal engine must re-decide.
+  // True when a WORKING bound constrains the reported optimum: a basic
+  // working column within kDualBoundSlackFrac of it, or a nonbasic one
+  // resting at it. The real problem wanted to push further (often: it is
+  // unbounded), so the primal engine must re-decide. One pass over the
+  // slots and one over the columns: O(n + m).
   bool working_bound_active() const {
-    for (int j = 0; j < n_; ++j) {
-      if (!working_[static_cast<std::size_t>(j)]) continue;
-      if (!in_basis_[static_cast<std::size_t>(j)]) {
-        if (at_upper_[static_cast<std::size_t>(j)]) return true;
-        continue;
+    for (int i = 0; i < m_; ++i) {
+      const int j = basis_[static_cast<std::size_t>(i)];
+      if (j < n_ && working_[static_cast<std::size_t>(j)] &&
+          x_basic_[static_cast<std::size_t>(i)] >
+              (1.0 - kDualBoundSlackFrac) * upper_[static_cast<std::size_t>(j)]) {
+        return true;
       }
-      for (int i = 0; i < m_; ++i) {
-        if (basis_[static_cast<std::size_t>(i)] != j) continue;
-        if (x_basic_[static_cast<std::size_t>(i)] >
-            (1.0 - kDualBoundSlackFrac) * upper_[static_cast<std::size_t>(j)]) {
-          return true;
-        }
-        break;
+    }
+    for (int j = 0; j < n_; ++j) {
+      if (working_[static_cast<std::size_t>(j)] && !in_basis_[static_cast<std::size_t>(j)] &&
+          at_upper_[static_cast<std::size_t>(j)]) {
+        return true;
       }
     }
     return false;
@@ -1400,11 +1480,12 @@ class RevisedSimplex {
   // Fresh Markowitz LU of the current basis; recomputes the basic values
   // from scratch (discarding update drift). Returns false on a numerically
   // singular basis — the primal path throws on that, the dual path
-  // declines, a warm start falls back to cold.
+  // declines, a warm start falls back to cold. LpStats::refactor_ms
+  // accumulates its wall time.
   bool refactorize(LpStats& stats) {
+    const auto start = std::chrono::steady_clock::now();
     ++stats.refactorizations;
     const bool ok = lu_.factorize(m_, [this](int slot, std::vector<std::pair<int, double>>& out) {
-      out.clear();
       const int j = basis_[static_cast<std::size_t>(slot)];
       if (j < n_) {
         for (int k = col_start_[static_cast<std::size_t>(j)];
@@ -1418,13 +1499,17 @@ class RevisedSimplex {
         out.emplace_back(artificial_row_[static_cast<std::size_t>(j - n_ - m_)], 1.0);
       }
     });
-    if (!ok) return false;
-    compute_basic_values();
-    pivots_since_refactor_ = 0;
-    return true;
+    if (ok) {
+      compute_basic_values();
+      pivots_since_refactor_ = 0;
+    }
+    stats.refactor_ms += elapsed_ms(start);
+    return ok;
   }
 
-  // x_B = B^-1 (b - sum of at-upper nonbasic columns at their bounds).
+  // x_B = B^-1 (b - sum of at-upper nonbasic columns at their bounds). The
+  // dual also rebuilds its slot-indexed bounds and flags exactly the slots
+  // that violate them.
   void compute_basic_values() {
     for (int i = 0; i < m_; ++i) {
       if (b_[static_cast<std::size_t>(i)] != 0.0) spike_.set(i, b_[static_cast<std::size_t>(i)]);
@@ -1451,13 +1536,25 @@ class RevisedSimplex {
     for (const int s : alpha_.touched) {
       x_basic_[static_cast<std::size_t>(s)] = alpha_.v[static_cast<std::size_t>(s)];
     }
-    if (!dual_) {
+    if (dual_) {
+      std::fill(violated_.begin(), violated_.end(), 0);
+      for (int i = 0; i < m_; ++i) {
+        const double u = upper_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
+        upper_basic_[static_cast<std::size_t>(i)] = u;
+        const double v = x_basic_[static_cast<std::size_t>(i)];
+        if (v < 0.0 || v > u) flag_violated(i);
+      }
+    } else {
       for (double& v : x_basic_) {
         if (v < 0.0 && v > -kFeasEps) v = 0.0;
       }
     }
     spike_.clear();
     alpha_.clear();
+  }
+
+  void flag_violated(int slot) {
+    violated_[static_cast<std::size_t>(slot) / 64] |= std::uint64_t{1} << (slot % 64);
   }
 
   // --- the primal simplex loop ---------------------------------------------
@@ -1611,6 +1708,11 @@ class RevisedSimplex {
   std::vector<char> working_;           // bound is artificial (dual)
   std::vector<double> d_;               // reduced costs, nonbasic columns (dual)
   std::vector<int> recheck_;            // columns whose d moved at the last pivot
+  std::vector<double> upper_basic_;     // slot -> upper_ of its basic column (dual)
+  // One bit per slot, set for (at least) every slot whose x_B lies outside
+  // [0, upper_basic_]: set where x_B or the slot's bound changes, cleared
+  // by the leaving-row scan once it finds the slot feasible (dual).
+  std::vector<std::uint64_t> violated_;
   LuBasis lu_;
   int pivots_since_refactor_ = 0;
 
@@ -1642,12 +1744,14 @@ void solve_lp_primal_into(const LpProblem& problem, LpSolution& solution) {
 void solve_lp_dual_into(const LpProblem& problem, LpSolution& solution, LpWarmStart* warm) {
   check_dimensions(problem);
   const auto start = std::chrono::steady_clock::now();
+  bool solved = false;
   {
     RevisedSimplex engine(problem, /*dual_start=*/true);
-    if (engine.solve_dual(problem, solution, warm)) {
-      solution.stats.wall_ms = elapsed_ms(start);
-      return;
-    }
+    solved = engine.solve_dual(problem, solution, warm);
+  }  // the engine's teardown (its retained workspaces) is part of the solve
+  if (solved) {
+    solution.stats.wall_ms = elapsed_ms(start);
+    return;
   }
   // The dual declined. A declined basis is not a warm-startable one — the
   // primal answer carries no dual status — so the handle is voided.

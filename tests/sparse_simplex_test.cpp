@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <random>
+#include <string>
 #include <utility>
 
 #include "compact/leaf_compactor.hpp"
@@ -430,6 +431,67 @@ TEST(SparseSimplex, RefactorizationSurvivesLongRuns) {
   ASSERT_TRUE(s.bounded);
   EXPECT_NEAR(s.objective, static_cast<double>(kVars), 1e-6);
   EXPECT_GT(s.stats.refactorizations, 0);
+  // The dual crosses the interval as well, so its Forrest–Tomlin updates
+  // and the pivot order's vacated positions are carried across several
+  // refactorizations.
+  const LpSolution dual = solve_lp(p);
+  ASSERT_TRUE(dual.feasible);
+  ASSERT_TRUE(dual.bounded);
+  EXPECT_EQ(dual.objective, static_cast<double>(kVars));
+  EXPECT_GE(dual.stats.refactorizations, 3);
+  EXPECT_EQ(dual.stats.dual_fallbacks, 0);
+}
+
+TEST(SparseSimplex, PivotPathIsPinnedOnRetargetLibraries) {
+  // The pivot path, pinned: solve_lp on leaf_retarget's round-1 LPs (the
+  // 48-cell, 8-box libraries of seeds 1-8), and the primal fallback on the
+  // 16- and 32-cell libraries bench_leaf_scaling sweeps. These counts and
+  // objective bits move only with a deliberate change to the pivot path
+  // (the refactor interval, the Markowitz order, the pricing or ratio-test
+  // rules), which must re-record them and argue that every output stays
+  // byte-identical. A change that only makes pivots cheaper leaves them as
+  // they are. Objectives are printed with %.17g, so they round-trip.
+  struct Pin {
+    int iterations;
+    int degenerate_pivots;
+    int bland_pivots;
+    int refactorizations;
+    int nnz_refactorizations;
+    double objective;
+  };
+  constexpr Pin kDual[] = {
+      {1078, 593, 426, 10, 0, 2532.7720000000049}, {1057, 582, 359, 10, 0, 2551.8670000000075},
+      {1071, 583, 390, 10, 0, 2512.7890000000066}, {1039, 567, 343, 10, 0, 2600.8860000000077},
+      {1057, 581, 373, 10, 0, 2566.8600000000051}, {1066, 590, 397, 10, 0, 2539.8430000000048},
+      {1074, 592, 404, 10, 0, 2534.8480000000077}, {1069, 593, 386, 10, 0, 2568.8500000000076},
+  };
+  const auto expect_pin = [](const LpSolution& s, const Pin& pin, const std::string& where) {
+    ASSERT_TRUE(s.feasible && s.bounded) << where;
+    EXPECT_EQ(s.stats.iterations, pin.iterations) << where;
+    EXPECT_EQ(s.stats.degenerate_pivots, pin.degenerate_pivots) << where;
+    EXPECT_EQ(s.stats.bland_pivots, pin.bland_pivots) << where;
+    EXPECT_EQ(s.stats.refactorizations, pin.refactorizations) << where;
+    EXPECT_EQ(s.stats.nnz_refactorizations, pin.nnz_refactorizations) << where;
+    EXPECT_EQ(s.stats.dual_fallbacks, 0) << where;
+    EXPECT_EQ(s.objective, pin.objective) << where;
+  };
+  for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+    const SynthLeafLibrary lib = make_leaf_library(48, 8, seed);
+    const LeafLpModel model = build_leaf_lp(lib.cells, lib.interfaces, lib.cell_names,
+                                            lib.pitch_specs, CompactionRules::mosis());
+    expect_pin(solve_lp(model.lp), kDual[seed - 1], "solve_lp, seed " + std::to_string(seed));
+  }
+  const std::pair<int, Pin> kPrimal[] = {
+      {16, {1090, 292, 0, 10, 0, 813.30999999999858}},
+      {32, {2187, 576, 0, 21, 0, 1671.5799999999972}},
+  };
+  for (const auto& [cells, pin] : kPrimal) {
+    const SynthLeafLibrary lib = make_leaf_library(cells, 8, 7);
+    const LeafLpModel model = build_leaf_lp(lib.cells, lib.interfaces, lib.cell_names,
+                                            lib.pitch_specs, CompactionRules::mosis());
+    expect_pin(detail::solve_lp_primal(model.lp), pin,
+               "solve_lp_primal, " + std::to_string(cells) + " cells");
+  }
 }
 
 }  // namespace
