@@ -8,10 +8,11 @@
 //             ordered-segment profile) plus the pass-based solver
 //   worklist  compact_flat as production runs it: the scan-line generator
 //             plus the worklist solver
-// The pass-based solver is not a compact_flat option, so the first two rows
-// build the system with ConstraintSystemBuilder and call solve_leftmost. The
-// scanline and worklist rows solve the same system and report the same
-// width_after; the naive generator overconstrains, so its width is larger.
+// The naive generator and the pass-based solver are test-only oracle code
+// (tests/oracle), so the first two rows build the system by hand and call
+// oracle::solve_leftmost. The scanline and worklist rows solve the same
+// system and report the same width_after; the naive generator
+// overconstrains, so its width is larger.
 //
 // CI runs the 1k/10k sizes via scripts/bench_smoke.sh and uploads the JSON
 // as BENCH_compact_scaling.json; run the binary with no filter for the
@@ -22,10 +23,10 @@
 #include <chrono>
 #include <cstdio>
 
-#include "compact/bellman_ford.hpp"
-#include "compact/constraint_builder.hpp"
 #include "compact/flat_compactor.hpp"
 #include "compact/synth_design.hpp"
+#include "oracle/pass_based_solvers.hpp"
+#include "oracle/reference_generators.hpp"
 
 namespace {
 
@@ -57,13 +58,14 @@ ModeResult compact_pass_based(const SynthField& field, bool naive) {
   rsg::Coord width_before = 0;
   std::vector<CompactionBox> cboxes =
       normalized_compaction_boxes(field.boxes, {}, field.stretchable, width_before);
-  BuilderOptions builder_options;
-  builder_options.generator =
-      naive ? ConstraintGenerator::kNaive : ConstraintGenerator::kScanline;
-  ConstraintSystemBuilder builder(CompactionRules::mosis(), builder_options);
-  builder.emit_batch(cboxes);
-  ConstraintSystem& system = builder.system();
-  solve_leftmost(system);
+  ConstraintSystem system;
+  add_box_variables(system, cboxes);
+  if (naive) {
+    oracle::generate_constraints_naive(system, cboxes, CompactionRules::mosis());
+  } else {
+    generate_constraints(system, cboxes, CompactionRules::mosis(), /*threads=*/0);
+  }
+  oracle::solve_leftmost(system);
   ModeResult result;
   result.constraints = system.constraint_count();
   for (const CompactionBox& cb : cboxes) {

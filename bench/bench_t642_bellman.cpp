@@ -5,16 +5,19 @@
 // the worst case."
 //
 // Counts relaxation passes for sorted / insertion / adversarially reversed
-// edge orders on constraint chains, and measures wall time.
+// edge orders on constraint chains, and measures wall time. The pass-based
+// solver is the test-only oracle's (tests/oracle); the compactors run the
+// worklist solvers, whose seeding sweep keeps the sorted order.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
-#include "compact/bellman_ford.hpp"
+#include "oracle/pass_based_solvers.hpp"
 
 namespace {
 
 using namespace rsg::compact;
+using oracle::EdgeOrder;
 
 ConstraintSystem make_chain(int n) {
   ConstraintSystem system;
@@ -34,7 +37,7 @@ void BM_Bellman(benchmark::State& state, EdgeOrder order) {
   ConstraintSystem system = make_chain(n);
   SolveStats stats;
   for (auto _ : state) {
-    stats = solve_leftmost(system, order);
+    stats = oracle::solve_leftmost(system, order);
     benchmark::DoNotOptimize(system.values.data());
   }
   state.counters["passes"] = stats.passes;
@@ -58,7 +61,7 @@ void print_pass_counts() {
                                  EdgeOrder::kReversed};
     for (int k = 0; k < 3; ++k) {
       ConstraintSystem system = make_chain(n);
-      passes[k] = solve_leftmost(system, orders[k]).passes;
+      passes[k] = oracle::solve_leftmost(system, orders[k]).passes;
     }
     std::printf("%-8d %-18d %-18d %-18d\n", n, passes[0], passes[1], passes[2]);
   }

@@ -51,8 +51,8 @@ int main() {
     options.apply_rubber_band = true;
     const FlatResult flat = compact_flat(sparse, CompactionRules::mosis(), options);
     std::cout << "flat compaction: width " << flat.width_before << " -> " << flat.width_after
-              << " (" << flat.constraint_count << " constraints, " << flat.solve.passes
-              << " relaxation passes)\n";
+              << " (" << flat.constraint_count << " constraints, " << flat.solve.pops
+              << " solver pops after the seeding sweep)\n";
 
     // --- Symbolic contact expansion (Figure 6.9) ------------------------------
     const std::vector<LayerBox> with_contact = {{Layer::kContact, Box(0, 0, 24, 16)}};

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checks run by the CI `docs` job (and usable locally).
 
-Four checks, all dependency-free:
+Five checks, all dependency-free:
 
  1. Markdown link integrity: every relative link target in every tracked
     *.md file must resolve to an existing file or directory (anchors are
@@ -19,6 +19,12 @@ Four checks, all dependency-free:
     only has to be a prefix of one; a name followed by a regex group of
     plain alternatives, as in `BM_LeafSchedule(Warm|Cold)`, must name a
     benchmark with each alternative appended.
+ 5. Test labels: every ctest label named after -L or -LE in README.md,
+    docs/**/*.md, .claude/skills/**/*.md, scripts/*.sh and
+    .github/workflows/ci.yml must be one that tests/CMakeLists.txt assigns
+    through PROPERTY LABELS, so a doc cannot keep naming a dropped label
+    (ctest would silently run zero tests). An alternation such as
+    'concurrency|compact' is split on `|` and each label checked.
 
 Exits non-zero with one line per violation.
 """
@@ -152,12 +158,41 @@ def check_bench_names(errors):
                     errors.append(f"{rel}: '{match.group(0)}' names no benchmark in bench/*.cpp")
 
 
+# -L / -LE followed by a label or a quoted alternation of labels.
+LABEL_REF_RE = re.compile(r"(?<![\w-])-LE?\s+['\"]?([\w|]+)")
+
+
+def check_test_labels(errors):
+    """Every ctest label the docs, scripts and CI name is one the suites carry."""
+    cmake_path = os.path.join(REPO, "tests", "CMakeLists.txt")
+    with open(cmake_path, encoding="utf-8") as f:
+        defined = set(re.findall(r'PROPERTY\s+LABELS\s+"?(\w+)"?', f.read()))
+    if not defined:
+        errors.append("tests/CMakeLists.txt: no PROPERTY LABELS found (check the regex)")
+        return
+    sources = [os.path.join(REPO, "README.md"),
+               os.path.join(REPO, ".github", "workflows", "ci.yml")]
+    sources += glob.glob(os.path.join(REPO, "docs", "**", "*.md"), recursive=True)
+    sources += glob.glob(os.path.join(REPO, ".claude", "skills", "**", "*.md"), recursive=True)
+    sources += glob.glob(os.path.join(REPO, "scripts", "*.sh"))
+    for path in sorted(sources):
+        rel = os.path.relpath(path, REPO)
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        for match in LABEL_REF_RE.finditer(text):
+            for label in match.group(1).split("|"):
+                if label and label not in defined:
+                    errors.append(f"{rel}: ctest label '{label}' is not assigned in "
+                                  "tests/CMakeLists.txt")
+
+
 def main():
     errors = []
     check_links(errors)
     check_bench_artifacts(errors)
     check_status_codes(errors)
     check_bench_names(errors)
+    check_test_labels(errors)
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     if errors:
@@ -165,7 +200,7 @@ def main():
     count = len(tracked_markdown())
     print(
         f"docs check passed: {count} markdown files, "
-        "links, artifact schemas, status codes and benchmark names OK"
+        "links, artifact schemas, status codes, benchmark names and test labels OK"
     )
     return 0
 

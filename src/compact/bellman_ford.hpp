@@ -2,15 +2,18 @@
 //
 // Assigns each variable the LOWEST abscissa satisfying all constraints —
 // pushing "all the objects in a layout as much to the left as they can go".
-// Pitch terms must be fixed before solving (leaf compaction uses the LP
-// solver instead); this solver rejects systems with free pitch variables.
+// Pitch terms are read at their fixed values (leaf compaction, whose
+// pitches are unknowns, uses the LP solver instead).
 //
-// §6.4.2's observation is reproduced exactly: traversing edges sorted by
-// the initial abscissa of their source makes the initial ordering a good
-// estimate of the final one, and "in the case where the initial ordering is
-// preserved in the final layout exactly one relaxation step is required
-// instead of the |V| required in the worst case" — bench_t642_bellman
-// counts the passes both ways.
+// The two worklist solvers below are the only longest-path solvers in the
+// library. §6.4.2's pass-based solver, with its edge orders, is test-only
+// code in tests/oracle: the oracle the worklist tests compare against, and
+// what bench_t642_bellman counts passes with. Its observation survives
+// here as the seeding sweep: visiting variables in order of initial
+// abscissa makes the initial ordering a good estimate of the final one,
+// and "in the case where the initial ordering is preserved in the final
+// layout exactly one relaxation step is required instead of the |V|
+// required in the worst case".
 #pragma once
 
 #include <vector>
@@ -21,7 +24,11 @@
 namespace rsg::compact {
 
 struct SolveStats {
-  int passes = 0;                 // full sweeps over the edge list
+  // Worklist solvers: seeding sweeps, one for a cold solve plus one for a
+  // warm attempt (so 1 or 2). The test oracle's pass-based solvers
+  // (tests/oracle) count §6.4.2's full edge-list passes instead, the final
+  // no-change pass included.
+  int passes = 0;
   std::size_t relaxations = 0;    // individual successful tightenings
   // Worklist solvers: variables dequeued after the seeding sweep (the
   // sweep visits every variable once and is not counted), plus every
@@ -38,12 +45,6 @@ struct SolveStats {
   bool warm_attempted = false;
   bool warm_accepted = false;
   std::size_t warm_pops_saved = 0;
-};
-
-enum class EdgeOrder {
-  kSorted,     // by the source variable's initial abscissa (§6.4.2)
-  kInsertion,  // as generated
-  kReversed,   // adversarial: worst case for the relaxation count
 };
 
 // The worklist solvers' infeasibility verdict and its certificate: a
@@ -65,23 +66,11 @@ class PositiveCycle : public Error {
   std::size_t relaxations_ = 0;
 };
 
-// The pass-based solvers: full edge-list sweeps until fixpoint, the §6.4.2
-// baseline. No compaction pass runs them; they are the oracle the worklist
-// tests compare against and what bench_t642_bellman counts passes with.
-//
-// Solves into system.values. Throws rsg::Error on infeasible systems
-// (a positive cycle — the layout cannot satisfy its own constraints) once
-// |V| + 2 passes have not converged.
-SolveStats solve_leftmost(ConstraintSystem& system, EdgeOrder order = EdgeOrder::kSorted);
-
-// The rightmost solution subject to every variable <= width (used by the
-// rubber-band pass to compute slack intervals).
-SolveStats solve_rightmost(ConstraintSystem& system, Coord width,
-                           std::vector<Coord>& upper_bounds);
-
-// Worklist variants, the solvers every flat pass runs (compact_flat, the
-// incremental engine, the rubber band's slack bounds): Bellman–Ford with a
-// FIFO worklist and Tarjan's subtree disassembly. The worklist's first round is
+// The leftmost solution into system.values, and the rightmost one subject
+// to every variable <= width into `upper_bounds` (the rubber band's slack
+// intervals). These are the solvers every flat pass runs (compact_flat,
+// the incremental engine, the rubber band): Bellman–Ford with a FIFO
+// worklist and Tarjan's subtree disassembly. The worklist's first round is
 // §6.4.2's seeding sweep: the origin constraints, then every variable's
 // out-edges (in-edges for the rightmost dual) in order of initial abscissa
 // (descending for the dual). After it only variables whose value changed
@@ -92,7 +81,7 @@ SolveStats solve_rightmost(ConstraintSystem& system, Coord width,
 // own subtree closes a positive cycle — thrown as PositiveCycle, the tree
 // path plus the closing constraint as the certificate. The least
 // (greatest) solution is unique, so the values are identical to the
-// pass-based solvers'.
+// oracle's pass-based solvers'.
 //
 // `warm_seed` (optional, size == variable_count) warm-starts the solve from
 // a previous solution instead of the source distance: the values are seeded

@@ -8,13 +8,7 @@ ConstraintSystemBuilder::ConstraintSystemBuilder(const CompactionRules& rules,
 
 void ConstraintSystemBuilder::emit_batch(std::vector<CompactionBox>& boxes) {
   add_box_variables(system_, boxes);
-  if (options_.generator == ConstraintGenerator::kNaive) {
-    generate_constraints_naive(system_, boxes, rules_);
-  } else if (options_.threads != 1 && boxes.size() >= options_.parallel_threshold) {
-    generate_constraints_parallel(system_, boxes, rules_, options_.threads);
-  } else {
-    generate_constraints(system_, boxes, rules_);
-  }
+  generate_constraints(system_, boxes, rules_, options_.threads);
 }
 
 LpProblem ConstraintSystemBuilder::to_lp() const {

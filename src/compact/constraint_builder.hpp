@@ -8,12 +8,11 @@
 //   boxes  ->  emit_batch()  ->  ConstraintSystem  ->  to_lp()  ->  solver
 //
 // emit_batch() assigns edge variables to boxes that lack them (leaf
-// compaction shares variables between instance copies) and runs the
-// selected generator — the visibility scan line (optionally parallelized
-// per layer) or the §6.4.1 naive baseline. The pre-scaling reference
-// generator is not selectable here; tests call it directly as the oracle.
-// Batches accumulate into one system: flat compaction emits a single batch,
-// leaf compaction emits one per cell plus one per interface pair layout.
+// compaction shares variables between instance copies) and runs the one
+// generator, the visibility scan line (band-sharded across threads on large
+// batches). Batches accumulate into one system: flat compaction emits a
+// single batch, leaf compaction emits one per cell plus one per interface
+// pair layout.
 //
 // to_lp() is the §6.3 rewrite shared by the LP-backed solvers: each
 // constraint X_to - X_from + k·λ >= w becomes the row
@@ -30,20 +29,12 @@
 
 namespace rsg::compact {
 
-enum class ConstraintGenerator {
-  kScanline,  // Figure 6.7 visibility sweep (the default)
-  kNaive,     // the §6.4.1 overconstraining pairwise generator
-};
-
 struct BuilderOptions {
-  ConstraintGenerator generator = ConstraintGenerator::kScanline;
-  // Constraint-generation threads: 0 = one per hardware core, 1 = serial.
-  // The parallel path is byte-identical to the serial one, so this is a
+  // Constraint-generation threads (generate_constraints): 0 = one per
+  // hardware core, 1 = serial; batches under kBandedGenerationMinBoxes
+  // boxes always sweep serially. Byte-identical either way, so this is a
   // throughput knob, not a semantics knob.
   int threads = 0;
-  // Batches below this box count always generate serially — thread spawn
-  // costs more than the sweep on small systems.
-  std::size_t parallel_threshold = 2048;
 };
 
 class ConstraintSystemBuilder {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "compact/xy_schedule.hpp"
 #include "support/error.hpp"
 
 namespace rsg::compact {
@@ -20,21 +19,6 @@ FlatResult compact_flat_y(const std::vector<LayerBox>& boxes, const CompactionRu
                           const FlatOptions& options, const std::vector<bool>& stretchable) {
   FlatResult result = compact_flat(transposed_boxes(boxes), rules, options, stretchable);
   result.boxes = transposed_boxes(result.boxes);
-  return result;
-}
-
-XyResult compact_flat_xy(const std::vector<LayerBox>& boxes, const CompactionRules& rules,
-                         const FlatOptions& options, const std::vector<bool>& stretchable) {
-  XyScheduleOptions one_round;
-  one_round.max_rounds = 1;
-  const XyScheduleResult full =
-      compact_flat_schedule(boxes, rules, options, one_round, stretchable);
-  XyResult result;
-  result.boxes = full.boxes;
-  result.width_before = full.width_before;
-  result.width_after = full.width_after;
-  result.height_before = full.height_before;
-  result.height_after = full.height_after;
   return result;
 }
 
@@ -78,8 +62,6 @@ FlatResult compact_flat(const std::vector<LayerBox>& boxes, const CompactionRule
       normalized_compaction_boxes(boxes, options, stretchable, result.width_before);
 
   BuilderOptions builder_options;
-  builder_options.generator = options.naive_constraints ? ConstraintGenerator::kNaive
-                                                        : ConstraintGenerator::kScanline;
   builder_options.threads = options.generation_threads;
   ConstraintSystemBuilder builder(rules, builder_options);
   builder.emit_batch(cboxes);

@@ -1,8 +1,10 @@
 // Flat one-dimensional compaction — the experimental compactor of §6.4,
-// assembled from the scan-line constraint generator, the Bellman–Ford
-// solver and the rubber-band post-pass. Compacts in x; y coordinates are
-// fixed (horizontal edges "shrink or expand in response to the displacement
-// of the vertical edges", §6.3).
+// assembled from the scan-line constraint generator, the worklist
+// Bellman–Ford solver and the rubber-band post-pass. Compacts in x; y
+// coordinates are fixed (horizontal edges "shrink or expand in response to
+// the displacement of the vertical edges", §6.3). compact_flat_y runs the
+// same pass on the transposed layout; the x/y alternation, one round or
+// many, is compact_flat_schedule (compact/xy_schedule.hpp).
 #pragma once
 
 #include <vector>
@@ -15,14 +17,11 @@
 
 namespace rsg::compact {
 
-// Every pass solves with the worklist longest-path solvers
-// (bellman_ford.hpp); the pass-based ones are test oracles only.
 struct FlatOptions {
   bool apply_rubber_band = false;
-  bool naive_constraints = false;  // the Figure 6.5 overconstraining baseline
   bool mark_all_stretchable = false;
-  // Constraint-generation threads (see BuilderOptions::threads): 0 = one
-  // per hardware core, 1 = serial. Byte-identical either way.
+  // Constraint-generation threads (see generate_constraints): 0 = one per
+  // hardware core, 1 = serial. Byte-identical either way.
   int generation_threads = 0;
 };
 
@@ -64,20 +63,5 @@ std::vector<LayerBox> transposed_boxes(const std::vector<LayerBox>& boxes);
 FlatResult compact_flat_y(const std::vector<LayerBox>& boxes, const CompactionRules& rules,
                           const FlatOptions& options = {},
                           const std::vector<bool>& stretchable = {});
-
-struct XyResult {
-  std::vector<LayerBox> boxes;
-  Coord width_before = 0;
-  Coord width_after = 0;
-  Coord height_before = 0;
-  Coord height_after = 0;
-};
-
-// One x pass followed by one y pass — a single round of the alternating
-// schedule in compact/xy_schedule.hpp, which also handles convergence-
-// driven multi-round alternation.
-XyResult compact_flat_xy(const std::vector<LayerBox>& boxes, const CompactionRules& rules,
-                         const FlatOptions& options = {},
-                         const std::vector<bool>& stretchable = {});
 
 }  // namespace rsg::compact

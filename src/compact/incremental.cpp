@@ -105,11 +105,7 @@ IncrementalCompactor::IncrementalCompactor(const CompactionRules& rules,
     : rules_(rules),
       options_(options),
       incremental_(incremental),
-      stretchable_(std::move(stretchable)) {
-  if (options_.naive_constraints) {
-    throw Error("incremental compaction: the naive generator has no band structure");
-  }
-}
+      stretchable_(std::move(stretchable)) {}
 
 void IncrementalCompactor::corrupt_cached_system_for_testing(bool y_axis) {
   AxisState& state = y_axis ? y_ : x_;

@@ -29,25 +29,12 @@ struct EdgeKeyHash {
 
 }  // namespace
 
-RigidGroups::RigidGroups(const ConstraintSystem& system, RigidMatch match)
+RigidGroups::RigidGroups(const ConstraintSystem& system)
     : parent_(system.variable_count()), offset_(system.variable_count(), 0) {
   std::iota(parent_.begin(), parent_.end(), 0);
-  // Find (u -> v, w) matched by (v -> u, -w): X_v - X_u == w.
-  if (match == RigidMatch::kQuadratic) {
-    for (const Constraint& a : system.constraints()) {
-      if (a.from < 0 || a.pitch >= 0) continue;
-      for (const Constraint& b : system.constraints()) {
-        if (b.from != a.to || b.to != a.from || b.pitch >= 0) continue;
-        if (a.weight + b.weight == 0) {
-          unite(static_cast<std::size_t>(a.from), static_cast<std::size_t>(a.to), a.weight);
-        }
-      }
-    }
-    return;
-  }
-  // Hashed: index every eligible edge, then probe for each edge's reversed
-  // negation. The unite sequence (constraint order, first match wins) is
-  // identical to the quadratic scan, so the groups and offsets are too.
+  // Find (u -> v, w) matched by (v -> u, -w): X_v - X_u == w. Index every
+  // eligible edge, then probe for each edge's reversed negation, uniting in
+  // constraint order.
   std::unordered_set<EdgeKey, EdgeKeyHash> index;
   index.reserve(system.constraint_count() * 2);
   for (const Constraint& c : system.constraints()) {

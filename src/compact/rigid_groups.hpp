@@ -3,7 +3,9 @@
 // Rigid boxes carry an equality pair (R - L >= w and L - R >= -w), so their
 // edges cannot move one at a time. Union such variables into rigid groups
 // with fixed offsets from a leader; the rubber-band descent then translates
-// whole groups — boxes — rather than edges.
+// whole groups — boxes — rather than edges. The equality pairs are matched
+// through a hashed edge index in O(m) expected time; the all-pairs scan it
+// is checked against is test-only code in tests/oracle.
 #pragma once
 
 #include <vector>
@@ -12,16 +14,9 @@
 
 namespace rsg::compact {
 
-// How the equality pairs (u -> v, w) matched by (v -> u, -w) are found.
-enum class RigidMatch {
-  kHashed,     // hashed (from, to, weight) edge index: O(m) expected
-  kQuadratic,  // all-pairs scan over the constraint list: O(m^2), kept as
-               // the equivalence baseline for the property tests
-};
-
 class RigidGroups {
  public:
-  explicit RigidGroups(const ConstraintSystem& system, RigidMatch match = RigidMatch::kHashed);
+  explicit RigidGroups(const ConstraintSystem& system);
 
   std::size_t leader(std::size_t v);
 

@@ -101,12 +101,11 @@ class ActiveBoxes {
 // kConnect constraints instead). This is the net knowledge that plain box
 // merging (§6.4.1) would provide but that device/bus tagging forbids.
 //
-// Two builders populate the same structure: a per-layer sort/sweep over the
-// x extents (boxes abut only while their x intervals overlap, so each box
-// only meets the still-active boxes of the sweep, found through the
-// ActiveBoxes tree), and the all-pairs scan kept as the equivalence
-// baseline. Both produce the same partition: the abutment relation's
-// connected components.
+// A per-layer sort/sweep over the x extents populates it: boxes abut only
+// while their x intervals overlap, so each box only meets the still-active
+// boxes of the sweep, found through the ActiveBoxes tree. The partition is
+// the abutment relation's connected components, which the test oracle's
+// all-pairs scan (tests/oracle) rebuilds independently.
 //
 // The sweep unites each box with one representative per touching leaf,
 // not with every touching box. When box b is queried, every active box
@@ -119,34 +118,20 @@ class ActiveBoxes {
 // and touching leaf count l instead of growing with the touching pairs.
 class NetFinder {
  public:
-  enum class Strategy { kSweep, kQuadratic };
-
-  explicit NetFinder(const std::vector<CompactionBox>& boxes,
-                     Strategy strategy = Strategy::kSweep)
-      : parent_(boxes.size()) {
+  explicit NetFinder(const std::vector<CompactionBox>& boxes) : parent_(boxes.size()) {
     std::iota(parent_.begin(), parent_.end(), 0);
-    if (strategy == Strategy::kQuadratic) {
-      build_quadratic(boxes);
-    } else {
-      build_sweep(boxes);
-    }
+    build(boxes);
   }
 
-  bool same_net(std::size_t a, std::size_t b) { return find(a) == find(b); }
+  // Each box's net label: its union-find root.
+  std::vector<std::size_t> labels() {
+    std::vector<std::size_t> net(parent_.size());
+    for (std::size_t v = 0; v < net.size(); ++v) net[v] = find(v);
+    return net;
+  }
 
  private:
-  void build_quadratic(const std::vector<CompactionBox>& boxes) {
-    for (std::size_t i = 0; i < boxes.size(); ++i) {
-      for (std::size_t j = i + 1; j < boxes.size(); ++j) {
-        if (boxes[i].geometry.layer != boxes[j].geometry.layer) continue;
-        if (boxes[i].geometry.box.abuts_or_intersects(boxes[j].geometry.box)) {
-          unite(i, j);
-        }
-      }
-    }
-  }
-
-  void build_sweep(const std::vector<CompactionBox>& boxes) {
+  void build(const std::vector<CompactionBox>& boxes) {
     std::vector<std::vector<std::size_t>> by_layer(kNumLayers);
     for (std::size_t i = 0; i < boxes.size(); ++i) {
       by_layer[static_cast<std::size_t>(boxes[i].geometry.layer)].push_back(i);
@@ -207,70 +192,12 @@ class NetFinder {
 };
 
 // Per-layer visibility profile: disjoint y segments, each remembering the
-// box a left-looking viewer sees there (Figure 6.7). Linear reference
-// implementation: every query and insert scans the whole segment list.
-class LinearProfile {
- public:
-  struct Segment {
-    Coord y0;
-    Coord y1;
-    std::size_t box;
-  };
-
-  void query(Coord y0, Coord y1, std::vector<std::size_t>& seen) const {
-    for (const Segment& s : segments_) {
-      if (s.y1 > y0 && s.y0 < y1) seen.push_back(s.box);
-    }
-  }
-
-  // Inserts [y0, y1) -> box. Where the range overlaps an existing segment,
-  // the box whose right edge reaches further stays visible.
-  void insert(Coord y0, Coord y1, std::size_t box,
-              const std::vector<CompactionBox>& boxes) {
-    std::vector<Segment> next;
-    std::vector<Segment> pieces{{y0, y1, box}};
-    for (const Segment& s : segments_) {
-      if (s.y1 <= y0 || s.y0 >= y1) {
-        next.push_back(s);
-        continue;
-      }
-      // Split the existing segment around the overlap.
-      if (s.y0 < y0) next.push_back({s.y0, y0, s.box});
-      if (s.y1 > y1) next.push_back({y1, s.y1, s.box});
-      const Coord o0 = std::max(s.y0, y0);
-      const Coord o1 = std::min(s.y1, y1);
-      if (boxes[s.box].geometry.box.hi.x > boxes[box].geometry.box.hi.x) {
-        // The old box still sticks out further right: it stays visible in
-        // the overlap, and the new box's piece there is dropped.
-        next.push_back({o0, o1, s.box});
-        std::vector<Segment> remaining;
-        for (Segment& piece : pieces) {
-          if (piece.y1 <= o0 || piece.y0 >= o1) {
-            remaining.push_back(piece);
-            continue;
-          }
-          if (piece.y0 < o0) remaining.push_back({piece.y0, o0, piece.box});
-          if (piece.y1 > o1) remaining.push_back({o1, piece.y1, piece.box});
-        }
-        pieces = std::move(remaining);
-      }
-    }
-    for (const Segment& piece : pieces) {
-      if (piece.y0 < piece.y1) next.push_back(piece);
-    }
-    segments_ = std::move(next);
-  }
-
- private:
-  std::vector<Segment> segments_;
-};
-
-// The scaled profile: the same disjoint segments, keyed by their start in a
-// std::map so query and insert touch only the O(log n + k) segments that
-// overlap the window instead of the whole list. Produces the identical
-// visible-box set at every y point (the per-point winner rule is the same),
-// so constraint generation is byte-identical to LinearProfile — adjacent
-// same-box segments are merely coalesced more eagerly.
+// box a left-looking viewer sees there (Figure 6.7). The segments are keyed
+// by their start in a std::map, so query and insert touch only the
+// O(log n + k) segments that overlap the window. Where a new box overlaps a
+// segment, the box whose right edge reaches further stays visible (the new
+// box on ties); adjacent same-box segments are coalesced. The test oracle's
+// linear segment list (tests/oracle) sees the same box at every y point.
 class OrderedProfile {
  public:
   void query(Coord y0, Coord y1, std::vector<std::size_t>& seen) const {
@@ -348,6 +275,10 @@ class OrderedProfile {
   std::vector<Piece> rebuilt_;
 };
 
+}  // namespace
+
+namespace detail {
+
 void add_width_and_anchor(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
                           const CompactionRules& rules) {
   for (const CompactionBox& cb : boxes) {
@@ -367,7 +298,7 @@ void add_width_and_anchor(ConstraintSystem& system, const std::vector<Compaction
 
 void emit_pair_constraint(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
                           std::size_t ia, std::size_t ib, const CompactionRules& rules,
-                          NetFinder& nets) {
+                          const std::vector<std::size_t>& net) {
   const CompactionBox& a = boxes[ia];
   const CompactionBox& b = boxes[ib];
   const Layer la = a.geometry.layer;
@@ -401,7 +332,7 @@ void emit_pair_constraint(ConstraintSystem& system, const std::vector<Compaction
     system.add_constraint(c);
   };
 
-  if (la == lb && nets.same_net(ia, ib)) {
+  if (la == lb && net[ia] == net[ib]) {
     if (a.geometry.box.abuts_or_intersects(b.geometry.box)) {
       // Electrical continuity: b must keep touching a, and the left-edge
       // order is preserved so the net cannot turn itself inside out.
@@ -445,82 +376,7 @@ void emit_pair_constraint(ConstraintSystem& system, const std::vector<Compaction
   }
 }
 
-// The visible partners one profile layer contributes, recorded per sweep
-// position: partners of the box at sweep position p live in
-// items[offsets[p] .. offsets[p + 1]).
-struct PartnerList {
-  std::vector<std::size_t> items;
-  std::vector<std::size_t> offsets;
-};
-
-// One profile layer's share of the Figure 6.7 sweep: walk the boxes in
-// sweep order, query this layer's profile for each box whose layer equals
-// or interacts with it, and insert the boxes of this layer. Each box lives
-// in exactly one layer's profile, so the per-layer sweeps are independent —
-// which is what lets generate_constraints_parallel run one per thread.
-template <class ProfileT>
-void discover_layer_partners(int li, const std::vector<CompactionBox>& boxes,
-                             const std::vector<std::size_t>& order, const CompactionRules& rules,
-                             PartnerList& out) {
-  const Layer la = static_cast<Layer>(li);
-  ProfileT profile;
-  out.items.clear();
-  out.offsets.assign(order.size() + 1, 0);
-  for (std::size_t p = 0; p < order.size(); ++p) {
-    out.offsets[p] = out.items.size();
-    const CompactionBox& b = boxes[order[p]];
-    const Layer lb = b.geometry.layer;
-    const bool same = (la == lb);
-    if (same || rules.interacts(la, lb)) {
-      // Shadow margin: boxes within spacing distance in y still constrain.
-      const Coord margin = same ? std::max<Coord>(rules.spacing(la, lb), 1)
-                                : rules.spacing(la, lb);
-      profile.query(b.geometry.box.lo.y - margin, b.geometry.box.hi.y + margin, out.items);
-    }
-    if (same) {
-      profile.insert(b.geometry.box.lo.y, b.geometry.box.hi.y, order[p], boxes);
-    }
-  }
-  out.offsets[order.size()] = out.items.size();
-}
-
-// The pre-scaling reference driver, parameterized over the profile
-// implementation. Each profile layer contributes its visible partners
-// independently; per box the contributions are concatenated, deduplicated
-// and sorted by box index before emission. The scaled path (shards, below)
-// must reproduce this constraint stream byte for byte.
-template <class ProfileT>
-void generate_constraints_impl(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
-                               const CompactionRules& rules, NetFinder& nets) {
-  add_width_and_anchor(system, boxes, rules);
-  const std::vector<std::size_t> order = sweep_order(boxes);
-
-  std::vector<PartnerList> per_layer(kNumLayers);
-  for (int li = 0; li < kNumLayers; ++li) {
-    discover_layer_partners<ProfileT>(li, boxes, order, rules,
-                                      per_layer[static_cast<std::size_t>(li)]);
-  }
-
-  // Deterministic merge: per sweep position, gather every layer's partners
-  // (layer index order), then sort + dedup exactly as the one-pass sweep
-  // did with its shared `seen` buffer.
-  std::vector<std::size_t> seen;
-  for (std::size_t p = 0; p < order.size(); ++p) {
-    const std::size_t ib = order[p];
-    seen.clear();
-    for (const PartnerList& layer : per_layer) {
-      seen.insert(seen.end(), layer.items.begin() + static_cast<std::ptrdiff_t>(layer.offsets[p]),
-                  layer.items.begin() + static_cast<std::ptrdiff_t>(layer.offsets[p + 1]));
-    }
-    std::sort(seen.begin(), seen.end());
-    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-    for (const std::size_t ia : seen) {
-      if (ia != ib) emit_pair_constraint(system, boxes, ia, ib, rules, nets);
-    }
-  }
-}
-
-}  // namespace
+}  // namespace detail
 
 void add_box_variables(ConstraintSystem& system, std::vector<CompactionBox>& boxes) {
   for (CompactionBox& cb : boxes) {
@@ -554,6 +410,47 @@ int resolve_sweep_threads(int threads) {
   if (threads <= 0) threads = static_cast<int>(std::thread::hardware_concurrency());
   return std::max(threads, 1);
 }
+
+namespace {
+
+// Runs profile layer `layer`'s share of the Figure 6.7 sweep restricted to
+// the band [y0, y1): walk the boxes in sweep order, query the profile
+// through each window clipped to the band, and insert the boxes of this
+// layer clipped to it. Each box lives in exactly one layer's profile, so
+// the shards are independent.
+void sweep_layer_band(int layer, Coord y0, Coord y1, const std::vector<CompactionBox>& boxes,
+                      const std::vector<std::size_t>& order, const CompactionRules& rules,
+                      SweepShard& out) {
+  out.query_boxes.clear();
+  out.run_offsets.assign(1, 0);
+  out.partners.clear();
+  const Layer la = static_cast<Layer>(layer);
+  OrderedProfile profile;
+  for (const std::size_t ib : order) {
+    const CompactionBox& b = boxes[ib];
+    Coord q0 = 0;
+    Coord q1 = 0;
+    if (layer_window(b, layer, rules, q0, q1)) {
+      const Coord c0 = std::max(q0, y0);
+      const Coord c1 = std::min(q1, y1);
+      if (c0 < c1) {
+        const std::size_t before = out.partners.size();
+        profile.query(c0, c1, out.partners);
+        if (out.partners.size() > before) {
+          out.query_boxes.push_back(ib);
+          out.run_offsets.push_back(out.partners.size());
+        }
+      }
+    }
+    if (b.geometry.layer == la) {
+      const Coord m0 = std::max(b.geometry.box.lo.y, y0);
+      const Coord m1 = std::min(b.geometry.box.hi.y, y1);
+      if (m0 < m1) profile.insert(m0, m1, ib, boxes);
+    }
+  }
+}
+
+}  // namespace
 
 void sweep_shards(const std::vector<CompactionBox>& boxes, const std::vector<std::size_t>& order,
                   const CompactionRules& rules, const std::vector<Coord>& cuts,
@@ -609,45 +506,13 @@ bool layer_window(const CompactionBox& box, int layer, const CompactionRules& ru
   return true;
 }
 
-void sweep_layer_band(int layer, Coord y0, Coord y1, const std::vector<CompactionBox>& boxes,
-                      const std::vector<std::size_t>& order, const CompactionRules& rules,
-                      SweepShard& out) {
-  out.query_boxes.clear();
-  out.run_offsets.assign(1, 0);
-  out.partners.clear();
-  const Layer la = static_cast<Layer>(layer);
-  OrderedProfile profile;
-  for (const std::size_t ib : order) {
-    const CompactionBox& b = boxes[ib];
-    Coord q0 = 0;
-    Coord q1 = 0;
-    if (layer_window(b, layer, rules, q0, q1)) {
-      const Coord c0 = std::max(q0, y0);
-      const Coord c1 = std::min(q1, y1);
-      if (c0 < c1) {
-        const std::size_t before = out.partners.size();
-        profile.query(c0, c1, out.partners);
-        if (out.partners.size() > before) {
-          out.query_boxes.push_back(ib);
-          out.run_offsets.push_back(out.partners.size());
-        }
-      }
-    }
-    if (b.geometry.layer == la) {
-      const Coord m0 = std::max(b.geometry.box.lo.y, y0);
-      const Coord m1 = std::min(b.geometry.box.hi.y, y1);
-      if (m0 < m1) profile.insert(m0, m1, ib, boxes);
-    }
-  }
-}
-
 void emit_constraints_from_shards(ConstraintSystem& system,
                                   const std::vector<CompactionBox>& boxes,
                                   const std::vector<std::size_t>& order,
                                   const CompactionRules& rules,
                                   const std::vector<const SweepShard*>& shards) {
-  NetFinder nets(boxes, NetFinder::Strategy::kSweep);
-  add_width_and_anchor(system, boxes, rules);
+  const std::vector<std::size_t> net = NetFinder(boxes).labels();
+  detail::add_width_and_anchor(system, boxes, rules);
 
   // Scatter the shard runs into one partner CSR keyed by box index. The
   // scatter order across shards is irrelevant: the per-box merge sorts and
@@ -678,74 +543,26 @@ void emit_constraints_from_shards(ConstraintSystem& system,
     std::sort(seen.begin(), seen.end());
     seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
     for (const std::size_t ia : seen) {
-      if (ia != ib) emit_pair_constraint(system, boxes, ia, ib, rules, nets);
+      if (ia != ib) detail::emit_pair_constraint(system, boxes, ia, ib, rules, net);
     }
   }
 }
 
-void generate_constraints_banded(ConstraintSystem& system,
-                                 const std::vector<CompactionBox>& boxes,
-                                 const CompactionRules& rules, int bands, int threads) {
-  threads = resolve_sweep_threads(threads);
+void generate_constraints(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
+                          const CompactionRules& rules, int threads) {
+  // Band count follows the thread count: layers * threads shards strided
+  // over `threads` tasks keeps every worker busy past the per-layer limit.
+  const int bands = boxes.size() >= kBandedGenerationMinBoxes ? resolve_sweep_threads(threads) : 1;
   const std::vector<std::size_t> order = sweep_order(boxes);
-  const std::vector<Coord> cuts = band_cuts(boxes, std::max(bands, 1));
+  const std::vector<Coord> cuts = band_cuts(boxes, bands);
   std::vector<SweepShard> shards(static_cast<std::size_t>(kNumLayers) * (cuts.size() - 1));
   std::vector<std::size_t> all(shards.size());
   std::iota(all.begin(), all.end(), 0);
-  sweep_shards(boxes, order, rules, cuts, all, shards, threads);
+  sweep_shards(boxes, order, rules, cuts, all, shards, bands);
   std::vector<const SweepShard*> views;
   views.reserve(shards.size());
   for (const SweepShard& s : shards) views.push_back(&s);
   emit_constraints_from_shards(system, boxes, order, rules, views);
-}
-
-void generate_constraints(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
-                          const CompactionRules& rules) {
-  generate_constraints_banded(system, boxes, rules, /*bands=*/1, /*threads=*/1);
-}
-
-void generate_constraints_parallel(ConstraintSystem& system,
-                                   const std::vector<CompactionBox>& boxes,
-                                   const CompactionRules& rules, int threads) {
-  threads = resolve_sweep_threads(threads);
-  // Band count follows the thread count: layers * threads shards strided
-  // over `threads` tasks keeps every worker busy past the per-layer limit.
-  generate_constraints_banded(system, boxes, rules, /*bands=*/threads, threads);
-}
-
-void generate_constraints_reference(ConstraintSystem& system,
-                                    const std::vector<CompactionBox>& boxes,
-                                    const CompactionRules& rules) {
-  NetFinder nets(boxes, NetFinder::Strategy::kQuadratic);
-  generate_constraints_impl<LinearProfile>(system, boxes, rules, nets);
-}
-
-void generate_constraints_naive(ConstraintSystem& system,
-                                const std::vector<CompactionBox>& boxes,
-                                const CompactionRules& rules) {
-  add_width_and_anchor(system, boxes, rules);
-  // "Indiscriminately generating the constraint between those two edges ...
-  // can substantially overconstrain the system" (§6.4.1): every same-layer
-  // or interacting pair within spacing distance in y gets a spacing
-  // constraint — abutting same-net fragments included (Figure 6.5).
-  for (std::size_t i = 0; i < boxes.size(); ++i) {
-    for (std::size_t j = 0; j < boxes.size(); ++j) {
-      if (i == j) continue;
-      const CompactionBox& a = boxes[i];
-      const CompactionBox& b = boxes[j];
-      if (a.geometry.box.lo.x > b.geometry.box.lo.x) continue;  // ordered once
-      if (a.geometry.box.lo.x == b.geometry.box.lo.x && i > j) continue;
-      const Coord s = rules.spacing(a.geometry.layer, b.geometry.layer);
-      if (s <= 0) continue;
-      if (y_gap(a.geometry.box, b.geometry.box) >= s) continue;
-      Constraint c;
-      c.from = a.right_var;
-      c.to = b.left_var;
-      c.weight = s;
-      c.kind = ConstraintKind::kSpacing;
-      system.add_constraint(c);
-    }
-  }
 }
 
 }  // namespace rsg::compact

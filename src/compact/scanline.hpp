@@ -5,8 +5,11 @@
 // looking LEFT would see. Constraints connect what the viewer sees to the
 // boxes newly reaching the line; hidden edges never enter the profile, so
 // fragmented layouts (Figure 6.5) are not overconstrained — the property
-// bench_fig65_fragmentation measures against the naive pairwise generator
-// below.
+// bench_fig65_fragmentation measures against the naive pairwise generator.
+// That baseline and the pre-scaling reference generator (all-pairs net
+// finding, linear-scan profile) are test-only code in tests/oracle; the
+// reference shares layer_window and the pair emission (detail, below)
+// with this generator, so a rule change lands in one place.
 //
 // Emitted constraint kinds:
 //   kWidth    R_i - L_i >= width (original width, or the layer minimum for
@@ -20,6 +23,7 @@
 //             stays across diffusion)
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "compact/constraint_graph.hpp"
@@ -40,25 +44,23 @@ struct CompactionBox {
 // leaf compaction shares variables between instance copies).
 void add_box_variables(ConstraintSystem& system, std::vector<CompactionBox>& boxes);
 
-// The visibility scan-line generator of Figure 6.7. Scaled implementation:
-// net discovery is a per-layer sort/sweep abutment pass over a min-lo.y
-// augmented segment tree keyed by top edge, uniting each box with one box
-// per touching top-edge leaf, and the visibility profile is an ordered
-// segment map, so generation is O((n + l + k) log n) in the box count n,
-// touching-leaf count l (boxes stacked on one top edge count once), and
-// emitted-constraint count k.
-void generate_constraints(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
-                          const CompactionRules& rules);
+// The visibility scan-line generator of Figure 6.7, the only one the
+// compactors run. Net discovery is a per-layer sort/sweep abutment pass
+// over a min-lo.y augmented segment tree keyed by top edge, uniting each
+// box with one box per touching top-edge leaf, and the visibility profile
+// is an ordered segment map, so generation is O((n + l + k) log n) in the
+// box count n, touching-leaf count l (boxes stacked on one top edge count
+// once), and emitted-constraint count k.
+//
+// Batches of at least kBandedGenerationMinBoxes boxes sweep `threads` y
+// bands (below) on as many std::async tasks; smaller ones sweep one band
+// serially, since thread spawn costs more than the sweep there. `threads`
+// <= 0 means one per hardware core. The emitted stream is byte-identical
+// for every band count, so `threads` is a throughput knob only.
+inline constexpr std::size_t kBandedGenerationMinBoxes = 2048;
 
-// The parallel variant: the sweep is band-sharded (see below) with the
-// band count following `threads`, shards run as independent std::async
-// tasks, and the partner lists are merged back in sweep order — the
-// emitted constraint stream is byte-identical to generate_constraints.
-// `threads` <= 0 means one per hardware core; 1 runs the same code
-// serially.
-void generate_constraints_parallel(ConstraintSystem& system,
-                                   const std::vector<CompactionBox>& boxes,
-                                   const CompactionRules& rules, int threads = 0);
+void generate_constraints(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
+                          const CompactionRules& rules, int threads = 1);
 
 // --- band-sharded sweeps -------------------------------------------------
 //
@@ -89,8 +91,7 @@ std::vector<Coord> band_cuts(const std::vector<CompactionBox>& boxes, int bands)
 // hardware core, and the result is always at least 1.
 int resolve_sweep_threads(int threads);
 
-// The sweep order every generator uses: left edge, then right edge, stable
-// on the box index.
+// The sweep order: left edge, then right edge, stable on the box index.
 std::vector<std::size_t> sweep_order(const std::vector<CompactionBox>& boxes);
 
 // The y window box `box` opens onto profile layer `layer` (its y extent
@@ -101,16 +102,10 @@ std::vector<std::size_t> sweep_order(const std::vector<CompactionBox>& boxes);
 bool layer_window(const CompactionBox& box, int layer, const CompactionRules& rules, Coord& y0,
                   Coord& y1);
 
-// Runs profile layer `layer`'s share of the Figure 6.7 sweep restricted to
-// the band [y0, y1): windows and profile extents are clipped to the band.
-void sweep_layer_band(int layer, Coord y0, Coord y1, const std::vector<CompactionBox>& boxes,
-                      const std::vector<std::size_t>& order, const CompactionRules& rules,
-                      SweepShard& out);
-
 // Runs the listed shard sweeps (layer-major indices: layer * bands + band
-// into `shards`) strided across `threads` std::async tasks. The banded
-// generator passes every index; the incremental engine passes only the
-// dirty ones.
+// into `shards`) strided across `threads` std::async tasks.
+// generate_constraints passes every index; the incremental engine passes
+// only the dirty ones.
 void sweep_shards(const std::vector<CompactionBox>& boxes, const std::vector<std::size_t>& order,
                   const CompactionRules& rules, const std::vector<Coord>& cuts,
                   const std::vector<std::size_t>& shard_indices, std::vector<SweepShard>& shards,
@@ -118,35 +113,31 @@ void sweep_shards(const std::vector<CompactionBox>& boxes, const std::vector<std
 
 // Emits the width/anchor constraints, then the pair constraints merged
 // from the shard partner lists: per box in sweep order the partners are
-// gathered, sorted and deduplicated — exactly the generate_constraints
-// emission, so any shard partition of the same geometry produces the
-// byte-identical constraint stream.
+// gathered, sorted and deduplicated, so any shard partition of the same
+// geometry produces the byte-identical constraint stream.
 void emit_constraints_from_shards(ConstraintSystem& system,
                                   const std::vector<CompactionBox>& boxes,
                                   const std::vector<std::size_t>& order,
                                   const CompactionRules& rules,
                                   const std::vector<const SweepShard*>& shards);
 
-// The band-sharded generator: `bands` y bands per layer, shards run on
-// `threads` std::async tasks (<= 0 means one per hardware core). Byte-
-// identical to generate_constraints for every band count.
-void generate_constraints_banded(ConstraintSystem& system,
-                                 const std::vector<CompactionBox>& boxes,
-                                 const CompactionRules& rules, int bands, int threads = 1);
+// The emission the generator shares with the test oracle's reference
+// generator (tests/oracle).
+namespace detail {
 
-// The pre-scaling reference: all-pairs net discovery (O(n^2)) and a
-// linear-scan profile (O(n) per query/insert). Kept selectable so the
-// equivalence property tests and the scaling benchmark can prove the fast
-// path emits the byte-identical constraint system.
-void generate_constraints_reference(ConstraintSystem& system,
-                                    const std::vector<CompactionBox>& boxes,
-                                    const CompactionRules& rules);
+// Per box: the width constraint (and its upper bound for rigid boxes),
+// plus the anchor against the left wall.
+void add_width_and_anchor(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
+                          const CompactionRules& rules);
 
-// The naive generator: every same-layer / interacting pair with y overlap
-// gets a spacing constraint, hidden or not — the §6.4.1 mistake that
-// "can substantially overconstrain the system" (Figure 6.4/6.5).
-void generate_constraints_naive(ConstraintSystem& system,
-                                const std::vector<CompactionBox>& boxes,
-                                const CompactionRules& rules);
+// The constraints between box ib and a box ia its window sees: kConnect
+// for touching boxes of one net (net[i] labels box i's electrical net),
+// none for the rest of a net, kOrder for overlapping interacting boxes,
+// and kSpacing for disjoint ones closer in y than their spacing.
+void emit_pair_constraint(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
+                          std::size_t ia, std::size_t ib, const CompactionRules& rules,
+                          const std::vector<std::size_t>& net);
+
+}  // namespace detail
 
 }  // namespace rsg::compact

@@ -67,9 +67,9 @@ XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes,
 
   // The incremental engine keeps per-axis band/warm state alive across the
   // whole schedule; the scratch path rebuilds each pass (the equivalence
-  // baseline). The naive generator has no band structure.
+  // baseline).
   std::optional<IncrementalCompactor> engine;
-  if (schedule.incremental && !options.naive_constraints) {
+  if (schedule.incremental) {
     engine.emplace(rules, options, schedule.incremental_options, stretchable);
   }
 

@@ -2,7 +2,7 @@
 //
 // The thesis's compactor is one-dimensional: "we will restrict ourselves to
 // one dimensional compaction in the x dimension" (§6.3), with y handled by
-// transposition. A single x pass then y pass (compact_flat_xy) leaves area
+// transposition. A single x pass then y pass (max_rounds = 1) leaves area
 // on the table — pulling boxes down changes which boxes share a band, so a
 // second x pass can reclaim width the first could not see. This driver
 // alternates the two axes until a round leaves the geometry unchanged (the
@@ -68,9 +68,7 @@ struct XyScheduleOptions {
   // clean-band constraint slices are spliced instead of re-swept and the
   // solves warm-start from the previous round's coordinates. Byte-identical
   // to the scratch schedule; disable to rebuild every pass from scratch
-  // (the equivalence baseline the benchmarks measure against). The naive
-  // generator has no band structure, so naive_constraints always takes the
-  // scratch path.
+  // (the equivalence baseline the benchmarks measure against).
   bool incremental = true;
   IncrementalOptions incremental_options;
   // Checkpoint/restart. The sink (if set) receives the full schedule state

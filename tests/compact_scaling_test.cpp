@@ -1,12 +1,14 @@
-// Equivalence property tests for the scaled compaction hot path: the sweep
-// net finder + ordered-segment profile must emit the byte-identical
-// constraint system as the quadratic/linear reference, the worklist solvers
-// must reproduce the pass-based solutions exactly (the least/greatest
-// fixpoints are unique) and certify every infeasible verdict, and the
-// hashed rigid-group matcher must build the same groups as the all-pairs
-// scan — across 500+ seeded random box fields, the structured grid/PLA
-// shapes the benchmarks sweep, and the stacked geometry compaction rounds
-// leave behind. A work tripwire keeps the solver's dequeues linear.
+// Equivalence property tests for the scaled compaction hot path against
+// the test-only oracle (tests/oracle): the sweep net finder + ordered-
+// segment profile must emit the byte-identical constraint system as the
+// all-pairs/linear-scan reference generator, for every band partition; the
+// worklist solvers must reproduce the pass-based solutions exactly (the
+// least/greatest fixpoints are unique) and certify every infeasible
+// verdict; and the hashed rigid-group matcher must build the same groups
+// as the all-pairs scan — across 500+ seeded random box fields, the
+// structured grid/PLA shapes the benchmarks sweep, and the stacked
+// geometry compaction rounds leave behind. A work tripwire keeps the
+// solver's dequeues linear.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +22,9 @@
 #include "compact/xy_schedule.hpp"
 #include "io/param_file.hpp"
 #include "layout/flatten.hpp"
+#include "oracle/pass_based_solvers.hpp"
+#include "oracle/quadratic_rigid_groups.hpp"
+#include "oracle/reference_generators.hpp"
 #include "rsg/generator.hpp"
 #include "support/error.hpp"
 
@@ -38,6 +43,25 @@ std::vector<CompactionBox> to_compaction_boxes(const SynthField& field,
   }
   add_box_variables(system, boxes);
   return boxes;
+}
+
+// The constraint stream of `field` swept in `bands` y bands on `threads`
+// tasks through the shard API, as the incremental engine drives it.
+// generate_constraints picks its band count from its thread count, and only
+// on batches of kBandedGenerationMinBoxes boxes or more.
+ConstraintSystem banded_constraints(const SynthField& field, int bands, int threads) {
+  ConstraintSystem system;
+  const std::vector<CompactionBox> boxes = to_compaction_boxes(field, system);
+  const std::vector<std::size_t> order = sweep_order(boxes);
+  const std::vector<Coord> cuts = band_cuts(boxes, bands);
+  std::vector<SweepShard> shards(static_cast<std::size_t>(kNumLayers) * (cuts.size() - 1));
+  std::vector<std::size_t> all(shards.size());
+  std::iota(all.begin(), all.end(), 0);
+  sweep_shards(boxes, order, CompactionRules::mosis(), cuts, all, shards, threads);
+  std::vector<const SweepShard*> views;
+  for (const SweepShard& shard : shards) views.push_back(&shard);
+  emit_constraints_from_shards(system, boxes, order, CompactionRules::mosis(), views);
+  return system;
 }
 
 void expect_identical_systems(const ConstraintSystem& fast, const ConstraintSystem& ref,
@@ -206,7 +230,7 @@ bool expect_worklist_matches_pass_based(const ConstraintSystem& system,
   ConstraintSystem pass = system;
   bool feasible = true;
   try {
-    EXPECT_TRUE(solve_leftmost(pass, EdgeOrder::kSorted).converged) << label;
+    EXPECT_TRUE(oracle::solve_leftmost(pass).converged) << label;
   } catch (const Error&) {
     feasible = false;
   }
@@ -223,7 +247,7 @@ bool expect_worklist_matches_pass_based(const ConstraintSystem& system,
   if (!pass.values.empty()) {
     const Coord width = *std::max_element(pass.values.begin(), pass.values.end());
     std::vector<Coord> pass_upper;
-    solve_rightmost(pass, width, pass_upper);
+    oracle::solve_rightmost(pass, width, pass_upper);
     std::vector<Coord> work_upper;
     solve_rightmost_worklist(work, width, work_upper);
     EXPECT_EQ(pass_upper, work_upper) << label;
@@ -285,60 +309,40 @@ TEST(CompactScaling, SweepGeneratorMatchesReferenceByteForByte) {
 
     ConstraintSystem ref;
     const std::vector<CompactionBox> ref_boxes = to_compaction_boxes(field, ref);
-    generate_constraints_reference(ref, ref_boxes, CompactionRules::mosis());
+    oracle::generate_constraints_reference(ref, ref_boxes, CompactionRules::mosis());
 
     expect_identical_systems(fast, ref, seed);
     ++seed;
   }
 }
 
-TEST(CompactScaling, ParallelGenerationMatchesSerialByteForByte) {
-  // The per-layer parallel sweep merges partner lists in sweep order, so
-  // the emitted constraint stream must be byte-identical to the serial
-  // generator — on the property fields and the benchmark grid.
+TEST(CompactScaling, BandShardedGenerationMatchesSerialByteForByte) {
+  // The band-sharded sweep (the parallelism unit of large batches and the
+  // incremental engine's reuse unit) must emit the byte-identical
+  // constraint stream for ANY band partition: queries and profile extents
+  // are clipped to each band, and the per-box merge unions the shards back
+  // to the full-layer partner sets — on the property fields and the
+  // benchmark grid.
   std::uint32_t seed = 0;
   std::vector<SynthField> fields = property_fields();
   fields.push_back(make_grid_field_of_size(1000));
   for (const SynthField& field : fields) {
-    ConstraintSystem parallel;
-    const std::vector<CompactionBox> parallel_boxes = to_compaction_boxes(field, parallel);
-    generate_constraints_parallel(parallel, parallel_boxes, CompactionRules::mosis(),
-                                  /*threads=*/4);
-
     ConstraintSystem serial;
     const std::vector<CompactionBox> serial_boxes = to_compaction_boxes(field, serial);
     generate_constraints(serial, serial_boxes, CompactionRules::mosis());
-
-    expect_identical_systems(parallel, serial, seed);
-    ++seed;
-  }
-}
-
-TEST(CompactScaling, BandShardedGenerationMatchesSerialByteForByte) {
-  // The band-sharded sweep (the incremental engine's reuse unit) must emit
-  // the byte-identical constraint stream for ANY band partition: queries
-  // and profile extents are clipped to each band, and the per-box merge
-  // unions the shards back to the full-layer partner sets.
-  std::uint32_t seed = 0;
-  for (const SynthField& field : property_fields()) {
-    ConstraintSystem serial;
-    const std::vector<CompactionBox> serial_boxes = to_compaction_boxes(field, serial);
-    generate_constraints(serial, serial_boxes, CompactionRules::mosis());
-    for (const int bands : {2, 5, 16}) {
-      ConstraintSystem banded;
-      const std::vector<CompactionBox> banded_boxes = to_compaction_boxes(field, banded);
-      generate_constraints_banded(banded, banded_boxes, CompactionRules::mosis(), bands,
-                                  /*threads=*/3);
-      expect_identical_systems(banded, serial, seed);
+    for (const int bands : {2, 4, 5, 16}) {
+      expect_identical_systems(banded_constraints(field, bands, /*threads=*/3), serial, seed);
     }
     ++seed;
   }
 }
 
 TEST(CompactScaling, BuilderThreadsAreAThroughputKnobOnly) {
-  // compact_flat with generation_threads forced past the parallel threshold
-  // must reproduce the serial result exactly, rubber band included.
+  // compact_flat with generation_threads on a batch past the banding
+  // threshold must reproduce the serial result exactly, rubber band
+  // included.
   const SynthField field = make_grid_field_of_size(4000);
+  ASSERT_GE(field.boxes.size(), kBandedGenerationMinBoxes);
   FlatOptions serial_options;
   serial_options.generation_threads = 1;
   const FlatResult serial =
@@ -375,11 +379,11 @@ TEST(CompactScaling, HashedRigidGroupsMatchQuadratic) {
     const std::vector<CompactionBox> boxes = to_compaction_boxes(field, system);
     generate_constraints(system, boxes, CompactionRules::mosis());
 
-    RigidGroups hashed(system, RigidMatch::kHashed);
-    RigidGroups quadratic(system, RigidMatch::kQuadratic);
+    RigidGroups hashed(system);
+    const oracle::RigidPartition quadratic = oracle::quadratic_rigid_groups(system);
     for (std::size_t v = 0; v < system.variable_count(); ++v) {
-      ASSERT_EQ(hashed.leader(v), quadratic.leader(v)) << "seed " << seed << " var " << v;
-      ASSERT_EQ(hashed.offset(v), quadratic.offset(v)) << "seed " << seed << " var " << v;
+      ASSERT_EQ(hashed.leader(v), quadratic.leader[v]) << "seed " << seed << " var " << v;
+      ASSERT_EQ(hashed.offset(v), quadratic.offset[v]) << "seed " << seed << " var " << v;
     }
     ++seed;
   }
@@ -405,7 +409,7 @@ TEST(CompactScaling, PlantedCyclesAreCertifiedInLinearWork) {
     const ConstraintSystem system = planted_cycle_system(seed);
     const std::string label = "planted seed " + std::to_string(seed);
     ConstraintSystem pass = system;
-    EXPECT_THROW(solve_leftmost(pass, EdgeOrder::kSorted), Error) << label;
+    EXPECT_THROW(oracle::solve_leftmost(pass), Error) << label;
     const std::size_t bound = 2 * (system.variable_count() + system.constraint_count());
     ConstraintSystem work = system;
     EXPECT_LE(expect_certified(work, [&] { solve_leftmost_worklist(work); }, label), bound)

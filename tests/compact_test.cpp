@@ -1,11 +1,14 @@
-// Tests for the flat compactor: Bellman–Ford solving (§6.4.2), edge-order
-// pass counts, the rubber-band jog removal (Figure 6.8), and DRC-validity of
-// the compacted result.
+// Tests for the flat compactor: Bellman–Ford solving (§6.4.2), the edge-order
+// pass counts of the pass-based oracle, the rubber-band jog removal
+// (Figure 6.8), and DRC-validity of the compacted result.
 #include "compact/flat_compactor.hpp"
 
 #include <gtest/gtest.h>
 
+#include "compact/xy_schedule.hpp"
 #include "layout/design_rules.hpp"
+#include "oracle/pass_based_solvers.hpp"
+#include "oracle/reference_generators.hpp"
 #include "support/error.hpp"
 
 namespace rsg::compact {
@@ -23,11 +26,11 @@ TEST(BellmanFord, SortedOrderConvergesInOnePassOnChains) {
     system.add_constraint(vars[static_cast<std::size_t>(i - 1)],
                           vars[static_cast<std::size_t>(i)], 4, ConstraintKind::kSpacing);
   }
-  const SolveStats sorted = solve_leftmost(system, EdgeOrder::kSorted);
+  const SolveStats sorted = oracle::solve_leftmost(system, oracle::EdgeOrder::kSorted);
   EXPECT_TRUE(sorted.converged);
   EXPECT_EQ(sorted.passes, 2);  // one productive pass + one verification pass
 
-  const SolveStats reversed = solve_leftmost(system, EdgeOrder::kReversed);
+  const SolveStats reversed = oracle::solve_leftmost(system, oracle::EdgeOrder::kReversed);
   EXPECT_TRUE(reversed.converged);
   EXPECT_GT(reversed.passes, 10);  // worst case approaches |V|
   // Both orders give the same (least) solution.
@@ -40,7 +43,7 @@ TEST(BellmanFord, InfeasibleCycleThrows) {
   const int b = system.add_variable(10);
   system.add_constraint(a, b, 5, ConstraintKind::kSpacing);
   system.add_constraint(b, a, 5, ConstraintKind::kSpacing);  // a >= b + 5 too
-  EXPECT_THROW(solve_leftmost(system), Error);
+  EXPECT_THROW(oracle::solve_leftmost(system), Error);
 }
 
 TEST(BellmanFord, PitchTermsShiftBounds) {
@@ -56,7 +59,7 @@ TEST(BellmanFord, PitchTermsShiftBounds) {
   c.pitch = pitch;
   c.pitch_coeff = 1;
   system.add_constraint(c);
-  solve_leftmost(system);
+  solve_leftmost_worklist(system);
   EXPECT_EQ(system.values[static_cast<std::size_t>(b)], 15);
 }
 
@@ -119,9 +122,7 @@ TEST(FlatCompactor, NaiveConstraintsGiveWiderResult) {
     boxes.push_back({Layer::kDiffusion, Box(i * 10, 0, (i + 1) * 10, 4)});
     stretchable.push_back(true);
   }
-  FlatOptions naive;
-  naive.naive_constraints = true;
-  const FlatResult bad = compact_flat(boxes, CompactionRules::mosis(), naive, stretchable);
+  const FlatResult bad = oracle::compact_flat_naive(boxes, CompactionRules::mosis(), stretchable);
   const FlatResult good = compact_flat(boxes, CompactionRules::mosis(), {}, stretchable);
   // Naive: every adjacent pair held apart by diffusion spacing -> >= n*λ.
   EXPECT_GE(bad.width_after, 8 * 6);
@@ -189,7 +190,10 @@ TEST(FlatCompactor, TwoAxisCompaction) {
       {Layer::kMetal1, Box(0, 0, 10, 4)},
       {Layer::kMetal1, Box(40, 30, 50, 34)},
   };
-  const XyResult result = compact_flat_xy(boxes, CompactionRules::mosis());
+  XyScheduleOptions one_round;
+  one_round.max_rounds = 1;
+  const XyScheduleResult result =
+      compact_flat_schedule(boxes, CompactionRules::mosis(), {}, one_round);
   // The boxes are far apart in y, so the x pass stacks them both at x = 0.
   EXPECT_EQ(result.width_after, 10);
   // Then the y pass pulls them to the metal spacing.

@@ -1,11 +1,12 @@
 // Tests for constraint generation (§6.4.1): visibility scan line versus the
-// naive overconstraining generator, hidden edges, net awareness, and the
-// shadow margin.
+// naive overconstraining generator (the test-only oracle's), hidden edges,
+// net awareness, and the shadow margin.
 #include "compact/scanline.hpp"
 
 #include <gtest/gtest.h>
 
 #include "compact/bellman_ford.hpp"
+#include "oracle/reference_generators.hpp"
 #include "support/error.hpp"
 
 namespace rsg::compact {
@@ -37,7 +38,7 @@ TEST(Scanline, TwoBoxesGetOneSpacingConstraint) {
   generate_constraints(system, boxes, CompactionRules::mosis());
   EXPECT_EQ(count_kind(system, ConstraintKind::kSpacing), 1);
 
-  solve_leftmost(system);
+  solve_leftmost_worklist(system);
   // Packed: first box at [0,10], second at [16,26] (spacing 6).
   EXPECT_EQ(system.values[static_cast<std::size_t>(boxes[1].left_var)], 16);
 }
@@ -88,7 +89,7 @@ TEST(Scanline, NaiveGeneratorOverconstrainsFragments) {
   }
   ConstraintSystem system;
   add_box_variables(system, boxes);
-  generate_constraints_naive(system, boxes, CompactionRules::mosis());
+  oracle::generate_constraints_naive(system, boxes, CompactionRules::mosis());
   EXPECT_GT(count_kind(system, ConstraintKind::kSpacing), 4);
 }
 
@@ -130,7 +131,7 @@ TEST(Scanline, OverlappingInteractingLayersPreserveOrdering) {
   generate_constraints(system, boxes, CompactionRules::mosis());
   EXPECT_GT(count_kind(system, ConstraintKind::kOrder), 0);
 
-  solve_leftmost(system);
+  solve_leftmost_worklist(system);
   // The poly must still cross the diffusion: its left edge stays right of
   // the diffusion's left edge, its right edge left of the diffusion's right.
   EXPECT_LE(system.values[static_cast<std::size_t>(boxes[0].left_var)],
@@ -144,7 +145,7 @@ TEST(Scanline, RigidBoxesKeepTheirWidth) {
   ConstraintSystem system;
   add_box_variables(system, boxes);
   generate_constraints(system, boxes, CompactionRules::mosis());
-  solve_leftmost(system);
+  solve_leftmost_worklist(system);
   EXPECT_EQ(system.values[static_cast<std::size_t>(boxes[0].right_var)] -
                 system.values[static_cast<std::size_t>(boxes[0].left_var)],
             20);
@@ -155,7 +156,7 @@ TEST(Scanline, StretchableBoxesMayShrinkToMinimumWidth) {
   ConstraintSystem system;
   add_box_variables(system, boxes);
   generate_constraints(system, boxes, CompactionRules::mosis());
-  solve_leftmost(system);
+  solve_leftmost_worklist(system);
   EXPECT_EQ(system.values[static_cast<std::size_t>(boxes[0].right_var)] -
                 system.values[static_cast<std::size_t>(boxes[0].left_var)],
             4);  // metal1 minimum width

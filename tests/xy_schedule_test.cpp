@@ -249,7 +249,10 @@ TEST(XySchedule, SecondRoundCanBeatSingleXyPass) {
       {Layer::kMetal1, Box(16, 10, 26, 14)},  // B
       {Layer::kMetal1, Box(0, 0, 4, 4)},      // C (blocker under A)
   };
-  const XyResult one = compact_flat_xy(boxes, CompactionRules::mosis());
+  XyScheduleOptions one_round;
+  one_round.max_rounds = 1;
+  const XyScheduleResult one =
+      compact_flat_schedule(boxes, CompactionRules::mosis(), {}, one_round);
   XyScheduleOptions schedule;
   schedule.max_rounds = 8;
   const XyScheduleResult many =
