@@ -4,8 +4,8 @@
 // Three configurations sweep each size:
 //   naive     the §6.4.1 overconstraining pairwise generator (O(n^2) pairs)
 //             plus the pass-based Bellman–Ford solver
-//   scanline  the visibility scan-line generator (sweep net finder +
-//             ordered-segment profile) plus the pass-based solver
+//   scanline  the visibility scan-line generator (ordered-segment profile,
+//             nets from its partner lists) plus the pass-based solver
 //   worklist  compact_flat as production runs it: the scan-line generator
 //             plus the worklist solver
 // The naive generator and the pass-based solver are test-only oracle code

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checks run by the CI `docs` job (and usable locally).
 
-Five checks, all dependency-free:
+Six checks, all dependency-free:
 
  1. Markdown link integrity: every relative link target in every tracked
     *.md file must resolve to an existing file or directory (anchors are
@@ -25,6 +25,11 @@ Five checks, all dependency-free:
     through PROPERTY LABELS, so a doc cannot keep naming a dropped label
     (ctest would silently run zero tests). An alternation such as
     'concurrency|compact' is split on `|` and each label checked.
+ 6. Code names: every backticked CamelCase name in README.md and
+    docs/**/*.md, optionally qualified as `Type::member`, must occur as an
+    identifier (each `::` part) in a source file under src/, tests/,
+    examples/, bench/ or perfbench/src, so a deleted or renamed class,
+    struct or option cannot leave a stale reference behind.
 
 Exits non-zero with one line per violation.
 """
@@ -186,6 +191,36 @@ def check_test_labels(errors):
                                   "tests/CMakeLists.txt")
 
 
+# A whole backticked span that is one CamelCase name, optionally followed
+# by ::member parts: `OrderedProfile`, `FlatOptions::generation_threads`.
+CODE_NAME_RE = re.compile(r"`([A-Z][a-z][A-Za-z0-9_]*(?:::[A-Za-z_]\w*)*)`")
+CODE_DIRS = ["src", "tests", "examples", "bench", os.path.join("perfbench", "src")]
+CODE_SUFFIXES = (".cpp", ".hpp", ".h", ".cc")
+
+
+def check_code_names(errors):
+    """Every CamelCase code name the docs mention is an identifier in the code."""
+    identifiers = set()
+    for directory in CODE_DIRS:
+        for base, _, files in os.walk(os.path.join(REPO, directory)):
+            for name in files:
+                if name.endswith(CODE_SUFFIXES):
+                    with open(os.path.join(base, name), encoding="utf-8") as f:
+                        identifiers.update(re.findall(r"\w+", f.read()))
+    if not identifiers:
+        errors.append("no source files found under " + ", ".join(CODE_DIRS))
+        return
+    sources = [os.path.join(REPO, "README.md")]
+    sources += glob.glob(os.path.join(REPO, "docs", "**", "*.md"), recursive=True)
+    for path in sorted(sources):
+        rel = os.path.relpath(path, REPO)
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        for name in sorted(set(CODE_NAME_RE.findall(text))):
+            if not all(part in identifiers for part in name.split("::")):
+                errors.append(f"{rel}: `{name}` names nothing in " + ", ".join(CODE_DIRS))
+
+
 def main():
     errors = []
     check_links(errors)
@@ -193,6 +228,7 @@ def main():
     check_status_codes(errors)
     check_bench_names(errors)
     check_test_labels(errors)
+    check_code_names(errors)
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     if errors:
@@ -200,7 +236,7 @@ def main():
     count = len(tracked_markdown())
     print(
         f"docs check passed: {count} markdown files, "
-        "links, artifact schemas, status codes, benchmark names and test labels OK"
+        "links, artifact schemas, status codes, benchmark names, test labels and code names OK"
     )
     return 0
 

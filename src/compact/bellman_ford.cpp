@@ -1,7 +1,6 @@
 #include "compact/bellman_ford.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -9,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "compact/radix_sort.hpp"
 #include "support/error.hpp"
 
 namespace rsg::compact {
@@ -83,32 +83,17 @@ Adjacency build_adjacency(const ConstraintSystem& system, Direction dir) {
 }
 
 // The variables in order of initial abscissa (descending for the dual),
-// ties by index: a stable LSD radix sort of each abscissa's offset from
-// the smallest, one byte per pass, as many passes as the range needs.
+// ties by index.
 std::vector<Index> seeding_order(const ConstraintSystem& system, bool descending) {
   const std::size_t n = system.variable_count();
-  const auto abscissa = [&](std::size_t v) {
-    const Coord x = system.initial(static_cast<int>(v));
-    return descending ? -x : x;
-  };
-  Coord lo = std::numeric_limits<Coord>::max();
-  for (std::size_t v = 0; v < n; ++v) lo = std::min(lo, abscissa(v));
-  std::vector<std::uint64_t> key(n);
-  std::uint64_t range = 0;
+  std::vector<Coord> abscissa(n);
   for (std::size_t v = 0; v < n; ++v) {
-    key[v] = static_cast<std::uint64_t>(abscissa(v)) - static_cast<std::uint64_t>(lo);
-    range |= key[v];
+    const Coord x = system.initial(static_cast<int>(v));
+    abscissa[v] = descending ? -x : x;
   }
   std::vector<Index> order(n);
   std::iota(order.begin(), order.end(), 0);
-  std::vector<Index> sorted(n);
-  for (unsigned shift = 0; shift < 64 && (range >> shift) != 0; shift += 8) {
-    std::array<std::size_t, 257> start{};
-    for (const Index v : order) ++start[((key[v] >> shift) & 0xff) + 1];
-    for (std::size_t d = 0; d < 256; ++d) start[d + 1] += start[d];
-    for (const Index v : order) sorted[start[(key[v] >> shift) & 0xff]++] = v;
-    order.swap(sorted);
-  }
+  stable_radix_sort(order, abscissa);
   return order;
 }
 

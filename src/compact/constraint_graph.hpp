@@ -50,10 +50,11 @@ class ConstraintSystem {
   std::size_t pitch_count() const { return pitch_initial_.size(); }
   std::size_t constraint_count() const { return constraints_.size(); }
 
-  // Incremental rebuilds (compact/incremental.hpp): drop the constraints
-  // but keep the variables, so re-emitting into the same system skips the
-  // per-variable allocation of a from-scratch build.
-  void clear_constraints() { constraints_.clear(); }
+  // Incremental rebuilds (compact/incremental.hpp): keep the variables and
+  // the first `count` constraints (the width/anchor prefix, or none), so
+  // re-emitting the pairs into the same system skips the per-variable
+  // allocation and the prefix of a from-scratch build.
+  void truncate_constraints(std::size_t count) { constraints_.resize(count); }
   // Refresh a variable's initial abscissa to the current geometry (the
   // §6.4.2 seeding order sorts by it).
   void set_initial(int v, Coord x) { initial_[static_cast<std::size_t>(v)] = x; }

@@ -20,8 +20,10 @@ namespace rsg::compact {
 struct FlatOptions {
   bool apply_rubber_band = false;
   bool mark_all_stretchable = false;
-  // Constraint-generation threads (see generate_constraints): 0 = one per
-  // hardware core, 1 = serial. Byte-identical either way.
+  // compact_flat's constraint-generation threads (see
+  // generate_constraints): 0 = one per hardware core, 1 = serial.
+  // Byte-identical either way. The incremental engine, which runs the x/y
+  // schedule by default, ignores it: it sweeps on the calling thread.
   int generation_threads = 0;
 };
 

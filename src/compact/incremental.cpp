@@ -9,66 +9,6 @@ namespace rsg::compact {
 
 namespace {
 
-std::uint64_t mix64(std::uint64_t h) {
-  // splitmix64 finalizer.
-  h += 0x9e3779b97f4a7c15ull;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-  return h ^ (h >> 31);
-}
-
-std::uint64_t box_fingerprint(std::size_t index, const CompactionBox& cb) {
-  std::uint64_t h = mix64(static_cast<std::uint64_t>(index));
-  h = mix64(h ^ static_cast<std::uint64_t>(cb.geometry.box.lo.x));
-  h = mix64(h ^ static_cast<std::uint64_t>(cb.geometry.box.lo.y));
-  h = mix64(h ^ static_cast<std::uint64_t>(cb.geometry.box.hi.x));
-  h = mix64(h ^ static_cast<std::uint64_t>(cb.geometry.box.hi.y));
-  return mix64(h ^ static_cast<std::uint64_t>(cb.geometry.layer));
-}
-
-// Participant hash per (layer, band) shard: every box whose query window
-// onto the layer overlaps the band folds its fingerprint in, in box-index
-// order. The window is the participation predicate of the sweep itself
-// (layer_window), so an unchanged hash means the shard's sweep would
-// replay the identical query/insert sequence — its stored partner list is
-// still exact. The window carries the shadow margin, which is what makes
-// a moved box dirty its own band plus the spacing-radius neighbors.
-std::vector<std::uint64_t> shard_hashes(const std::vector<CompactionBox>& boxes,
-                                        const CompactionRules& rules,
-                                        const std::vector<Coord>& cuts) {
-  const std::size_t nb = cuts.size() - 1;
-  std::vector<std::uint64_t> hashes(static_cast<std::size_t>(kNumLayers) * nb,
-                                    0xcbf29ce484222325ull);
-  // A layer with no member boxes has an empty profile forever: its shards
-  // contribute no partners whatever the queriers do, so they are skipped
-  // both here and by the sweeps (their hashes never change, so they are
-  // never dirty). The box set of a schedule is fixed, so a layer cannot
-  // gain members between passes.
-  bool has_member[kNumLayers] = {};
-  for (const CompactionBox& cb : boxes) {
-    has_member[static_cast<int>(cb.geometry.layer)] = true;
-  }
-  for (std::size_t i = 0; i < boxes.size(); ++i) {
-    const std::uint64_t fp = box_fingerprint(i, boxes[i]);
-    for (int li = 0; li < kNumLayers; ++li) {
-      if (!has_member[li]) continue;
-      Coord y0 = 0;
-      Coord y1 = 0;
-      if (!layer_window(boxes[i], li, rules, y0, y1)) continue;
-      // Bands overlapped by [y0, y1): cuts[b] < y1 and cuts[b + 1] > y0.
-      const std::size_t b0 = static_cast<std::size_t>(
-          std::upper_bound(cuts.begin(), cuts.end(), y0) - cuts.begin() - 1);
-      const std::size_t b1 = static_cast<std::size_t>(
-          std::lower_bound(cuts.begin(), cuts.end(), y1) - cuts.begin() - 1);
-      for (std::size_t b = b0; b <= b1 && b < nb; ++b) {
-        std::uint64_t& h = hashes[static_cast<std::size_t>(li) * nb + b];
-        h = mix64(h ^ fp);
-      }
-    }
-  }
-  return hashes;
-}
-
 void expect_identical_to_scratch(const ConstraintSystem& incremental,
                                  std::vector<CompactionBox> boxes,
                                  const CompactionRules& rules) {
@@ -134,93 +74,133 @@ FlatResult IncrementalCompactor::pass(AxisState& state, const std::vector<LayerB
   // normalization cannot dirty bands by itself.
   std::vector<CompactionBox> cboxes =
       normalized_compaction_boxes(boxes, options_, stretchable_, result.width_before);
+  const std::size_t n = cboxes.size();
 
-  const int threads = resolve_sweep_threads(options_.generation_threads);
-  if (!state.initialized) {
-    const int bands = incremental_.bands > 0 ? incremental_.bands : threads;
-    state.cuts = band_cuts(cboxes, std::max(bands, 1));
-  }
+  if (!state.initialized) state.cuts = band_cuts(cboxes, std::max(incremental_.bands, 1));
   const std::size_t nb = state.cuts.size() - 1;
   const std::size_t total = static_cast<std::size_t>(kNumLayers) * nb;
 
-  // Dirty detection: recompute every shard's participant hash against the
-  // current geometry and compare with the hash its stored partner list was
-  // swept under.
-  std::vector<std::uint64_t> hashes = shard_hashes(cboxes, rules_, state.cuts);
-  state.stats = {};
-  state.stats.shards_total = static_cast<int>(total);
-  state.stats.full_build = !state.initialized;
-  const bool rebuild_all = !state.initialized || incremental_.full_rebuild;
-  state.shards.resize(total);
-
-  std::vector<std::size_t> dirty;
-  dirty.reserve(total);
-  for (std::size_t s = 0; s < total; ++s) {
-    if (rebuild_all || hashes[s] != state.hashes[s]) dirty.push_back(s);
-  }
-
-  std::vector<std::size_t> order;  // computed lazily: an all-clean pass never sweeps
-  if (!dirty.empty()) {
-    order = sweep_order(cboxes);
-    sweep_shards(cboxes, order, rules_, state.cuts, dirty, state.shards, threads);
-  }
-  state.hashes = std::move(hashes);
-  state.initialized = true;
-
-  state.stats.shards_reswept = static_cast<int>(dirty.size());
-  {
-    std::vector<char> reswept(total, 0);
-    for (const std::size_t s : dirty) reswept[s] = 1;
-    for (std::size_t s = 0; s < total; ++s) {
-      if (reswept[s]) {
-        state.stats.partners_reswept += state.shards[s].partners.size();
-      } else {
-        state.stats.partners_reused += state.shards[s].partners.size();
+  // Dirty detection against the previous pass's input: a box whose
+  // geometry changed dirties the bands its old and its new window overlap.
+  // The window is the sweep's own participation predicate (layer_window),
+  // so a shard no moved box reaches would replay the identical query/insert
+  // sequence, and its stored partner list is still exact. A layer without
+  // member boxes has an empty profile and contributes no partners whatever
+  // the queriers do, so its shards are never dirty. The first pass, and a
+  // pass whose box count or layers changed, re-sweeps every shard.
+  std::vector<char> dirty_flag(total, 0);
+  const auto mark = [&](const LayerBox& geometry) {
+    CompactionBox cb;
+    cb.geometry = geometry;
+    for (int li = 0; li < kNumLayers; ++li) {
+      Coord y0 = 0;
+      Coord y1 = 0;
+      if (!state.has_member[static_cast<std::size_t>(li)] ||
+          !layer_window(cb, li, rules_, y0, y1)) {
+        continue;
+      }
+      // Bands overlapped by [y0, y1): cuts[b] < y1 and cuts[b + 1] > y0.
+      const auto b0 = static_cast<std::size_t>(
+          std::upper_bound(state.cuts.begin(), state.cuts.end(), y0) - state.cuts.begin() - 1);
+      const auto b1 = static_cast<std::size_t>(
+          std::lower_bound(state.cuts.begin(), state.cuts.end(), y1) - state.cuts.begin() - 1);
+      for (std::size_t b = b0; b <= b1 && b < nb; ++b) {
+        dirty_flag[static_cast<std::size_t>(li) * nb + b] = 1;
       }
     }
-    for (const std::size_t s : dirty) state.stats.dirty_bands.push_back(static_cast<int>(s % nb));
-    std::sort(state.stats.dirty_bands.begin(), state.stats.dirty_bands.end());
-    state.stats.dirty_bands.erase(
-        std::unique(state.stats.dirty_bands.begin(), state.stats.dirty_bands.end()),
-        state.stats.dirty_bands.end());
+  };
+  bool same_boxes = state.initialized && state.previous.size() == n;
+  bool widths_kept = true;
+  for (std::size_t i = 0; same_boxes && i < n; ++i) {
+    const LayerBox& was = state.previous[i];
+    const LayerBox& now = cboxes[i].geometry;
+    if (was == now) continue;
+    same_boxes = was.layer == now.layer;
+    if (!cboxes[i].stretchable && was.box.width() != now.box.width()) widths_kept = false;
+    mark(was);
+    mark(now);
+  }
+  if (!same_boxes) {
+    state.has_member.fill(false);
+    for (const CompactionBox& cb : cboxes) {
+      state.has_member[static_cast<std::size_t>(cb.geometry.layer)] = true;
+    }
+  }
+  // The width/anchor prefix of the cached system holds while the box count,
+  // layers and rigid widths do (the stretchable mask and the rules are
+  // fixed for the instance).
+  if (!same_boxes || !widths_kept) state.prefix = 0;
+  if (!same_boxes || incremental_.full_rebuild) dirty_flag.assign(total, 1);
+
+  std::vector<std::size_t> dirty;
+  for (std::size_t s = 0; s < total; ++s) {
+    if (dirty_flag[s]) dirty.push_back(s);
+  }
+  // The sweeps run on the calling thread: every shard walks every box, and
+  // at the sizes a schedule sees, spawning tasks each pass costs more than
+  // the parallel walks save.
+  std::vector<std::size_t> order;  // computed lazily: an all-clean pass never sweeps
+  state.shards.resize(total);
+  if (!dirty.empty()) {
+    order = sweep_order(cboxes);
+    sweep_shards(cboxes, order, rules_, state.cuts, dirty, state.shards, /*threads=*/1);
+  }
+  state.previous.resize(n);
+  for (std::size_t i = 0; i < n; ++i) state.previous[i] = cboxes[i].geometry;
+
+  state.stats = {};
+  state.stats.shards_total = static_cast<int>(total);
+  state.stats.shards_reswept = static_cast<int>(dirty.size());
+  state.stats.full_build = !state.initialized;
+  state.initialized = true;
+  for (std::size_t s = 0; s < total; ++s) {
+    (dirty_flag[s] ? state.stats.partners_reswept : state.stats.partners_reused) +=
+        state.shards[s].partners.size();
+  }
+  for (std::size_t b = 0; b < nb; ++b) {
+    for (std::size_t li = 0; li < static_cast<std::size_t>(kNumLayers); ++li) {
+      if (dirty_flag[li * nb + b]) {
+        state.stats.dirty_bands.push_back(static_cast<int>(b));
+        break;
+      }
+    }
   }
 
   // Splice: clean shards contribute their stored partner lists, dirty ones
-  // their fresh sweeps; the merged emission is the scratch stream. When NO
-  // shard is dirty the geometry is provably unchanged since the last pass
-  // (every box participates in its own layer's shards), so the cached
-  // system is reused without re-emitting anything.
+  // their fresh sweeps; the merged emission is the scratch stream. When no
+  // box moved, no shard is dirty and the cached system is this pass's
+  // system, reused without re-emitting anything. Otherwise the pairs are
+  // re-emitted after the kept width/anchor prefix, into the existing
+  // variables with their initial abscissas refreshed (the §6.4.2 seeding
+  // order keys on them).
   ConstraintSystem& system = state.system;
-  const bool reuse_system =
-      state.system_valid && dirty.empty() &&
-      system.variable_count() == 2 * cboxes.size();
-  if (reuse_system) {
-    for (std::size_t i = 0; i < cboxes.size(); ++i) {
+  if (system.variable_count() != 2 * n) {
+    system = ConstraintSystem();
+    add_box_variables(system, cboxes);
+    state.system_valid = false;
+    state.prefix = 0;
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
       cboxes[i].left_var = static_cast<int>(2 * i);
       cboxes[i].right_var = static_cast<int>(2 * i + 1);
     }
-  } else {
+  }
+  if (!state.system_valid || !dirty.empty()) {
     state.system_valid = false;
-    if (system.variable_count() == 2 * cboxes.size() && system.pitch_count() == 0) {
-      // Re-emit into the existing variables: refresh the initial abscissas
-      // (the §6.4.2 seeding order keys on them) instead of reallocating
-      // every variable.
-      system.clear_constraints();
-      for (std::size_t i = 0; i < cboxes.size(); ++i) {
-        cboxes[i].left_var = static_cast<int>(2 * i);
-        cboxes[i].right_var = static_cast<int>(2 * i + 1);
-        system.set_initial(cboxes[i].left_var, cboxes[i].geometry.box.lo.x);
-        system.set_initial(cboxes[i].right_var, cboxes[i].geometry.box.hi.x);
-      }
-    } else {
-      system = ConstraintSystem();
-      add_box_variables(system, cboxes);
+    system.truncate_constraints(state.prefix);
+    if (state.prefix == 0) {
+      add_width_and_anchor(system, cboxes, rules_);
+      state.prefix = system.constraint_count();
+    }
+    for (const CompactionBox& cb : cboxes) {
+      system.set_initial(cb.left_var, cb.geometry.box.lo.x);
+      system.set_initial(cb.right_var, cb.geometry.box.hi.x);
     }
     if (order.empty()) order = sweep_order(cboxes);
     std::vector<const SweepShard*> views;
     views.reserve(total);
     for (const SweepShard& s : state.shards) views.push_back(&s);
-    emit_constraints_from_shards(system, cboxes, order, rules_, views);
+    emit_pair_constraints(system, cboxes, order, rules_, views);
     state.system_valid = true;
   }
   result.constraint_count = system.constraint_count();

@@ -1,19 +1,25 @@
 // The incremental x/y compaction engine.
 //
-// PR 3's alternating schedule (compact/xy_schedule.hpp) rebuilds the whole
-// constraint system and cold-starts the solver on every pass, even when a
-// late round moves a handful of boxes. This engine keeps persistent
-// per-axis state across passes and regenerates only what moved:
+// The scratch schedule (compact/xy_schedule.hpp with incremental = false)
+// rebuilds the whole constraint system and cold-starts the solver on every
+// pass, even when a late round moves a handful of boxes. This engine keeps
+// persistent per-axis state across passes and redoes only what its input
+// can change:
 //
 //   * The sweep is band-sharded (scanline.hpp): each (layer, y band) shard
-//     stores its partner list plus a 64-bit hash of its participating
-//     boxes' geometry. A pass re-sweeps only the DIRTY shards — those
-//     whose participant hash changed, which by construction covers the
-//     moved boxes and their spacing-radius neighbors (participation is
-//     window overlap, and windows carry the §6.4.1 shadow margin) — and
-//     splices the stored partner lists of the clean shards back in. The
-//     merged emission is byte-identical to a scratch build for every
-//     partition, so reuse is a pure work saving.
+//     stores its partner list. The engine keeps each axis's previous
+//     input, and a box whose geometry changed dirties the shards its old
+//     and its new window overlap — the moved box's own band plus the
+//     spacing-radius neighbors, since windows carry the §6.4.1 shadow
+//     margin. A pass re-sweeps only the dirty shards and splices the
+//     stored partner lists of the clean ones back in. The merged emission
+//     is byte-identical to a scratch build for every partition, so reuse
+//     is a pure work saving.
+//   * The width/anchor constraints are emitted once per axis: they depend
+//     only on the box count, the stretchable flags, rigid widths and layer
+//     minimum widths, none of which a schedule changes. A pass re-emits
+//     only the pair constraints after them, and a pass where no box moved
+//     reuses the whole cached system.
 //   * Solves are warm-started from the previous pass's coordinates
 //     (bellman_ford.hpp): the seeded fixpoint is verified as the exact
 //     least solution and falls back to a cold solve when the seed
@@ -22,11 +28,11 @@
 //
 // `full_rebuild` is the escape hatch (every shard treated dirty every
 // pass); `check_byte_identity` additionally builds the scratch stream each
-// pass and throws on any divergence — the mode the equivalence tests and
-// suspicious production runs use.
+// pass, width/anchor prefix included, and throws on any divergence — the
+// mode the equivalence tests and suspicious production runs use.
 #pragma once
 
-#include <cstdint>
+#include <array>
 #include <string>
 #include <vector>
 
@@ -46,8 +52,10 @@ class IncrementalDivergence : public Error {
 };
 
 struct IncrementalOptions {
-  // Y bands per layer; <= 0 follows FlatOptions::generation_threads
-  // (resolved to one per hardware core when that is 0).
+  // Y bands per layer; <= 0 means one. The engine sweeps on the calling
+  // thread, and every shard walks every box, so more bands cost more walks
+  // and only buy finer reuse: one band was the fastest setting measured on
+  // the bundled designs.
   int bands = 0;
   // Escape hatch: re-sweep every shard every pass (state is still kept, so
   // warm starts remain active).
@@ -104,15 +112,18 @@ class IncrementalCompactor {
   struct AxisState {
     bool initialized = false;
     std::vector<Coord> cuts;
-    std::vector<SweepShard> shards;      // layer-major: layer * bands + band
-    std::vector<std::uint64_t> hashes;   // participant hash per shard
-    std::vector<Coord> warm;             // previous pass's solution values
-    // The assembled constraint system of the last pass. Every box
-    // participates in at least one shard (its own layer's window is never
-    // empty), so an all-clean pass proves the geometry identical to the
-    // previous pass's — the cached system IS this pass's system, and the
-    // emission (variables, net finding, merge) is skipped wholesale.
+    std::vector<SweepShard> shards;             // layer-major: layer * bands + band
+    std::vector<LayerBox> previous;             // the last pass's normalized input
+    std::array<bool, kNumLayers> has_member{};  // layers with boxes
+    std::vector<Coord> warm;                    // previous pass's solution values
+    // The assembled constraint system of the last pass: `prefix`
+    // width/anchor constraints (0 = not emitted yet), then the pairs. A
+    // moved box always dirties its own layer's shards, so an all-clean pass
+    // proves the geometry identical to the previous pass's — the cached
+    // system IS this pass's system, and the emission (variables, net
+    // finding, merge) is skipped wholesale.
     ConstraintSystem system;
+    std::size_t prefix = 0;
     bool system_valid = false;
     IncrementalPassStats stats;
   };

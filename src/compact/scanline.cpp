@@ -5,12 +5,10 @@
 #include <limits>
 #include <map>
 #include <numeric>
-#include <queue>
-#include <set>
 #include <thread>
-#include <utility>
 #include <vector>
 
+#include "compact/radix_sort.hpp"
 #include "support/error.hpp"
 
 namespace rsg::compact {
@@ -20,176 +18,6 @@ namespace {
 Coord y_gap(const Box& a, const Box& b) {
   return std::max<Coord>({a.lo.y - b.hi.y, b.lo.y - a.hi.y, 0});
 }
-
-// Output-sensitive active set for the abutment sweep: a static segment
-// tree over a layer's distinct top edges (hi.y). Each active box sits at
-// its top-edge leaf in a lo.y-sorted multiset, and every internal node
-// carries the minimum lo.y in its subtree, so finding the leaves holding
-// an active box with hi.y >= y0 and lo.y <= y1 — exactly the closed
-// y-interval overlaps — prunes every subtree that cannot contain a match.
-// Insert, erase and each reported leaf cost O(log n); a query that reports
-// nothing costs O(log n).
-class ActiveBoxes {
- public:
-  // `tops` is the sorted, deduplicated list of hi.y values the layer uses.
-  explicit ActiveBoxes(std::vector<Coord> tops) : tops_(std::move(tops)) {
-    entries_.assign(tops_.size(), {});
-    min_lo_.assign(4 * std::max<std::size_t>(tops_.size(), 1), kNone);
-  }
-
-  std::size_t leaf_of(Coord hi_y) const {
-    return static_cast<std::size_t>(
-        std::lower_bound(tops_.begin(), tops_.end(), hi_y) - tops_.begin());
-  }
-
-  void insert(std::size_t leaf, Coord lo_y, std::size_t box) {
-    entries_[leaf].emplace(lo_y, box);
-    update(1, 0, tops_.size(), leaf);
-  }
-
-  void erase(std::size_t leaf, Coord lo_y, std::size_t box) {
-    entries_[leaf].erase(entries_[leaf].find({lo_y, box}));
-    update(1, 0, tops_.size(), leaf);
-  }
-
-  // Calls fn(box) once per leaf holding an active box whose y interval
-  // touches [y0, y1], with the leaf's lowest box: the leaf's boxes share
-  // their top edge, so the lowest one touches whenever any of them does.
-  template <class Fn>
-  void for_each_touching_leaf(Coord y0, Coord y1, Fn&& fn) const {
-    if (tops_.empty()) return;
-    visit(1, 0, tops_.size(), leaf_of(y0), y1, fn);
-  }
-
- private:
-  static constexpr Coord kNone = std::numeric_limits<Coord>::max();
-
-  void update(std::size_t node, std::size_t lo, std::size_t hi, std::size_t leaf) {
-    if (hi - lo == 1) {
-      min_lo_[node] = entries_[lo].empty() ? kNone : entries_[lo].begin()->first;
-      return;
-    }
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (leaf < mid) {
-      update(2 * node, lo, mid, leaf);
-    } else {
-      update(2 * node + 1, mid, hi, leaf);
-    }
-    min_lo_[node] = std::min(min_lo_[2 * node], min_lo_[2 * node + 1]);
-  }
-
-  template <class Fn>
-  void visit(std::size_t node, std::size_t lo, std::size_t hi, std::size_t first, Coord y1,
-             Fn& fn) const {
-    if (hi <= first || min_lo_[node] > y1) return;
-    if (hi - lo == 1) {
-      if (!entries_[lo].empty()) fn(entries_[lo].begin()->second);
-      return;
-    }
-    const std::size_t mid = lo + (hi - lo) / 2;
-    visit(2 * node, lo, mid, first, y1, fn);
-    visit(2 * node + 1, mid, hi, first, y1, fn);
-  }
-
-  std::vector<Coord> tops_;
-  std::vector<std::set<std::pair<Coord, std::size_t>>> entries_;  // per leaf: (lo.y, box)
-  std::vector<Coord> min_lo_;
-};
-
-// Union-find over same-layer touching boxes: boxes of one electrical net
-// must not receive spacing constraints against each other (they hold
-// kConnect constraints instead). This is the net knowledge that plain box
-// merging (§6.4.1) would provide but that device/bus tagging forbids.
-//
-// A per-layer sort/sweep over the x extents populates it: boxes abut only
-// while their x intervals overlap, so each box only meets the still-active
-// boxes of the sweep, found through the ActiveBoxes tree. The partition is
-// the abutment relation's connected components, which the test oracle's
-// all-pairs scan (tests/oracle) rebuilds independently.
-//
-// The sweep unites each box with one representative per touching leaf,
-// not with every touching box. When box b is queried, every active box
-// contains x = b.lo.x (it started no later and has not expired). Two
-// boxes at one leaf share their top edge, so any two active ones touch;
-// by induction over insertions (each insert queries its own leaf) they
-// already share a net. Compaction stacks boxes — same-net fragments, and
-// whole layers without a self-spacing rule — so a leaf can hold thousands
-// of boxes, and the sweep then costs O((n + l) log n) in the box count n
-// and touching leaf count l instead of growing with the touching pairs.
-class NetFinder {
- public:
-  explicit NetFinder(const std::vector<CompactionBox>& boxes) : parent_(boxes.size()) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-    build(boxes);
-  }
-
-  // Each box's net label: its union-find root.
-  std::vector<std::size_t> labels() {
-    std::vector<std::size_t> net(parent_.size());
-    for (std::size_t v = 0; v < net.size(); ++v) net[v] = find(v);
-    return net;
-  }
-
- private:
-  void build(const std::vector<CompactionBox>& boxes) {
-    std::vector<std::vector<std::size_t>> by_layer(kNumLayers);
-    for (std::size_t i = 0; i < boxes.size(); ++i) {
-      by_layer[static_cast<std::size_t>(boxes[i].geometry.layer)].push_back(i);
-    }
-    for (std::vector<std::size_t>& layer : by_layer) {
-      std::sort(layer.begin(), layer.end(), [&](std::size_t i, std::size_t j) {
-        const Box& a = boxes[i].geometry.box;
-        const Box& b = boxes[j].geometry.box;
-        return std::tuple(a.lo.x, a.hi.x, i) < std::tuple(b.lo.x, b.hi.x, j);
-      });
-      // Active boxes (x interval still reaching the sweep line) live in the
-      // segment tree, with a min-heap on the right edge for expiry.
-      std::vector<Coord> tops;
-      tops.reserve(layer.size());
-      for (const std::size_t i : layer) tops.push_back(boxes[i].geometry.box.hi.y);
-      std::sort(tops.begin(), tops.end());
-      tops.erase(std::unique(tops.begin(), tops.end()), tops.end());
-      ActiveBoxes active(std::move(tops));
-
-      struct Expiry {
-        Coord hi_x;
-        std::size_t leaf;
-        Coord lo_y;
-        std::size_t box;
-      };
-      const auto expires_later = [](const Expiry& a, const Expiry& b) {
-        return a.hi_x > b.hi_x;
-      };
-      std::priority_queue<Expiry, std::vector<Expiry>, decltype(expires_later)> expiry(
-          expires_later);
-      for (const std::size_t ib : layer) {
-        const Box& b = boxes[ib].geometry.box;
-        // The sweep only moves right: once a box ends left of the current
-        // left edge it can never abut a later box.
-        while (!expiry.empty() && expiry.top().hi_x < b.lo.x) {
-          const Expiry& gone = expiry.top();
-          active.erase(gone.leaf, gone.lo_y, gone.box);
-          expiry.pop();
-        }
-        active.for_each_touching_leaf(b.lo.y, b.hi.y, [&](std::size_t ia) { unite(ia, ib); });
-        const std::size_t leaf = active.leaf_of(b.hi.y);
-        active.insert(leaf, b.lo.y, ib);
-        expiry.push({b.hi.x, leaf, b.lo.y, ib});
-      }
-    }
-  }
-
-  std::size_t find(std::size_t v) {
-    while (parent_[v] != v) {
-      parent_[v] = parent_[parent_[v]];
-      v = parent_[v];
-    }
-    return v;
-  }
-  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
-
-  std::vector<std::size_t> parent_;
-};
 
 // Per-layer visibility profile: disjoint y segments, each remembering the
 // box a left-looking viewer sees there (Figure 6.7). The segments are keyed
@@ -279,23 +107,6 @@ class OrderedProfile {
 
 namespace detail {
 
-void add_width_and_anchor(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
-                          const CompactionRules& rules) {
-  for (const CompactionBox& cb : boxes) {
-    const Coord original = cb.geometry.box.width();
-    const Coord minimum =
-        cb.stretchable ? std::max<Coord>(rules.min_width(cb.geometry.layer), 1) : original;
-    system.add_constraint(cb.left_var, cb.right_var, minimum, ConstraintKind::kWidth);
-    if (!cb.stretchable) {
-      // Rigid boxes must not grow either.
-      system.add_constraint(cb.right_var, cb.left_var, -original, ConstraintKind::kWidth);
-    }
-    // Left wall: every edge at x >= 0 (leaf compaction shifts cells so this
-    // holds for the initial layout).
-    system.add_constraint(-1, cb.left_var, 0, ConstraintKind::kAnchor);
-  }
-}
-
 void emit_pair_constraint(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
                           std::size_t ia, std::size_t ib, const CompactionRules& rules,
                           const std::vector<std::size_t>& net) {
@@ -377,6 +188,23 @@ void emit_pair_constraint(ConstraintSystem& system, const std::vector<Compaction
 }
 
 }  // namespace detail
+
+void add_width_and_anchor(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
+                          const CompactionRules& rules) {
+  for (const CompactionBox& cb : boxes) {
+    const Coord original = cb.geometry.box.width();
+    const Coord minimum =
+        cb.stretchable ? std::max<Coord>(rules.min_width(cb.geometry.layer), 1) : original;
+    system.add_constraint(cb.left_var, cb.right_var, minimum, ConstraintKind::kWidth);
+    if (!cb.stretchable) {
+      // Rigid boxes must not grow either.
+      system.add_constraint(cb.right_var, cb.left_var, -original, ConstraintKind::kWidth);
+    }
+    // Left wall: every edge at x >= 0 (leaf compaction shifts cells so this
+    // holds for the initial layout).
+    system.add_constraint(-1, cb.left_var, 0, ConstraintKind::kAnchor);
+  }
+}
 
 void add_box_variables(ConstraintSystem& system, std::vector<CompactionBox>& boxes) {
   for (CompactionBox& cb : boxes) {
@@ -481,14 +309,15 @@ void sweep_shards(const std::vector<CompactionBox>& boxes, const std::vector<std
 }
 
 std::vector<std::size_t> sweep_order(const std::vector<CompactionBox>& boxes) {
-  // Sweep order: left edge, then right edge (stable for determinism).
+  // A stable pass by right edge, then one by left edge: the order is by
+  // (left, right), ties by index.
   std::vector<std::size_t> order(boxes.size());
   std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t i, std::size_t j) {
-    const Box& a = boxes[i].geometry.box;
-    const Box& b = boxes[j].geometry.box;
-    return std::tuple(a.lo.x, a.hi.x) < std::tuple(b.lo.x, b.hi.x);
-  });
+  std::vector<Coord> key(boxes.size());
+  for (std::size_t i = 0; i < boxes.size(); ++i) key[i] = boxes[i].geometry.box.hi.x;
+  stable_radix_sort(order, key);
+  for (std::size_t i = 0; i < boxes.size(); ++i) key[i] = boxes[i].geometry.box.lo.x;
+  stable_radix_sort(order, key);
   return order;
 }
 
@@ -506,14 +335,69 @@ bool layer_window(const CompactionBox& box, int layer, const CompactionRules& ru
   return true;
 }
 
-void emit_constraints_from_shards(ConstraintSystem& system,
-                                  const std::vector<CompactionBox>& boxes,
-                                  const std::vector<std::size_t>& order,
-                                  const CompactionRules& rules,
-                                  const std::vector<const SweepShard*>& shards) {
-  const std::vector<std::size_t> net = NetFinder(boxes).labels();
-  detail::add_width_and_anchor(system, boxes, rules);
+namespace {
 
+// Each box's electrical net label, its union-find root. Same-layer boxes
+// that touch form one net: pairs inside a net get kConnect constraints,
+// never spacing ones (§6.4.1), the net knowledge that plain box merging
+// would provide but that device/bus tagging forbids. The partition is the
+// touching relation's connected components, which the test oracle's
+// all-pairs scan (tests/oracle) rebuilds independently.
+//
+// The sweep's partner lists already hold it (`offsets`/`partners`: the
+// merged partner CSR keyed by box index), so the finder unites each box
+// with its touching same-layer partners. That is exact. Take touching
+// same-layer boxes a before b in sweep order, a of positive height. Some
+// y* in b's window lies in a's half-open extent: an overlap point, or
+// a.hi.y - 1 / a.lo.y when they share only an edge, because a box's
+// window onto its own layer has a margin of at least 1 (layer_window).
+// The box v b's query sees at y* reaches at least as far right as a and
+// starts no later than b, so v touches both. v is b's partner and (v, a)
+// is an earlier pair, so by induction on b's position a and b are joined.
+// A zero-height box never enters a profile, so no later box sees it; it
+// is united with the same-layer boxes that start inside its x extent and
+// touch it, by a forward scan in sweep order. The work is one union test
+// per partner (plus the scans), however many boxes compaction stacks on
+// one rectangle.
+std::vector<std::size_t> net_labels(const std::vector<CompactionBox>& boxes,
+                                    const std::vector<std::size_t>& order,
+                                    const std::vector<std::size_t>& offsets,
+                                    const std::vector<std::size_t>& partners) {
+  const std::size_t n = boxes.size();
+  std::vector<std::size_t> parent(n);
+  std::iota(parent.begin(), parent.end(), 0);
+  const auto find = [&](std::size_t v) {
+    while (parent[v] != v) {
+      parent[v] = parent[parent[v]];
+      v = parent[v];
+    }
+    return v;
+  };
+  const auto unite_if_touching = [&](std::size_t a, std::size_t b) {
+    const LayerBox& ga = boxes[a].geometry;
+    const LayerBox& gb = boxes[b].geometry;
+    if (ga.layer == gb.layer && ga.box.abuts_or_intersects(gb.box)) parent[find(a)] = find(b);
+  };
+  for (std::size_t b = 0; b < n; ++b) {
+    for (std::size_t k = offsets[b]; k < offsets[b + 1]; ++k) unite_if_touching(partners[k], b);
+  }
+  for (std::size_t p = 0; p < n; ++p) {
+    const Box& a = boxes[order[p]].geometry.box;
+    if (a.height() != 0) continue;
+    for (std::size_t q = p + 1; q < n && boxes[order[q]].geometry.box.lo.x <= a.hi.x; ++q) {
+      unite_if_touching(order[p], order[q]);
+    }
+  }
+  std::vector<std::size_t> net(n);
+  for (std::size_t v = 0; v < n; ++v) net[v] = find(v);
+  return net;
+}
+
+}  // namespace
+
+void emit_pair_constraints(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
+                           const std::vector<std::size_t>& order, const CompactionRules& rules,
+                           const std::vector<const SweepShard*>& shards) {
   // Scatter the shard runs into one partner CSR keyed by box index. The
   // scatter order across shards is irrelevant: the per-box merge sorts and
   // deduplicates, which is what pins the emitted stream.
@@ -535,6 +419,7 @@ void emit_constraints_from_shards(ConstraintSystem& system,
       }
     }
   }
+  const std::vector<std::size_t> net = net_labels(boxes, order, counts, merged);
 
   std::vector<std::size_t> seen;
   for (const std::size_t ib : order) {
@@ -562,7 +447,8 @@ void generate_constraints(ConstraintSystem& system, const std::vector<Compaction
   std::vector<const SweepShard*> views;
   views.reserve(shards.size());
   for (const SweepShard& s : shards) views.push_back(&s);
-  emit_constraints_from_shards(system, boxes, order, rules, views);
+  add_width_and_anchor(system, boxes, rules);
+  emit_pair_constraints(system, boxes, order, rules, views);
 }
 
 }  // namespace rsg::compact

@@ -8,8 +8,9 @@
 // bench_fig65_fragmentation measures against the naive pairwise generator.
 // That baseline and the pre-scaling reference generator (all-pairs net
 // finding, linear-scan profile) are test-only code in tests/oracle; the
-// reference shares layer_window and the pair emission (detail, below)
-// with this generator, so a rule change lands in one place.
+// reference shares layer_window, add_width_and_anchor and the pair
+// emission (detail, below) with this generator, so a rule change lands in
+// one place.
 //
 // Emitted constraint kinds:
 //   kWidth    R_i - L_i >= width (original width, or the layer minimum for
@@ -45,12 +46,11 @@ struct CompactionBox {
 void add_box_variables(ConstraintSystem& system, std::vector<CompactionBox>& boxes);
 
 // The visibility scan-line generator of Figure 6.7, the only one the
-// compactors run. Net discovery is a per-layer sort/sweep abutment pass
-// over a min-lo.y augmented segment tree keyed by top edge, uniting each
-// box with one box per touching top-edge leaf, and the visibility profile
-// is an ordered segment map, so generation is O((n + l + k) log n) in the
-// box count n, touching-leaf count l (boxes stacked on one top edge count
-// once), and emitted-constraint count k.
+// compactors run. The visibility profile is an ordered segment map, and
+// nets come from the sweep's own partner lists (one union test per
+// partner, plus a forward scan per zero-height box), so generation is
+// O((n + p) log n) in the box count n and the number p of partners the
+// sweep reports, each of which emits at most four constraints.
 //
 // Batches of at least kBandedGenerationMinBoxes boxes sweep `threads` y
 // bands (below) on as many std::async tasks; smaller ones sweep one band
@@ -91,7 +91,7 @@ std::vector<Coord> band_cuts(const std::vector<CompactionBox>& boxes, int bands)
 // hardware core, and the result is always at least 1.
 int resolve_sweep_threads(int threads);
 
-// The sweep order: left edge, then right edge, stable on the box index.
+// The sweep order: left edge, then right edge, ties by box index.
 std::vector<std::size_t> sweep_order(const std::vector<CompactionBox>& boxes);
 
 // The y window box `box` opens onto profile layer `layer` (its y extent
@@ -105,30 +105,33 @@ bool layer_window(const CompactionBox& box, int layer, const CompactionRules& ru
 // Runs the listed shard sweeps (layer-major indices: layer * bands + band
 // into `shards`) strided across `threads` std::async tasks.
 // generate_constraints passes every index; the incremental engine passes
-// only the dirty ones.
+// only the dirty ones, on one thread.
 void sweep_shards(const std::vector<CompactionBox>& boxes, const std::vector<std::size_t>& order,
                   const CompactionRules& rules, const std::vector<Coord>& cuts,
                   const std::vector<std::size_t>& shard_indices, std::vector<SweepShard>& shards,
                   int threads);
 
-// Emits the width/anchor constraints, then the pair constraints merged
-// from the shard partner lists: per box in sweep order the partners are
-// gathered, sorted and deduplicated, so any shard partition of the same
-// geometry produces the byte-identical constraint stream.
-void emit_constraints_from_shards(ConstraintSystem& system,
-                                  const std::vector<CompactionBox>& boxes,
-                                  const std::vector<std::size_t>& order,
-                                  const CompactionRules& rules,
-                                  const std::vector<const SweepShard*>& shards);
-
-// The emission the generator shares with the test oracle's reference
-// generator (tests/oracle).
-namespace detail {
-
 // Per box: the width constraint (and its upper bound for rigid boxes),
-// plus the anchor against the left wall.
+// plus the anchor against the left wall. A batch's stream is these
+// constraints followed by the pair constraints. They depend only on the
+// box count, the stretchable flags, rigid widths and layer minimum widths,
+// so the incremental engine emits them once per axis and re-emits only the
+// pairs.
 void add_width_and_anchor(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
                           const CompactionRules& rules);
+
+// Emits the pair constraints merged from the shard partner lists: per box
+// in sweep order the partners are gathered, sorted and deduplicated, so
+// any shard partition of the same geometry produces the byte-identical
+// stream. The shards must cover every (layer, band) of one partition: the
+// net labels are read off the merged partner lists.
+void emit_pair_constraints(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
+                           const std::vector<std::size_t>& order, const CompactionRules& rules,
+                           const std::vector<const SweepShard*>& shards);
+
+// The pair emission the generator shares with the test oracle's reference
+// generator (tests/oracle).
+namespace detail {
 
 // The constraints between box ib and a box ia its window sees: kConnect
 // for touching boxes of one net (net[i] labels box i's electrical net),

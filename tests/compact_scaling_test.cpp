@@ -1,14 +1,15 @@
 // Equivalence property tests for the scaled compaction hot path against
-// the test-only oracle (tests/oracle): the sweep net finder + ordered-
-// segment profile must emit the byte-identical constraint system as the
-// all-pairs/linear-scan reference generator, for every band partition; the
-// worklist solvers must reproduce the pass-based solutions exactly (the
-// least/greatest fixpoints are unique) and certify every infeasible
-// verdict; and the hashed rigid-group matcher must build the same groups
-// as the all-pairs scan — across 500+ seeded random box fields, the
-// structured grid/PLA shapes the benchmarks sweep, and the stacked
-// geometry compaction rounds leave behind. A work tripwire keeps the
-// solver's dequeues linear.
+// the test-only oracle (tests/oracle): the ordered-segment profile and the
+// nets read off its partner lists must emit the byte-identical constraint
+// system as the all-pairs/linear-scan reference generator, for every band
+// partition; the worklist solvers must reproduce the pass-based solutions
+// exactly (the least/greatest fixpoints are unique) and certify every
+// infeasible verdict; and the hashed rigid-group matcher must build the
+// same groups as the all-pairs scan — across 500+ seeded random box
+// fields, the structured grid/PLA shapes the benchmarks sweep, and the
+// stacked geometry compaction rounds leave behind. The incremental
+// schedule must match the scratch one on the bundled designs. A work
+// tripwire keeps the solver's dequeues linear.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,8 @@
 #include "oracle/pass_based_solvers.hpp"
 #include "oracle/quadratic_rigid_groups.hpp"
 #include "oracle/reference_generators.hpp"
+#include "pla/pla_builder.hpp"
+#include "pla/truth_table.hpp"
 #include "rsg/generator.hpp"
 #include "support/error.hpp"
 
@@ -60,7 +63,8 @@ ConstraintSystem banded_constraints(const SynthField& field, int bands, int thre
   sweep_shards(boxes, order, CompactionRules::mosis(), cuts, all, shards, threads);
   std::vector<const SweepShard*> views;
   for (const SweepShard& shard : shards) views.push_back(&shard);
-  emit_constraints_from_shards(system, boxes, order, CompactionRules::mosis(), views);
+  add_width_and_anchor(system, boxes, CompactionRules::mosis());
+  emit_pair_constraints(system, boxes, order, CompactionRules::mosis(), views);
   return system;
 }
 
@@ -90,9 +94,9 @@ std::vector<SynthField> property_fields() {
   fields.push_back(make_grid_field(1, 30));
   fields.push_back(make_pla_field(8, 10));
   fields.push_back(make_pla_field(3, 25));
-  // Adversarial active-set shapes for the sweep net finder: a same-x
-  // contact column emitted top-to-bottom, and a descending staircase whose
-  // x extents all overlap while the y extents never touch.
+  // Adversarial shapes for the partner-list net finding: a same-x contact
+  // column emitted top-to-bottom, and a descending staircase whose x
+  // extents all overlap while the y extents never touch.
   SynthField column;
   for (int i = 40; i >= 0; --i) {
     column.boxes.push_back({Layer::kContactCut, Box(0, i * 12, 4, i * 12 + 4)});
@@ -436,6 +440,45 @@ TEST(CompactScaling, RamRoundThreeXPassIsCertifiedInfeasible) {
   add_box_variables(system, boxes);
   generate_constraints(system, boxes, CompactionRules::mosis());
   EXPECT_FALSE(expect_worklist_matches_pass_based(system, "ram 16x16 round 3 x"));
+}
+
+TEST(CompactScaling, IncrementalScheduleMatchesScratchOnDesigns) {
+  // The designs the stacked fields come from, plus a generated PLA, under
+  // the schedule `.compact:xy` runs: their schedules skip infeasible passes
+  // and end in passes that move a handful of boxes, where the incremental
+  // engine reuses most shards and the whole width/anchor prefix. Every
+  // pass's stream is checked against scratch generation, at the default
+  // band count (one) and at four, and the geometry against the scratch
+  // schedule's.
+  Generator pla_generator;
+  const pla::TruthTable table = pla::TruthTable::parse(
+      "10 10\n"
+      "01 11\n"
+      "-1 01\n");
+  const std::vector<std::vector<LayerBox>> designs = {
+      decoder_geometry(6), ram_geometry(16, 16),
+      design_geometry("mult.sample", "mult.rsg", "mult.par", "asize = 8\n"),
+      flatten_boxes(*pla::generate_pla(pla_generator, table).top)};
+  XyScheduleOptions scratch = CompactionRequest::default_schedule();
+  scratch.incremental = false;
+  int skipped = 0;
+  for (const int bands : {0, 4}) {
+    XyScheduleOptions incremental = CompactionRequest::default_schedule();
+    incremental.incremental_options.bands = bands;
+    incremental.incremental_options.check_byte_identity = true;
+    for (std::size_t d = 0; d < designs.size(); ++d) {
+      const XyScheduleResult want =
+          compact_flat_schedule(designs[d], CompactionRules::mosis(), {}, scratch);
+      const XyScheduleResult got =
+          compact_flat_schedule(designs[d], CompactionRules::mosis(), {}, incremental);
+      ASSERT_EQ(got.boxes, want.boxes) << "bands " << bands << " design " << d;
+      ASSERT_EQ(got.rounds, want.rounds) << "bands " << bands << " design " << d;
+      for (const RoundStats& round : got.round_stats) {
+        skipped += (round.x_skipped ? 1 : 0) + (round.y_skipped ? 1 : 0);
+      }
+    }
+  }
+  EXPECT_GT(skipped, 0) << "no schedule skipped an infeasible pass";
 }
 
 TEST(CompactScaling, DecoderSolvePopsStayLinearPerRound) {

@@ -1,10 +1,10 @@
 // Equivalence and behavior tests for the incremental x/y compaction engine
 // (compact/incremental.hpp): scratch-vs-incremental byte identity of the
-// constraint stream and the final geometry across 200+ seeded fields, the
-// dirty-band locality contract (a single moved box re-sweeps exactly the
-// bands its shadow window touches), warm-start exactness for both worklist
-// solvers, the full-rebuild escape hatch, and the both-axes-infeasible
-// early termination of the schedule.
+// constraint stream and the final geometry across 200+ seeded fields at
+// one band and at four, the dirty-band locality contract (a single moved
+// box re-sweeps exactly the bands its shadow window touches), warm-start
+// exactness for both worklist solvers, the full-rebuild escape hatch, and
+// the both-axes-infeasible early termination of the schedule.
 #include "compact/incremental.hpp"
 
 #include <gtest/gtest.h>
@@ -38,28 +38,31 @@ TEST(Incremental, ScratchVsIncrementalByteIdentityOnSeededFields) {
   // The tentpole contract: over a multi-round schedule the incremental
   // engine must reproduce the scratch schedule's geometry exactly, and in
   // check mode it proves the CONSTRAINT STREAM of every pass byte-identical
-  // to a from-scratch generation (the check throws on any divergence).
+  // to a from-scratch generation (the check throws on any divergence), at
+  // the default band count (one) and at four.
   XyScheduleOptions scratch_options;
   scratch_options.max_rounds = 3;
   scratch_options.stop_when_converged = false;
   scratch_options.incremental = false;
 
-  XyScheduleOptions incremental_options = scratch_options;
-  incremental_options.incremental = true;
-  incremental_options.incremental_options.bands = 4;
-  incremental_options.incremental_options.check_byte_identity = true;
+  for (const int bands : {0, 4}) {
+    XyScheduleOptions incremental_options = scratch_options;
+    incremental_options.incremental = true;
+    incremental_options.incremental_options.bands = bands;
+    incremental_options.incremental_options.check_byte_identity = true;
 
-  std::uint32_t seed = 0;
-  for (const SynthField& field : identity_fields()) {
-    const XyScheduleResult scratch = compact_flat_schedule(
-        field.boxes, CompactionRules::mosis(), {}, scratch_options, field.stretchable);
-    const XyScheduleResult incremental = compact_flat_schedule(
-        field.boxes, CompactionRules::mosis(), {}, incremental_options, field.stretchable);
-    ASSERT_EQ(scratch.boxes, incremental.boxes) << "seed " << seed;
-    ASSERT_EQ(scratch.width_after, incremental.width_after) << "seed " << seed;
-    ASSERT_EQ(scratch.height_after, incremental.height_after) << "seed " << seed;
-    ASSERT_EQ(scratch.rounds, incremental.rounds) << "seed " << seed;
-    ++seed;
+    std::uint32_t seed = 0;
+    for (const SynthField& field : identity_fields()) {
+      const XyScheduleResult scratch = compact_flat_schedule(
+          field.boxes, CompactionRules::mosis(), {}, scratch_options, field.stretchable);
+      const XyScheduleResult incremental = compact_flat_schedule(
+          field.boxes, CompactionRules::mosis(), {}, incremental_options, field.stretchable);
+      ASSERT_EQ(scratch.boxes, incremental.boxes) << "bands " << bands << " seed " << seed;
+      ASSERT_EQ(scratch.width_after, incremental.width_after) << "bands " << bands;
+      ASSERT_EQ(scratch.height_after, incremental.height_after) << "bands " << bands;
+      ASSERT_EQ(scratch.rounds, incremental.rounds) << "bands " << bands << " seed " << seed;
+      ++seed;
+    }
   }
 }
 
@@ -99,8 +102,8 @@ TEST(Incremental, SingleMovedBoxDirtiesItsBandAndSpacingNeighbors) {
   IncrementalCompactor engine(CompactionRules::mosis(), {}, inc);
   const FlatResult first = engine.compact_x(boxes);
   ASSERT_TRUE(engine.x_stats().full_build);
-  // Stabilize: shard hashes describe each pass's INPUT geometry, so run
-  // once more on the compacted output to make the stored state current.
+  // Stabilize: dirty detection compares each pass's INPUT with the last
+  // one, so run once more on the compacted output to make it current.
   const FlatResult stable = engine.compact_x(first.boxes);
   ASSERT_EQ(stable.boxes, first.boxes);
 
@@ -140,6 +143,24 @@ TEST(Incremental, SingleMovedBoxDirtiesItsBandAndSpacingNeighbors) {
   // geometry.
   const FlatResult scratch = compact_flat(moved, CompactionRules::mosis());
   EXPECT_EQ(second.boxes, scratch.boxes);
+}
+
+TEST(Incremental, ResizedRigidBoxRefreshesTheWidthPrefix) {
+  // A schedule never changes a rigid box's width, so the engine keeps each
+  // axis's width/anchor constraints across passes. A caller that resizes
+  // one must still get the scratch stream: check_byte_identity throws on
+  // a stale prefix.
+  const SynthField field = make_random_field(5, 20);
+  const auto rigid = std::find(field.stretchable.begin(), field.stretchable.end(), false);
+  ASSERT_NE(rigid, field.stretchable.end());
+  IncrementalOptions inc;
+  inc.check_byte_identity = true;
+  IncrementalCompactor engine(CompactionRules::mosis(), {}, inc, field.stretchable);
+  std::vector<LayerBox> boxes = engine.compact_x(field.boxes).boxes;
+  boxes[static_cast<std::size_t>(rigid - field.stretchable.begin())].box.hi.x += 3;
+  const FlatResult resized = engine.compact_x(boxes);
+  EXPECT_EQ(resized.boxes,
+            compact_flat(boxes, CompactionRules::mosis(), {}, field.stretchable).boxes);
 }
 
 TEST(Incremental, FullRebuildEscapeHatchStaysExact) {

@@ -99,7 +99,7 @@ void generate_constraints_reference(ConstraintSystem& system,
                                     const std::vector<CompactionBox>& boxes,
                                     const CompactionRules& rules) {
   const std::vector<std::size_t> net = all_pairs_nets(boxes);
-  detail::add_width_and_anchor(system, boxes, rules);
+  add_width_and_anchor(system, boxes, rules);
   const std::vector<std::size_t> order = sweep_order(boxes);
 
   // Partner discovery, one profile layer at a time: every box queries the
@@ -134,7 +134,7 @@ void generate_constraints_reference(ConstraintSystem& system,
 void generate_constraints_naive(ConstraintSystem& system,
                                 const std::vector<CompactionBox>& boxes,
                                 const CompactionRules& rules) {
-  detail::add_width_and_anchor(system, boxes, rules);
+  add_width_and_anchor(system, boxes, rules);
   // "Indiscriminately generating the constraint between those two edges ...
   // can substantially overconstrain the system" (§6.4.1): every same-layer
   // or interacting pair within spacing distance in y gets a spacing

@@ -13,9 +13,9 @@ namespace rsg::compact::oracle {
 // The pre-scaling reference: all-pairs net finding (O(n^2)) and a
 // linear-scan visibility profile (O(n) per query and insert), with its own
 // per-layer partner discovery and per-box merge. It shares layer_window,
-// sweep_order and the pair emission (compact::detail) with the production
-// generator, so a rule change lands in both, while the sweep, the ordered
-// profile and the net finder stay checked. Must emit the byte-identical
+// sweep_order, add_width_and_anchor and the pair emission (compact::detail)
+// with the production generator, so a rule change lands in both, while the
+// sweep, the ordered profile and the net finding stay checked. Must emit the byte-identical
 // stream to generate_constraints.
 void generate_constraints_reference(ConstraintSystem& system,
                                     const std::vector<CompactionBox>& boxes,

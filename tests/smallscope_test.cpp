@@ -3,9 +3,9 @@
 // sampled — Proper's "significant examples", the smallest inputs that
 // separate right from wrong.
 //
-// The inputs are every ordered pair of boxes on diffusion, poly, metal1,
-// contact cut and implant, each box's x and y extents one of the 10
-// intervals with endpoints in {0, 2, 4, 8, 14}. That covers all 13 of
+// The 2-box corpus is every ordered pair of boxes on diffusion, poly,
+// metal1, contact cut and implant, each box's x and y extents one of the
+// 10 intervals with endpoints in {0, 2, 4, 8, 14}. That covers all 13 of
 // Allen's interval relations on each axis, and gaps of 0, 2, 4 and 6
 // against the MOSIS spacings of 2, 4 and 6. Both boxes are rigid or both
 // stretchable: 500,000 layouts. On each:
@@ -15,7 +15,18 @@
 //   (c) the layout translated by (7, -5) generates the identical stream;
 //   (d) solve_leftmost_worklist equals the oracle's pass-based
 //       solve_leftmost, and solve_rightmost_worklist equals its
-//       solve_rightmost at the leftmost width.
+//       solve_rightmost at the leftmost width;
+//   (e) the layout mirrored in y (every y extent negated) generates the
+//       identical stream.
+// The 3-box corpus checks net finding, which the 2-box corpus cannot
+// exercise (there two touching boxes see each other directly): every
+// multiset of three rigid boxes on one layer — metal1, poly or contact
+// cut — each extent one of the 10 intervals with endpoints in
+// {0, 2, 4, 8}, zero-length ones included, 515,100 layouts, under checks
+// (a) and (e). The nets come from the sweep's partner lists, whose y*
+// argument is asymmetric in y and needs a forward scan for zero-height
+// boxes; the mirror check exercises the first and the zero-length extents
+// the second.
 // A failing check reports how many layouts fail it and the first one in
 // enumeration order.
 #include <gtest/gtest.h>
@@ -24,6 +35,7 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compact/bellman_ford.hpp"
@@ -38,17 +50,22 @@ namespace {
 constexpr Layer kLayers[] = {Layer::kDiffusion, Layer::kPoly, Layer::kMetal1,
                              Layer::kContactCut, Layer::kImplant};
 constexpr Coord kEndpoints[] = {0, 2, 4, 8, 14};
+constexpr Layer kNetLayers[] = {Layer::kMetal1, Layer::kPoly, Layer::kContactCut};
+constexpr Coord kNetEndpoints[] = {0, 2, 4, 8};
 
-// Every box one layout may hold: each layer, x interval and y interval.
-std::vector<LayerBox> single_boxes() {
+// Every box on `layers` whose x and y extents have their endpoints in
+// `endpoints`; zero-length extents too when `zero_length` is set.
+template <std::size_t L, std::size_t E>
+std::vector<LayerBox> single_boxes(const Layer (&layers)[L], const Coord (&endpoints)[E],
+                                   bool zero_length) {
   std::vector<std::pair<Coord, Coord>> intervals;
-  for (std::size_t i = 0; i < std::size(kEndpoints); ++i) {
-    for (std::size_t j = i + 1; j < std::size(kEndpoints); ++j) {
-      intervals.emplace_back(kEndpoints[i], kEndpoints[j]);
+  for (std::size_t i = 0; i < E; ++i) {
+    for (std::size_t j = zero_length ? i : i + 1; j < E; ++j) {
+      intervals.emplace_back(endpoints[i], endpoints[j]);
     }
   }
   std::vector<LayerBox> boxes;
-  for (const Layer layer : kLayers) {
+  for (const Layer layer : layers) {
     for (const auto& [x0, x1] : intervals) {
       for (const auto& [y0, y1] : intervals) boxes.push_back({layer, Box(x0, y0, x1, y1)});
     }
@@ -81,7 +98,8 @@ void generate_in_bands(ConstraintSystem& system, const std::vector<CompactionBox
   sweep_shards(boxes, order, rules, cuts, all, shards, /*threads=*/1);
   std::vector<const SweepShard*> views;
   for (const SweepShard& shard : shards) views.push_back(&shard);
-  emit_constraints_from_shards(system, boxes, order, rules, views);
+  add_width_and_anchor(system, boxes, rules);
+  emit_pair_constraints(system, boxes, order, rules, views);
 }
 
 // Whether the worklist solvers reach the pass-based oracle's verdict on
@@ -113,6 +131,19 @@ bool solvers_agree(const ConstraintSystem& system) {
   return pass_upper == work_upper;
 }
 
+// The constraint stream of `boxes` (variables already assigned) after
+// `transform` is applied to every box.
+template <class Transform>
+ConstraintSystem transformed_stream(const ConstraintSystem& variables,
+                                    std::vector<CompactionBox> boxes, Transform transform) {
+  for (CompactionBox& cb : boxes) cb.geometry.box = transform(cb.geometry.box);
+  ConstraintSystem system = variables;
+  generate_constraints(system, boxes, CompactionRules::mosis());
+  return system;
+}
+
+Box mirrored_in_y(const Box& box) { return Box(box.lo.x, -box.hi.y, box.hi.x, -box.lo.y); }
+
 std::string describe(const std::vector<CompactionBox>& boxes) {
   std::ostringstream out;
   for (const CompactionBox& cb : boxes) {
@@ -131,11 +162,12 @@ struct Check {
 
 TEST(SmallScope, EveryTwoBoxLayoutAgreesWithTheOracles) {
   const CompactionRules rules = CompactionRules::mosis();
-  const std::vector<LayerBox> singles = single_boxes();
+  const std::vector<LayerBox> singles = single_boxes(kLayers, kEndpoints, false);
   Check checks[] = {{"(a) sweep == reference", 0, ""},
                     {"(b) 2 bands == 1 band", 0, ""},
                     {"(c) translated by (7, -5) == original", 0, ""},
-                    {"(d) worklist solvers == pass-based", 0, ""}};
+                    {"(d) worklist solvers == pass-based", 0, ""},
+                    {"(e) mirrored in y == original", 0, ""}};
   std::size_t layouts = 0;
   for (const bool stretchable : {false, true}) {
     for (const LayerBox& first : singles) {
@@ -154,13 +186,13 @@ TEST(SmallScope, EveryTwoBoxLayoutAgreesWithTheOracles) {
         oracle::generate_constraints_reference(reference, boxes, rules);
         ConstraintSystem banded = variables;
         generate_in_bands(banded, boxes, /*bands=*/2);
-        std::vector<CompactionBox> moved = boxes;
-        for (CompactionBox& cb : moved) cb.geometry.box = cb.geometry.box.translated({7, -5});
-        ConstraintSystem translated = variables;
-        generate_constraints(translated, moved, rules);
+        const ConstraintSystem translated = transformed_stream(
+            variables, boxes, [](const Box& box) { return box.translated({7, -5}); });
+        const ConstraintSystem mirrored = transformed_stream(variables, boxes, mirrored_in_y);
 
         const bool ok[] = {same_stream(sweep, reference), same_stream(banded, sweep),
-                           same_stream(translated, sweep), solvers_agree(sweep)};
+                           same_stream(translated, sweep), solvers_agree(sweep),
+                           same_stream(mirrored, sweep)};
         for (std::size_t k = 0; k < std::size(checks); ++k) {
           if (!ok[k] && checks[k].failures++ == 0) checks[k].first = describe(boxes);
         }
@@ -168,6 +200,46 @@ TEST(SmallScope, EveryTwoBoxLayoutAgreesWithTheOracles) {
     }
   }
   EXPECT_EQ(layouts, 500000u);
+  for (const Check& check : checks) {
+    EXPECT_EQ(check.failures, 0u) << check.name << " fails; first counterexample: "
+                                  << check.first;
+  }
+}
+
+TEST(SmallScope, EveryThreeBoxSameLayerLayoutAgreesWithTheOracle) {
+  const CompactionRules rules = CompactionRules::mosis();
+  Check checks[] = {{"(a) sweep == reference", 0, ""}, {"(e) mirrored in y == original", 0, ""}};
+  std::size_t layouts = 0;
+  for (const Layer layer : kNetLayers) {
+    const Layer layers[] = {layer};
+    const std::vector<LayerBox> singles = single_boxes(layers, kNetEndpoints, true);
+    for (std::size_t i = 0; i < singles.size(); ++i) {
+      for (std::size_t j = i; j < singles.size(); ++j) {
+        for (std::size_t k = j; k < singles.size(); ++k) {
+          ++layouts;
+          std::vector<CompactionBox> boxes(3);
+          boxes[0].geometry = singles[i];
+          boxes[1].geometry = singles[j];
+          boxes[2].geometry = singles[k];
+          ConstraintSystem variables;
+          add_box_variables(variables, boxes);
+
+          ConstraintSystem sweep = variables;
+          generate_constraints(sweep, boxes, rules);
+          ConstraintSystem reference = variables;
+          oracle::generate_constraints_reference(reference, boxes, rules);
+          const ConstraintSystem mirrored = transformed_stream(variables, boxes, mirrored_in_y);
+
+          const bool ok[] = {same_stream(sweep, reference), same_stream(mirrored, sweep)};
+          for (std::size_t c = 0; c < std::size(checks); ++c) {
+            if (!ok[c] && checks[c].failures++ == 0) checks[c].first = describe(boxes);
+          }
+        }
+      }
+    }
+  }
+  // 100 boxes per layer, so C(102, 3) = 171,700 multisets per layer.
+  EXPECT_EQ(layouts, 3 * 171700u);
   for (const Check& check : checks) {
     EXPECT_EQ(check.failures, 0u) << check.name << " fails; first counterexample: "
                                   << check.first;
