@@ -1,11 +1,13 @@
-// The x/y schedule at scale: scratch rebuilds vs the incremental engine
-// (dirty-band regeneration + warm-started solves) on synthetic RAM-style
-// grids of 1k/10k/50k boxes.
+// The x/y schedule at scale: the test oracle's scratch schedule
+// (tests/oracle/scratch_schedule.hpp, every pass rebuilt by compact_flat)
+// vs compact_flat_schedule, whose incremental engine does dirty-band
+// regeneration and warm-started solves, on synthetic RAM-style grids of
+// 1k/10k/50k boxes.
 //
-// Protocol: the fixed-work schedule the PR 3 benches established —
-// max_rounds = 8, stop_when_converged = false — so both modes do the same
-// number of rounds on the same geometry trajectory (the final geometries
-// are byte-identical; tests/incremental_test.cpp pins that). The headline
+// Protocol: a fixed-work schedule — max_rounds = 8,
+// stop_when_converged = false — so both modes do the same number of
+// rounds on the same geometry trajectory (the final geometries are
+// byte-identical; tests/incremental_test.cpp pins that). The headline
 // metric is the mean wall time of the POST-FIRST rounds: round 1 is a full
 // build either way, every later round is where the incremental engine
 // splices clean-band constraint slices and warm-starts the solver instead
@@ -21,6 +23,7 @@
 
 #include "compact/synth_design.hpp"
 #include "compact/xy_schedule.hpp"
+#include "oracle/scratch_schedule.hpp"
 
 namespace {
 
@@ -43,9 +46,10 @@ XyScheduleResult run_schedule(const SynthField& field, bool incremental) {
   XyScheduleOptions schedule;
   schedule.max_rounds = kRounds;
   schedule.stop_when_converged = false;
-  schedule.incremental = incremental;
-  return compact_flat_schedule(field.boxes, CompactionRules::mosis(), {}, schedule,
-                               field.stretchable);
+  return incremental ? compact_flat_schedule(field.boxes, CompactionRules::mosis(), {}, schedule,
+                                             field.stretchable)
+                     : oracle::scratch_flat_schedule(field.boxes, CompactionRules::mosis(), {},
+                                                     schedule, field.stretchable);
 }
 
 double post_round_ms(const XyScheduleResult& result) {

@@ -4,8 +4,9 @@
 # BENCH_io_scaling.json and BENCH_serve_throughput.json — the artifacts CI
 # uploads to grow the performance trajectory (schemas: docs/BENCHMARKS.md).
 # The xy point doubles as a regression tripwire: the job fails if the
-# incremental schedule is not at least as fast per post-first-round iteration
-# as the scratch schedule at the 10k-box size. The serve point asserts the
+# production (incremental) schedule is not at least as fast per
+# post-first-round iteration as the test oracle's scratch schedule at the
+# 10k-box size. The serve point asserts the
 # compile-once path is >= 3x compile-per-request, and (on hosts with >= 4
 # cores) that 4 serving threads scale >= 2.5x over 1; that core-gated bar
 # stamps its verdict into the artifact as a top-level "gate" field:
@@ -69,7 +70,8 @@ run_bench bench_compact_scaling "$SCALING_OUT" '/(1000|10000)$'
 # feeds the warm-start gate below. The size alternation is anchored on
 # both sides so it cannot accidentally match /128 or /256.
 run_bench bench_leaf_scaling "$LEAF_OUT" 'BM_LeafSolve.*/(2|4|8)$|BM_LeafSchedule(Warm|Cold)/(8|32)$'
-# The scratch-vs-incremental x/y schedule at the 10k acceptance size.
+# The oracle's scratch x/y schedule vs the production one at the 10k
+# acceptance size.
 run_bench bench_xy_scaling "$XY_OUT" '/10000$'
 # The streaming I/O pipeline at the 100k size (the bounded-buffer contract
 # is asserted inside the benchmark — a violation turns into an error_occurred
@@ -92,10 +94,11 @@ if errors:
     sys.exit("error: benchmarks failed their in-bench assertions: " + ", ".join(errors))
 EOF
 
-# Regression tripwire: the incremental schedule must never be SLOWER than
-# the scratch schedule per post-first-round iteration at the 10k size. The
-# local acceptance bar is >= 2x; CI only enforces >= 1.0x so shared-runner
-# noise cannot flake the job, but a real regression fails loudly.
+# Regression tripwire: the production schedule must never be SLOWER than
+# the oracle's scratch schedule per post-first-round iteration at the 10k
+# size. The local acceptance bar is >= 2x; CI only enforces >= 1.0x so
+# shared-runner noise cannot flake the job, but a real regression fails
+# loudly.
 python3 - "$XY_OUT" <<'EOF'
 import json, sys
 

@@ -61,7 +61,6 @@ class ConstraintSystem {
 
   const std::vector<Constraint>& constraints() const { return constraints_; }
   Coord initial(int v) const { return initial_[static_cast<std::size_t>(v)]; }
-  Coord pitch_initial(int p) const { return pitch_initial_[static_cast<std::size_t>(p)]; }
 
   // Solution storage (filled by the solvers).
   std::vector<Coord> values;

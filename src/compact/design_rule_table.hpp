@@ -17,16 +17,6 @@ struct CompactionRules {
   bool interacts(Layer a, Layer b) const { return spacing(a, b) > 0; }
   Coord min_width(Layer layer) const { return base.min_width[static_cast<int>(layer)]; }
 
-  // The widest spacing any layer must keep to `layer` — the shadow margin
-  // used when querying the scan-line profile.
-  Coord max_spacing_to(Layer layer) const {
-    Coord widest = 0;
-    for (int i = 0; i < kNumLayers; ++i) {
-      widest = std::max(widest, spacing(layer, static_cast<Layer>(i)));
-    }
-    return widest;
-  }
-
   static CompactionRules mosis() { return CompactionRules{}; }
 };
 

@@ -15,13 +15,6 @@ std::vector<LayerBox> transposed_boxes(const std::vector<LayerBox>& boxes) {
   return out;
 }
 
-FlatResult compact_flat_y(const std::vector<LayerBox>& boxes, const CompactionRules& rules,
-                          const FlatOptions& options, const std::vector<bool>& stretchable) {
-  FlatResult result = compact_flat(transposed_boxes(boxes), rules, options, stretchable);
-  result.boxes = transposed_boxes(result.boxes);
-  return result;
-}
-
 std::vector<CompactionBox> normalized_compaction_boxes(const std::vector<LayerBox>& boxes,
                                                        const FlatOptions& options,
                                                        const std::vector<bool>& stretchable,

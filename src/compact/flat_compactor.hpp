@@ -2,9 +2,10 @@
 // assembled from the scan-line constraint generator, the worklist
 // Bellman–Ford solver and the rubber-band post-pass. Compacts in x; y
 // coordinates are fixed (horizontal edges "shrink or expand in response to
-// the displacement of the vertical edges", §6.3). compact_flat_y runs the
-// same pass on the transposed layout; the x/y alternation, one round or
-// many, is compact_flat_schedule (compact/xy_schedule.hpp).
+// the displacement of the vertical edges", §6.3), and y is compacted by the
+// same pass on the transposed layout. The x/y alternation, one round or
+// many, is compact_flat_schedule (compact/xy_schedule.hpp), whose passes the
+// incremental engine (compact/incremental.hpp) runs.
 #pragma once
 
 #include <vector>
@@ -23,7 +24,7 @@ struct FlatOptions {
   // compact_flat's constraint-generation threads (see
   // generate_constraints): 0 = one per hardware core, 1 = serial.
   // Byte-identical either way. The incremental engine, which runs the x/y
-  // schedule by default, ignores it: it sweeps on the calling thread.
+  // schedule, ignores it: it sweeps on the calling thread.
   int generation_threads = 0;
 };
 
@@ -54,16 +55,8 @@ std::vector<CompactionBox> normalized_compaction_boxes(const std::vector<LayerBo
                                                        const std::vector<bool>& stretchable,
                                                        Coord& width_before);
 
-// Axis swap used by every y-by-transposition path (compact_flat_y, the
-// incremental engine, tests): [lo.y, lo.x, hi.y, hi.x] per box.
+// Axis swap used by every y-by-transposition path (the incremental
+// engine's y passes, tests): [lo.y, lo.x, hi.y, hi.x] per box.
 std::vector<LayerBox> transposed_boxes(const std::vector<LayerBox>& boxes);
-
-// y compaction by transposition: swap axes, compact in x, swap back. The
-// thesis's compactor is one-dimensional (§6.3, "we will restrict ourselves
-// to one dimensional compaction in the x dimension"); alternating the two
-// is the classic schedule its one-dimensional framing implies.
-FlatResult compact_flat_y(const std::vector<LayerBox>& boxes, const CompactionRules& rules,
-                          const FlatOptions& options = {},
-                          const std::vector<bool>& stretchable = {});
 
 }  // namespace rsg::compact

@@ -3,57 +3,12 @@
 #include <algorithm>
 #include <utility>
 
-#include "support/error.hpp"
-
 namespace rsg::compact {
-
-namespace {
-
-void expect_identical_to_scratch(const ConstraintSystem& incremental,
-                                 std::vector<CompactionBox> boxes,
-                                 const CompactionRules& rules) {
-  for (CompactionBox& cb : boxes) {
-    cb.left_var = -1;
-    cb.right_var = -1;
-  }
-  ConstraintSystem scratch;
-  add_box_variables(scratch, boxes);
-  generate_constraints(scratch, boxes, rules);
-  const bool same_shape = incremental.variable_count() == scratch.variable_count() &&
-                          incremental.constraint_count() == scratch.constraint_count();
-  if (same_shape) {
-    for (std::size_t i = 0; i < scratch.constraint_count(); ++i) {
-      const Constraint& a = incremental.constraints()[i];
-      const Constraint& b = scratch.constraints()[i];
-      if (a.from != b.from || a.to != b.to || a.weight != b.weight || a.pitch != b.pitch ||
-          a.pitch_coeff != b.pitch_coeff || a.kind != b.kind) {
-        throw IncrementalDivergence(
-            "incremental compaction: constraint stream diverged from scratch");
-      }
-    }
-    return;
-  }
-  throw IncrementalDivergence("incremental compaction: constraint stream diverged from scratch");
-}
-
-}  // namespace
 
 IncrementalCompactor::IncrementalCompactor(const CompactionRules& rules,
                                            const FlatOptions& options,
-                                           const IncrementalOptions& incremental,
-                                           std::vector<bool> stretchable)
-    : rules_(rules),
-      options_(options),
-      incremental_(incremental),
-      stretchable_(std::move(stretchable)) {}
-
-void IncrementalCompactor::corrupt_cached_system_for_testing(bool y_axis) {
-  AxisState& state = y_axis ? y_ : x_;
-  if (!state.system_valid) {
-    throw Error("incremental compaction: no cached system to corrupt (run a pass first)");
-  }
-  state.system.add_constraint(0, 0, 1, ConstraintKind::kSpacing);
-}
+                                           std::vector<bool> stretchable, int bands)
+    : rules_(rules), options_(options), stretchable_(std::move(stretchable)), bands_(bands) {}
 
 FlatResult IncrementalCompactor::compact_x(const std::vector<LayerBox>& boxes) {
   return pass(x_, boxes);
@@ -76,7 +31,7 @@ FlatResult IncrementalCompactor::pass(AxisState& state, const std::vector<LayerB
       normalized_compaction_boxes(boxes, options_, stretchable_, result.width_before);
   const std::size_t n = cboxes.size();
 
-  if (!state.initialized) state.cuts = band_cuts(cboxes, std::max(incremental_.bands, 1));
+  if (!state.initialized) state.cuts = band_cuts(cboxes, std::max(bands_, 1));
   const std::size_t nb = state.cuts.size() - 1;
   const std::size_t total = static_cast<std::size_t>(kNumLayers) * nb;
 
@@ -130,7 +85,7 @@ FlatResult IncrementalCompactor::pass(AxisState& state, const std::vector<LayerB
   // layers and rigid widths do (the stretchable mask and the rules are
   // fixed for the instance).
   if (!same_boxes || !widths_kept) state.prefix = 0;
-  if (!same_boxes || incremental_.full_rebuild) dirty_flag.assign(total, 1);
+  if (!same_boxes) dirty_flag.assign(total, 1);
 
   std::vector<std::size_t> dirty;
   for (std::size_t s = 0; s < total; ++s) {
@@ -205,10 +160,6 @@ FlatResult IncrementalCompactor::pass(AxisState& state, const std::vector<LayerB
   }
   result.constraint_count = system.constraint_count();
   result.variable_count = system.variable_count();
-
-  if (incremental_.check_byte_identity) {
-    expect_identical_to_scratch(system, cboxes, rules_);
-  }
 
   // Warm-started solve: the previous pass's coordinates seed the worklist;
   // verification (or cold fallback) keeps the values exactly the least

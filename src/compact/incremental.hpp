@@ -1,10 +1,10 @@
-// The incremental x/y compaction engine.
+// The incremental x/y compaction engine: the passes of the flat schedule
+// (compact/xy_schedule.hpp).
 //
-// The scratch schedule (compact/xy_schedule.hpp with incremental = false)
-// rebuilds the whole constraint system and cold-starts the solver on every
-// pass, even when a late round moves a handful of boxes. This engine keeps
-// persistent per-axis state across passes and redoes only what its input
-// can change:
+// A scratch pass (compact_flat) rebuilds the whole constraint system and
+// cold-starts the solver, even when a late round moves a handful of boxes.
+// This engine keeps persistent per-axis state across passes and redoes only
+// what its input can change:
 //
 //   * The sweep is band-sharded (scanline.hpp): each (layer, y band) shard
 //     stores its partner list. The engine keeps each axis's previous
@@ -26,44 +26,17 @@
 //     overshot, so the final geometry is always exactly the scratch
 //     geometry.
 //
-// `full_rebuild` is the escape hatch (every shard treated dirty every
-// pass); `check_byte_identity` additionally builds the scratch stream each
-// pass, width/anchor prefix included, and throws on any divergence — the
-// mode the equivalence tests and suspicious production runs use.
+// The test oracle (tests/oracle/scratch_schedule.hpp) checks every pass's
+// constraint system, width/anchor prefix included, against a scratch
+// generation, and the schedule's geometry against a scratch schedule.
 #pragma once
 
 #include <array>
-#include <string>
 #include <vector>
 
 #include "compact/flat_compactor.hpp"
-#include "support/error.hpp"
 
 namespace rsg::compact {
-
-// Thrown by check_byte_identity when an incremental pass's constraint
-// stream differs from a scratch build. Distinct from plain rsg::Error so
-// the best-effort schedule can tell an ENGINE BUG (always fatal) apart
-// from an infeasible axis (skippable): the diagnostic mode must fail
-// loudly, never be recorded as "axis infeasible".
-class IncrementalDivergence : public Error {
- public:
-  explicit IncrementalDivergence(std::string message) : Error(std::move(message)) {}
-};
-
-struct IncrementalOptions {
-  // Y bands per layer; <= 0 means one. The engine sweeps on the calling
-  // thread, and every shard walks every box, so more bands cost more walks
-  // and only buy finer reuse: one band was the fastest setting measured on
-  // the bundled designs.
-  int bands = 0;
-  // Escape hatch: re-sweep every shard every pass (state is still kept, so
-  // warm starts remain active).
-  bool full_rebuild = false;
-  // Debug mode: every pass also generates the constraint stream from
-  // scratch and throws rsg::Error if the incremental stream differs.
-  bool check_byte_identity = false;
-};
 
 // What one pass did with its shards — the schedule's telemetry source.
 struct IncrementalPassStats {
@@ -77,16 +50,20 @@ struct IncrementalPassStats {
 
 // One compactor instance serves one alternating schedule: it owns the
 // per-axis band partitions, shard caches and warm-start coordinates. The
-// rules, options and stretchable mask are fixed for the instance — exactly
-// the xy-schedule contract.
+// rules, options, stretchable mask and band count are fixed for the
+// instance — exactly the xy-schedule contract.
 class IncrementalCompactor {
  public:
+  // `bands`: y bands per layer, the unit of reuse (<= 0 means one). The
+  // engine sweeps on the calling thread, and every shard walks every box,
+  // so more bands cost more walks and only buy finer reuse: one band was
+  // the fastest setting measured on the bundled designs, and the schedule
+  // runs it.
   IncrementalCompactor(const CompactionRules& rules, const FlatOptions& options,
-                       const IncrementalOptions& incremental,
-                       std::vector<bool> stretchable = {});
+                       std::vector<bool> stretchable = {}, int bands = 1);
 
   // One x (y) pass: byte-identical in constraints and geometry to
-  // compact_flat (compact_flat_y) on the same input. Throws rsg::Error on
+  // compact_flat on the same (transposed) input. Throws rsg::Error on
   // infeasible systems, leaving the shard cache valid for the next pass.
   FlatResult compact_x(const std::vector<LayerBox>& boxes);
   FlatResult compact_y(const std::vector<LayerBox>& boxes);
@@ -100,13 +77,11 @@ class IncrementalCompactor {
   const std::vector<Coord>& x_band_cuts() const { return x_.cuts; }
   const std::vector<Coord>& y_band_cuts() const { return y_.cuts; }
 
-  // TEST-ONLY fault injection: appends a bogus constraint to the axis's
-  // cached system, simulating the state corruption check_byte_identity
-  // exists to catch — the next pass on unchanged geometry reuses the cache
-  // and the divergence check must throw. Production code never calls this
-  // (the check is otherwise unfalsifiable: the engine is byte-identical by
-  // construction, so its error path needs an injected fault to execute).
-  void corrupt_cached_system_for_testing(bool y_axis);
+  // Each axis's constraint system from its last pass, in the axis's own
+  // space (transposed for y) — what the test oracle compares with a
+  // scratch generation.
+  const ConstraintSystem& x_system() const { return x_.system; }
+  const ConstraintSystem& y_system() const { return y_.system; }
 
  private:
   struct AxisState {
@@ -132,8 +107,8 @@ class IncrementalCompactor {
 
   CompactionRules rules_;
   FlatOptions options_;
-  IncrementalOptions incremental_;
   std::vector<bool> stretchable_;
+  int bands_;
   AxisState x_;
   AxisState y_;
 };

@@ -8,6 +8,7 @@
 #include <tuple>
 #include <utility>
 
+#include "compact/incremental.hpp"
 #include "layout/flatten.hpp"
 #include "support/error.hpp"
 #include "support/fault_injection.hpp"
@@ -66,12 +67,8 @@ XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes,
   }
 
   // The incremental engine keeps per-axis band/warm state alive across the
-  // whole schedule; the scratch path rebuilds each pass (the equivalence
-  // baseline).
-  std::optional<IncrementalCompactor> engine;
-  if (schedule.incremental) {
-    engine.emplace(rules, options, schedule.incremental_options, stretchable);
-  }
+  // whole schedule.
+  IncrementalCompactor engine(rules, options, stretchable);
 
   // One axis pass under the best-effort policy: an infeasible constraint
   // system (rigid geometry violating its own spacing rules) keeps the
@@ -80,16 +77,9 @@ XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes,
   const auto run_pass = [&](bool y_axis, bool& infeasible,
                             bool& skipped) -> std::optional<FlatResult> {
     try {
-      FlatResult pass =
-          engine ? (y_axis ? engine->compact_y(result.boxes) : engine->compact_x(result.boxes))
-                 : (y_axis ? compact_flat_y(result.boxes, rules, options, stretchable)
-                           : compact_flat(result.boxes, rules, options, stretchable));
+      FlatResult pass = y_axis ? engine.compact_y(result.boxes) : engine.compact_x(result.boxes);
       result.boxes = std::move(pass.boxes);
       return pass;
-    } catch (const IncrementalDivergence&) {
-      // An engine bug, not an infeasible layout: the byte-identity check
-      // mode must fail loudly even under best effort.
-      throw;
     } catch (const Error&) {
       if (!schedule.best_effort) throw;
       infeasible = true;
@@ -138,16 +128,8 @@ XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes,
       stats.solve_pops += y_pass->solve.pops;
       stats.warm_y = y_pass->solve.warm_accepted;
     }
-    if (engine) {
-      if (x_pass || stats.x_skipped) {
-        stats.partners_reswept += engine->x_stats().partners_reswept;
-        stats.partners_reused += engine->x_stats().partners_reused;
-      }
-      if (y_pass || stats.y_skipped) {
-        stats.partners_reswept += engine->y_stats().partners_reswept;
-        stats.partners_reused += engine->y_stats().partners_reused;
-      }
-    }
+    stats.partners_reswept = engine.x_stats().partners_reswept + engine.y_stats().partners_reswept;
+    stats.partners_reused = engine.x_stats().partners_reused + engine.y_stats().partners_reused;
     stats.wall_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
     result.round_stats.push_back(std::move(stats));
     result.rounds = round + 1;

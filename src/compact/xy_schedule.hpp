@@ -8,7 +8,11 @@
 // alternates the two axes until a round leaves the geometry unchanged (the
 // schedule's fixpoint; extents alone can plateau a round before the
 // geometry does) or a hard round cap — the scheduling layer the §6.4
-// experiments left open.
+// experiments left open. Every pass runs through one IncrementalCompactor
+// (compact/incremental.hpp), which re-sweeps only what moved boxes touch
+// and warm-starts each solve; the scratch schedule it is checked and
+// measured against, every pass rebuilt by compact_flat, is test code
+// (tests/oracle/scratch_schedule.hpp).
 // The LEAF library gets the same treatment (§6.1–§6.3 meets the schedule):
 // compact_leaf_schedule alternates compact_leaf_cells (x) with
 // compact_leaf_cells_y (the transposed pipeline) over a pitch-spec list
@@ -23,7 +27,6 @@
 #include <vector>
 
 #include "compact/flat_compactor.hpp"
-#include "compact/incremental.hpp"
 #include "compact/leaf_compactor.hpp"
 #include "support/cancel.hpp"
 
@@ -64,13 +67,6 @@ struct XyScheduleOptions {
   // axes are infeasible cannot make progress and terminates the schedule
   // early with converged = false.
   bool best_effort = false;
-  // Run the rounds through the incremental engine (compact/incremental.hpp):
-  // clean-band constraint slices are spliced instead of re-swept and the
-  // solves warm-start from the previous round's coordinates. Byte-identical
-  // to the scratch schedule; disable to rebuild every pass from scratch
-  // (the equivalence baseline the benchmarks measure against).
-  bool incremental = true;
-  IncrementalOptions incremental_options;
   // Checkpoint/restart. The sink (if set) receives the full schedule state
   // after EVERY completed round; `resume` (if set) restores that state and
   // the loop continues from round rounds_done + 1, ignoring the `boxes`
@@ -95,7 +91,7 @@ struct RoundStats {
   bool x_skipped = false;       // best effort: the axis was infeasible
   bool y_skipped = false;
   std::size_t constraints_emitted = 0;  // both passes
-  std::size_t partners_reswept = 0;     // incremental: regenerated partner entries
+  std::size_t partners_reswept = 0;     // partner entries regenerated by sweeps
   std::size_t partners_reused = 0;      //   spliced from clean bands
   std::size_t solve_pops = 0;           // SolveStats::pops, both passes
   bool warm_x = false;                  // warm start verified exact for the axis

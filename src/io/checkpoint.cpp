@@ -197,7 +197,8 @@ compact::XyCheckpoint read_compaction_checkpoint(const void* data, std::size_t s
   const std::uint64_t table_offset = header.section_table_offset;
   const std::uint64_t table_size =
       std::uint64_t{header.section_count} * sizeof(SnapshotSection);
-  if (table_offset < sizeof(SnapshotHeader) || table_offset + table_size > header.file_bytes) {
+  if (table_offset < sizeof(SnapshotHeader) ||
+      !snapshot_range_in_file(table_offset, table_size, header.file_bytes)) {
     throw Error("RSGC: section table out of bounds");
   }
   std::vector<SnapshotSection> sections(header.section_count);
@@ -211,7 +212,8 @@ compact::XyCheckpoint read_compaction_checkpoint(const void* data, std::size_t s
   const SnapshotSection* stretch = nullptr;
   const SnapshotSection* rounds = nullptr;
   for (const SnapshotSection& section : sections) {
-    if (section.offset % 8 != 0 || section.offset + section.size > header.file_bytes) {
+    if (section.offset % 8 != 0 ||
+        !snapshot_range_in_file(section.offset, section.size, header.file_bytes)) {
       throw Error("RSGC: section payload out of bounds");
     }
     if (snapshot_crc32(bytes + section.offset, section.size) != section.crc32) {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "iface/interface.hpp"
-#include "io/param_file.hpp"
 #include "support/error.hpp"
 
 namespace rsg {
@@ -210,11 +209,6 @@ class SampleParser {
 SampleLayoutStats load_sample_layout(const std::string& text, CellTable& cells,
                                      InterfaceTable& interfaces) {
   return SampleParser(cells, interfaces).parse(text);
-}
-
-SampleLayoutStats load_sample_layout_file(const std::string& path, CellTable& cells,
-                                          InterfaceTable& interfaces) {
-  return load_sample_layout(read_text_file(path), cells, interfaces);
 }
 
 }  // namespace rsg

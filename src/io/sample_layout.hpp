@@ -49,7 +49,4 @@ struct SampleLayoutStats {
 SampleLayoutStats load_sample_layout(const std::string& text, CellTable& cells,
                                      InterfaceTable& interfaces);
 
-SampleLayoutStats load_sample_layout_file(const std::string& path, CellTable& cells,
-                                          InterfaceTable& interfaces);
-
 }  // namespace rsg

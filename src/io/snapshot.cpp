@@ -121,8 +121,7 @@ SnapshotView::SnapshotView(const void* data, std::size_t size) {
   const std::uint64_t table_offset = header_->section_table_offset;
   const std::uint64_t table_size =
       std::uint64_t{header_->section_count} * sizeof(SnapshotSection);
-  if (table_offset % 8 != 0 || table_offset > file_bytes ||
-      table_size > file_bytes - table_offset) {
+  if (table_offset % 8 != 0 || !snapshot_range_in_file(table_offset, table_size, file_bytes)) {
     throw Error("RSGB: section table out of bounds");
   }
   const auto* sections = reinterpret_cast<const SnapshotSection*>(bytes + table_offset);
@@ -132,7 +131,7 @@ SnapshotView::SnapshotView(const void* data, std::size_t size) {
 
   for (std::uint32_t i = 0; i < header_->section_count; ++i) {
     const SnapshotSection& s = sections[i];
-    if (s.offset % 8 != 0 || s.offset > file_bytes || s.size > file_bytes - s.offset) {
+    if (s.offset % 8 != 0 || !snapshot_range_in_file(s.offset, s.size, file_bytes)) {
       throw Error("RSGB: section '" + fourcc_name(s.type) + "' out of bounds");
     }
     const void* payload = bytes + s.offset;

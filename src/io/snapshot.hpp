@@ -122,6 +122,15 @@ static_assert(sizeof(SnapshotInstanceRecord) == 32);
 // 0xFFFFFFFF). Chainable: pass the previous return value as `seed`.
 std::uint32_t snapshot_crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
 
+// True when the bytes [offset, offset + size) lie inside a file of
+// `file_bytes` bytes. Both the RSGB and the RSGC reader bound their section
+// table and every section with it: it never forms offset + size, which a
+// crafted image can wrap past 2^64 into range.
+constexpr bool snapshot_range_in_file(std::uint64_t offset, std::uint64_t size,
+                                      std::uint64_t file_bytes) {
+  return offset <= file_bytes && size <= file_bytes - offset;
+}
+
 // --------------------------------------------------------------------------
 // Zero-copy read view over a complete RSGB image. Non-owning; validates header,
 // bounds and all CRCs on attach and throws rsg::Error on any violation.

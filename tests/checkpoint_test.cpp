@@ -266,6 +266,39 @@ TEST(Checkpoint, RejectsCorruptionTruncationAndVersionSkew) {
     const XyCheckpoint restored = read_compaction_checkpoint(ok.data(), ok.size());
     expect_checkpoints_equal(last, restored);
   }
+  // Crafted bounds whose end wraps past 2^64 back into the file. `craft`
+  // edits the header and the section table, then reseals both CRCs, so
+  // only the bounds checks stand between the image and an out-of-bounds
+  // read.
+  const auto craft = [&good](const auto& edit) {
+    std::string image = good;
+    SnapshotHeader header;
+    std::memcpy(&header, image.data(), sizeof(header));
+    const std::uint64_t table_offset = header.section_table_offset;
+    std::vector<SnapshotSection> sections(header.section_count);
+    const std::size_t table_bytes = sections.size() * sizeof(SnapshotSection);
+    std::memcpy(sections.data(), image.data() + table_offset, table_bytes);
+    edit(header, sections);
+    std::memcpy(image.data() + table_offset, sections.data(), table_bytes);
+    header.section_table_crc32 = snapshot_crc32(sections.data(), table_bytes);
+    header.header_crc32 = snapshot_crc32(&header, 60);
+    std::memcpy(image.data(), &header, sizeof(header));
+    return image;
+  };
+  {
+    // A section whose offset + size wraps to 8.
+    const std::string bad = craft([](SnapshotHeader&, std::vector<SnapshotSection>& sections) {
+      sections.front().size = ~std::uint64_t{0} - sections.front().offset + 9;
+    });
+    EXPECT_THROW(read_compaction_checkpoint(bad.data(), bad.size()), Error);
+  }
+  {
+    // A section table at 2^64 - 64, whose end wraps into the file.
+    const std::string bad = craft([](SnapshotHeader& header, std::vector<SnapshotSection>&) {
+      header.section_table_offset = ~std::uint64_t{0} - 63;
+    });
+    EXPECT_THROW(read_compaction_checkpoint(bad.data(), bad.size()), Error);
+  }
 }
 
 TEST(Checkpoint, GeneratorCheckpointOutThenInReproducesTheRun) {

@@ -7,9 +7,10 @@
 // infeasible verdict; and the hashed rigid-group matcher must build the
 // same groups as the all-pairs scan — across 500+ seeded random box
 // fields, the structured grid/PLA shapes the benchmarks sweep, and the
-// stacked geometry compaction rounds leave behind. The incremental
-// schedule must match the scratch one on the bundled designs. A work
-// tripwire keeps the solver's dequeues linear.
+// stacked geometry compaction rounds leave behind. On the bundled designs
+// the incremental schedule must match the scratch one, every engine pass
+// emitting the scratch stream. A work tripwire keeps the solver's
+// dequeues linear.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +27,7 @@
 #include "oracle/pass_based_solvers.hpp"
 #include "oracle/quadratic_rigid_groups.hpp"
 #include "oracle/reference_generators.hpp"
+#include "oracle/scratch_schedule.hpp"
 #include "pla/pla_builder.hpp"
 #include "pla/truth_table.hpp"
 #include "rsg/generator.hpp"
@@ -446,10 +448,11 @@ TEST(CompactScaling, IncrementalScheduleMatchesScratchOnDesigns) {
   // The designs the stacked fields come from, plus a generated PLA, under
   // the schedule `.compact:xy` runs: their schedules skip infeasible passes
   // and end in passes that move a handful of boxes, where the incremental
-  // engine reuses most shards and the whole width/anchor prefix. Every
-  // pass's stream is checked against scratch generation, at the default
-  // band count (one) and at four, and the geometry against the scratch
-  // schedule's.
+  // engine reuses most shards and the whole width/anchor prefix. The
+  // production schedule's geometry must equal the scratch schedule's, and
+  // its work the checked one-band schedule's; the checked schedules check
+  // every pass's stream against scratch generation, at the production
+  // band count (one) and at four.
   Generator pla_generator;
   const pla::TruthTable table = pla::TruthTable::parse(
       "10 10\n"
@@ -459,20 +462,22 @@ TEST(CompactScaling, IncrementalScheduleMatchesScratchOnDesigns) {
       decoder_geometry(6), ram_geometry(16, 16),
       design_geometry("mult.sample", "mult.rsg", "mult.par", "asize = 8\n"),
       flatten_boxes(*pla::generate_pla(pla_generator, table).top)};
-  XyScheduleOptions scratch = CompactionRequest::default_schedule();
-  scratch.incremental = false;
+  const XyScheduleOptions schedule = CompactionRequest::default_schedule();
+  const CompactionRules rules = CompactionRules::mosis();
   int skipped = 0;
-  for (const int bands : {0, 4}) {
-    XyScheduleOptions incremental = CompactionRequest::default_schedule();
-    incremental.incremental_options.bands = bands;
-    incremental.incremental_options.check_byte_identity = true;
-    for (std::size_t d = 0; d < designs.size(); ++d) {
-      const XyScheduleResult want =
-          compact_flat_schedule(designs[d], CompactionRules::mosis(), {}, scratch);
+  for (std::size_t d = 0; d < designs.size(); ++d) {
+    const XyScheduleResult want = oracle::scratch_flat_schedule(designs[d], rules, {}, schedule);
+    const XyScheduleResult production = compact_flat_schedule(designs[d], rules, {}, schedule);
+    ASSERT_EQ(production.boxes, want.boxes) << "design " << d;
+    ASSERT_EQ(production.rounds, want.rounds) << "design " << d;
+    for (const int bands : {1, 4}) {
       const XyScheduleResult got =
-          compact_flat_schedule(designs[d], CompactionRules::mosis(), {}, incremental);
+          oracle::checked_flat_schedule(designs[d], rules, {}, schedule, {}, bands);
       ASSERT_EQ(got.boxes, want.boxes) << "bands " << bands << " design " << d;
       ASSERT_EQ(got.rounds, want.rounds) << "bands " << bands << " design " << d;
+      if (bands == 1) {
+        ASSERT_EQ(oracle::round_stats_divergence(production, got), "") << "design " << d;
+      }
       for (const RoundStats& round : got.round_stats) {
         skipped += (round.x_skipped ? 1 : 0) + (round.y_skipped ? 1 : 0);
       }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compact/incremental.hpp"
 #include "compact/xy_schedule.hpp"
 #include "layout/design_rules.hpp"
 #include "oracle/pass_based_solvers.hpp"
@@ -177,7 +178,8 @@ TEST(FlatCompactor, YCompactionByTransposition) {
       {Layer::kMetal1, Box(0, 0, 4, 10)},
       {Layer::kMetal1, Box(0, 40, 4, 50)},
   };
-  const FlatResult result = compact_flat_y(boxes, CompactionRules::mosis());
+  IncrementalCompactor engine(CompactionRules::mosis(), {});
+  const FlatResult result = engine.compact_y(boxes);
   EXPECT_EQ(result.width_before, 50);        // height, through the transposition
   EXPECT_EQ(result.width_after, 10 + 6 + 10);
   // x extents untouched.

@@ -1,19 +1,23 @@
 // Equivalence and behavior tests for the incremental x/y compaction engine
-// (compact/incremental.hpp): scratch-vs-incremental byte identity of the
-// constraint stream and the final geometry across 200+ seeded fields at
-// one band and at four, the dirty-band locality contract (a single moved
+// (compact/incremental.hpp) against the test-only oracle
+// (oracle/scratch_schedule.hpp): over 200+ seeded fields, with and without
+// the rubber band, every engine pass's constraint stream equals a scratch
+// generation at one band and at four, and the schedules' geometry equals
+// the scratch schedule's; the dirty-band locality contract (a single moved
 // box re-sweeps exactly the bands its shadow window touches), warm-start
-// exactness for both worklist solvers, the full-rebuild escape hatch, and
-// the both-axes-infeasible early termination of the schedule.
+// exactness for both worklist solvers, and the both-axes-infeasible early
+// termination of the schedule.
 #include "compact/incremental.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "compact/synth_design.hpp"
 #include "compact/xy_schedule.hpp"
 #include "layout/flatten.hpp"
+#include "oracle/scratch_schedule.hpp"
 #include "pla/pla_builder.hpp"
 #include "pla/truth_table.hpp"
 #include "rsg/generator.hpp"
@@ -35,32 +39,42 @@ std::vector<SynthField> identity_fields() {
 }
 
 TEST(Incremental, ScratchVsIncrementalByteIdentityOnSeededFields) {
-  // The tentpole contract: over a multi-round schedule the incremental
-  // engine must reproduce the scratch schedule's geometry exactly, and in
-  // check mode it proves the CONSTRAINT STREAM of every pass byte-identical
-  // to a from-scratch generation (the check throws on any divergence), at
-  // the default band count (one) and at four.
-  XyScheduleOptions scratch_options;
-  scratch_options.max_rounds = 3;
-  scratch_options.stop_when_converged = false;
-  scratch_options.incremental = false;
+  // The engine's contract: over a multi-round schedule, with and without
+  // the rubber band, the production schedule and the engine at one band
+  // and at four reproduce the scratch schedule's geometry exactly, and the
+  // CONSTRAINT STREAM of every engine pass is byte-identical to a
+  // from-scratch generation (the checked schedule throws on any
+  // divergence). The production schedule, which runs the engine at one
+  // band, does the checked one-band schedule's work round for round.
+  XyScheduleOptions schedule;
+  schedule.max_rounds = 3;
+  schedule.stop_when_converged = false;
+  const CompactionRules rules = CompactionRules::mosis();
 
-  for (const int bands : {0, 4}) {
-    XyScheduleOptions incremental_options = scratch_options;
-    incremental_options.incremental = true;
-    incremental_options.incremental_options.bands = bands;
-    incremental_options.incremental_options.check_byte_identity = true;
-
+  for (const bool rubber : {false, true}) {
+    FlatOptions options;
+    options.apply_rubber_band = rubber;
     std::uint32_t seed = 0;
     for (const SynthField& field : identity_fields()) {
-      const XyScheduleResult scratch = compact_flat_schedule(
-          field.boxes, CompactionRules::mosis(), {}, scratch_options, field.stretchable);
-      const XyScheduleResult incremental = compact_flat_schedule(
-          field.boxes, CompactionRules::mosis(), {}, incremental_options, field.stretchable);
-      ASSERT_EQ(scratch.boxes, incremental.boxes) << "bands " << bands << " seed " << seed;
-      ASSERT_EQ(scratch.width_after, incremental.width_after) << "bands " << bands;
-      ASSERT_EQ(scratch.height_after, incremental.height_after) << "bands " << bands;
-      ASSERT_EQ(scratch.rounds, incremental.rounds) << "bands " << bands << " seed " << seed;
+      const XyScheduleResult scratch =
+          oracle::scratch_flat_schedule(field.boxes, rules, options, schedule, field.stretchable);
+      const XyScheduleResult production =
+          compact_flat_schedule(field.boxes, rules, options, schedule, field.stretchable);
+      ASSERT_EQ(production.boxes, scratch.boxes) << "rubber " << rubber << " seed " << seed;
+      ASSERT_EQ(production.rounds, scratch.rounds) << "rubber " << rubber << " seed " << seed;
+      for (const int bands : {1, 4}) {
+        const XyScheduleResult checked = oracle::checked_flat_schedule(
+            field.boxes, rules, options, schedule, field.stretchable, bands);
+        ASSERT_EQ(checked.boxes, scratch.boxes)
+            << "rubber " << rubber << " bands " << bands << " seed " << seed;
+        ASSERT_EQ(checked.width_after, scratch.width_after) << "bands " << bands;
+        ASSERT_EQ(checked.height_after, scratch.height_after) << "bands " << bands;
+        ASSERT_EQ(checked.rounds, scratch.rounds) << "bands " << bands << " seed " << seed;
+        if (bands == 1) {
+          ASSERT_EQ(oracle::round_stats_divergence(production, checked), "")
+              << "rubber " << rubber << " seed " << seed;
+        }
+      }
       ++seed;
     }
   }
@@ -69,22 +83,24 @@ TEST(Incremental, ScratchVsIncrementalByteIdentityOnSeededFields) {
 TEST(Incremental, LateRoundsRepriseCleanBandsAndWarmStarts) {
   // On a field that keeps converging, the late rounds of the incremental
   // schedule must actually reuse: partner entries spliced from clean bands
-  // and warm-started solves with zero worklist pops.
+  // and warm-started solves with zero worklist pops — at the production
+  // schedule's one band and at four.
   const SynthField field = make_grid_field(12, 12);
   XyScheduleOptions options;
   options.max_rounds = 8;
   options.stop_when_converged = false;
-  options.incremental_options.bands = 4;
-  const XyScheduleResult result = compact_flat_schedule(
-      field.boxes, CompactionRules::mosis(), {}, options, field.stretchable);
-  ASSERT_TRUE(result.converged);
-  ASSERT_EQ(static_cast<int>(result.round_stats.size()), result.rounds);
-  const RoundStats& last = result.round_stats.back();
-  EXPECT_EQ(last.partners_reswept, 0u);
-  EXPECT_GT(last.partners_reused, 0u);
-  EXPECT_EQ(last.solve_pops, 0u);
-  EXPECT_TRUE(last.warm_x);
-  EXPECT_TRUE(last.warm_y);
+  for (const int bands : {1, 4}) {
+    const XyScheduleResult result = oracle::checked_flat_schedule(
+        field.boxes, CompactionRules::mosis(), {}, options, field.stretchable, bands);
+    ASSERT_TRUE(result.converged) << "bands " << bands;
+    ASSERT_EQ(static_cast<int>(result.round_stats.size()), result.rounds);
+    const RoundStats& last = result.round_stats.back();
+    EXPECT_EQ(last.partners_reswept, 0u) << "bands " << bands;
+    EXPECT_GT(last.partners_reused, 0u) << "bands " << bands;
+    EXPECT_EQ(last.solve_pops, 0u) << "bands " << bands;
+    EXPECT_TRUE(last.warm_x) << "bands " << bands;
+    EXPECT_TRUE(last.warm_y) << "bands " << bands;
+  }
 }
 
 TEST(Incremental, SingleMovedBoxDirtiesItsBandAndSpacingNeighbors) {
@@ -96,12 +112,10 @@ TEST(Incremental, SingleMovedBoxDirtiesItsBandAndSpacingNeighbors) {
     boxes.push_back({Layer::kMetal1, Box(0, i * 40, 8, i * 40 + 8)});
     boxes.push_back({Layer::kMetal1, Box(20, i * 40, 28, i * 40 + 8)});
   }
-  IncrementalOptions inc;
-  inc.bands = 8;
-  inc.check_byte_identity = true;
-  IncrementalCompactor engine(CompactionRules::mosis(), {}, inc);
+  IncrementalCompactor engine(CompactionRules::mosis(), {}, {}, /*bands=*/8);
   const FlatResult first = engine.compact_x(boxes);
   ASSERT_TRUE(engine.x_stats().full_build);
+  EXPECT_EQ(oracle::stream_divergence(engine.x_system(), boxes, CompactionRules::mosis()), "");
   // Stabilize: dirty detection compares each pass's INPUT with the last
   // one, so run once more on the compacted output to make it current.
   const FlatResult stable = engine.compact_x(first.boxes);
@@ -139,8 +153,9 @@ TEST(Incremental, SingleMovedBoxDirtiesItsBandAndSpacingNeighbors) {
   }
   EXPECT_EQ(stats.dirty_bands, expected);
 
-  // And the spliced pass still equals a scratch compaction of the moved
-  // geometry.
+  // And the spliced pass still emits the scratch stream and equals a
+  // scratch compaction of the moved geometry.
+  EXPECT_EQ(oracle::stream_divergence(engine.x_system(), moved, CompactionRules::mosis()), "");
   const FlatResult scratch = compact_flat(moved, CompactionRules::mosis());
   EXPECT_EQ(second.boxes, scratch.boxes);
 }
@@ -148,111 +163,46 @@ TEST(Incremental, SingleMovedBoxDirtiesItsBandAndSpacingNeighbors) {
 TEST(Incremental, ResizedRigidBoxRefreshesTheWidthPrefix) {
   // A schedule never changes a rigid box's width, so the engine keeps each
   // axis's width/anchor constraints across passes. A caller that resizes
-  // one must still get the scratch stream: check_byte_identity throws on
-  // a stale prefix.
+  // one must still get the scratch stream: the stream check flags a stale
+  // prefix.
   const SynthField field = make_random_field(5, 20);
   const auto rigid = std::find(field.stretchable.begin(), field.stretchable.end(), false);
   ASSERT_NE(rigid, field.stretchable.end());
-  IncrementalOptions inc;
-  inc.check_byte_identity = true;
-  IncrementalCompactor engine(CompactionRules::mosis(), {}, inc, field.stretchable);
+  IncrementalCompactor engine(CompactionRules::mosis(), {}, field.stretchable);
   std::vector<LayerBox> boxes = engine.compact_x(field.boxes).boxes;
   boxes[static_cast<std::size_t>(rigid - field.stretchable.begin())].box.hi.x += 3;
   const FlatResult resized = engine.compact_x(boxes);
+  EXPECT_EQ(oracle::stream_divergence(engine.x_system(), boxes, CompactionRules::mosis(), {},
+                                      field.stretchable),
+            "");
   EXPECT_EQ(resized.boxes,
             compact_flat(boxes, CompactionRules::mosis(), {}, field.stretchable).boxes);
 }
 
-TEST(Incremental, FullRebuildEscapeHatchStaysExact) {
-  const SynthField field = make_random_field(7, 25);
-  IncrementalOptions inc;
-  inc.bands = 4;
-  inc.full_rebuild = true;
-  IncrementalCompactor engine(CompactionRules::mosis(), {}, inc, field.stretchable);
-  const FlatResult first = engine.compact_x(field.boxes);
-  const FlatResult again = engine.compact_x(first.boxes);
-  // Every shard is re-swept every pass under the escape hatch.
-  EXPECT_EQ(engine.x_stats().shards_reswept, engine.x_stats().shards_total);
-  EXPECT_EQ(engine.x_stats().partners_reused, 0u);
-  const FlatResult scratch = compact_flat(first.boxes, CompactionRules::mosis(), {},
-                                          field.stretchable);
-  EXPECT_EQ(again.boxes, scratch.boxes);
-}
-
-TEST(Incremental, FullRebuildUnderByteIdentityCheckAcrossBothAxes) {
-  // The two escape hatches composed, over a moving multi-pass sequence on
-  // BOTH axes: full_rebuild must re-sweep every shard every pass (never
-  // splice), check_byte_identity must stay silent on correct state, and
-  // the geometry must equal the scratch compactors' exactly.
-  const SynthField field = make_random_field(11, 30);
-  IncrementalOptions inc;
-  inc.bands = 4;
-  inc.full_rebuild = true;
-  inc.check_byte_identity = true;
-  IncrementalCompactor engine(CompactionRules::mosis(), {}, inc, field.stretchable);
-  std::vector<LayerBox> boxes = field.boxes;
-  for (int pass = 0; pass < 3; ++pass) {
-    const FlatResult x = engine.compact_x(boxes);
-    EXPECT_EQ(engine.x_stats().shards_reswept, engine.x_stats().shards_total)
-        << "pass " << pass;
-    EXPECT_EQ(engine.x_stats().partners_reused, 0u) << "pass " << pass;
-    const FlatResult x_scratch = compact_flat(boxes, CompactionRules::mosis(), {},
-                                              field.stretchable);
-    ASSERT_EQ(x.boxes, x_scratch.boxes) << "pass " << pass;
-    const FlatResult y = engine.compact_y(x.boxes);
-    EXPECT_EQ(engine.y_stats().shards_reswept, engine.y_stats().shards_total)
-        << "pass " << pass;
-    EXPECT_EQ(engine.y_stats().partners_reused, 0u) << "pass " << pass;
-    const FlatResult y_scratch = compact_flat_y(x.boxes, CompactionRules::mosis(), {},
-                                                field.stretchable);
-    ASSERT_EQ(y.boxes, y_scratch.boxes) << "pass " << pass;
-    boxes = y.boxes;
-  }
-}
-
-TEST(Incremental, CheckByteIdentityThrowsOnCorruptedState) {
-  // The error path of the diagnostic mode, executed via fault injection
-  // (the engine is byte-identical by construction, so the only way to see
-  // the check FIRE is to corrupt its cached state): an all-clean pass
-  // reuses the corrupted cache, the scratch comparison diverges, and the
-  // distinct IncrementalDivergence type must come out — it is what lets
-  // the best-effort schedule treat an engine bug as fatal while still
-  // skipping genuinely infeasible axes.
+TEST(Incremental, StreamCheckFlagsACorruptedSystem) {
+  // The stream check must be able to fail: the engine is byte-identical by
+  // construction, so feed the check copies of a pass's system with one
+  // constraint added, one dropped and one reweighted — what a cache
+  // corrupted between passes would hand an all-clean pass.
   const SynthField field = make_random_field(3, 20);
-  IncrementalOptions inc;
-  inc.bands = 4;
-  inc.check_byte_identity = true;
-  IncrementalCompactor engine(CompactionRules::mosis(), {}, inc, field.stretchable);
-  // No cached system before the first pass: the hook itself refuses.
-  EXPECT_THROW(engine.corrupt_cached_system_for_testing(false), Error);
-  // Converge each axis first — a pass is not idempotent in general (moved
-  // boxes change the visibility partners), and the cached system is only
-  // REUSED (the corruption therefore only visible) on an all-clean pass;
-  // moving geometry would re-emit over the corrupted cache and wash the
-  // fault away.
-  const auto converge = [&engine](std::vector<LayerBox> boxes, bool y_axis) {
-    for (int pass = 0; pass < 16; ++pass) {
-      const FlatResult result =
-          y_axis ? engine.compact_y(boxes) : engine.compact_x(boxes);
-      if (result.boxes == boxes) return boxes;
-      boxes = result.boxes;
-    }
-    ADD_FAILURE() << "axis did not converge";
-    return boxes;
-  };
-  const std::vector<LayerBox> x_fix = converge(field.boxes, /*y_axis=*/false);
-  engine.corrupt_cached_system_for_testing(false);
-  try {
-    engine.compact_x(x_fix);
-    FAIL() << "corrupted cache must not pass the byte-identity check";
-  } catch (const IncrementalDivergence&) {
-    // The specific type, not just rsg::Error — the schedule's rethrow
-    // logic keys on it.
-  }
-  // The y axis has its own cache and its own check.
-  const std::vector<LayerBox> y_fix = converge(x_fix, /*y_axis=*/true);
-  engine.corrupt_cached_system_for_testing(true);
-  EXPECT_THROW(engine.compact_y(y_fix), IncrementalDivergence);
+  const CompactionRules rules = CompactionRules::mosis();
+  IncrementalCompactor engine(rules, {}, field.stretchable);
+  engine.compact_x(field.boxes);
+  const ConstraintSystem& system = engine.x_system();
+  ASSERT_EQ(oracle::stream_divergence(system, field.boxes, rules, {}, field.stretchable), "");
+  ASSERT_GT(system.constraint_count(), 1u);
+
+  ConstraintSystem added = system;
+  added.add_constraint(0, 0, 1, ConstraintKind::kSpacing);
+  EXPECT_NE(oracle::stream_divergence(added, field.boxes, rules, {}, field.stretchable), "");
+  ConstraintSystem dropped = system;
+  dropped.truncate_constraints(system.constraint_count() - 1);
+  EXPECT_NE(oracle::stream_divergence(dropped, field.boxes, rules, {}, field.stretchable), "");
+  ConstraintSystem reweighted = dropped;
+  Constraint last = system.constraints().back();
+  ++last.weight;
+  reweighted.add_constraint(last);
+  EXPECT_NE(oracle::stream_divergence(reweighted, field.boxes, rules, {}, field.stretchable), "");
 }
 
 TEST(Incremental, WarmStartMatchesColdForBothWorklistSolvers) {
@@ -359,19 +309,22 @@ TEST(Incremental, BothAxesInfeasibleTerminatesScheduleEarly) {
   options.best_effort = true;
   options.max_rounds = 8;
   options.stop_when_converged = false;
-  for (const bool incremental : {false, true}) {
-    XyScheduleOptions run = options;
-    run.incremental = incremental;
-    const XyScheduleResult result =
-        compact_flat_schedule(both, CompactionRules::mosis(), {}, run);
-    EXPECT_EQ(result.rounds, 1) << "incremental " << incremental;
-    EXPECT_FALSE(result.converged) << "incremental " << incremental;
-    EXPECT_TRUE(result.x_infeasible) << "incremental " << incremental;
-    EXPECT_TRUE(result.y_infeasible) << "incremental " << incremental;
-    ASSERT_EQ(result.round_stats.size(), 1u);
-    EXPECT_TRUE(result.round_stats[0].x_skipped);
-    EXPECT_TRUE(result.round_stats[0].y_skipped);
-    EXPECT_EQ(result.boxes, both);
+  const CompactionRules rules = CompactionRules::mosis();
+  const std::vector<std::pair<const char*, XyScheduleResult>> runs = {
+      {"production", compact_flat_schedule(both, rules, {}, options)},
+      {"scratch", oracle::scratch_flat_schedule(both, rules, {}, options)},
+      {"checked, 1 band", oracle::checked_flat_schedule(both, rules, {}, options, {}, 1)},
+      {"checked, 4 bands", oracle::checked_flat_schedule(both, rules, {}, options, {}, 4)},
+  };
+  for (const auto& [name, result] : runs) {
+    EXPECT_EQ(result.rounds, 1) << name;
+    EXPECT_FALSE(result.converged) << name;
+    EXPECT_TRUE(result.x_infeasible) << name;
+    EXPECT_TRUE(result.y_infeasible) << name;
+    ASSERT_EQ(result.round_stats.size(), 1u) << name;
+    EXPECT_TRUE(result.round_stats[0].x_skipped) << name;
+    EXPECT_TRUE(result.round_stats[0].y_skipped) << name;
+    EXPECT_EQ(result.boxes, both) << name;
   }
 }
 

@@ -1,10 +1,11 @@
 // Tests for the alternating x/y compaction schedule and its wiring into the
-// rsg::Generator pipeline, plus the transpose property that pins y
-// compaction to x compaction on 100+ seeded synthetic fields.
+// rsg::Generator pipeline, plus the transpose property that pins the
+// engine's y compaction to x compaction on 100+ seeded synthetic fields.
 #include "compact/xy_schedule.hpp"
 
 #include <gtest/gtest.h>
 
+#include "compact/incremental.hpp"
 #include "compact/synth_design.hpp"
 #include "layout/design_rules.hpp"
 #include "layout/flatten.hpp"
@@ -26,13 +27,14 @@ std::vector<LayerBox> transposed(const std::vector<LayerBox>& boxes) {
 }
 
 TEST(XySchedule, YCompactionIsTransposedXCompaction) {
-  // compact_flat_y(boxes) == transpose(compact_flat(transpose(boxes))) on
-  // 100+ seeded fields — the contract that makes the alternating schedule a
-  // pure composition of one-dimensional passes (§6.3).
+  // The schedule's y pass, IncrementalCompactor::compact_y(boxes), equals
+  // transpose(compact_flat(transpose(boxes))) on 100+ seeded fields — the
+  // contract that makes the alternating schedule a pure composition of
+  // one-dimensional passes (§6.3).
   for (std::uint32_t seed = 0; seed < 110; ++seed) {
     const SynthField field = make_random_field(seed, 4 + static_cast<int>(seed % 30));
-    const FlatResult y_pass =
-        compact_flat_y(field.boxes, CompactionRules::mosis(), {}, field.stretchable);
+    IncrementalCompactor engine(CompactionRules::mosis(), {}, field.stretchable);
+    const FlatResult y_pass = engine.compact_y(field.boxes);
     const FlatResult x_of_transpose =
         compact_flat(transposed(field.boxes), CompactionRules::mosis(), {}, field.stretchable);
     EXPECT_EQ(y_pass.boxes, transposed(x_of_transpose.boxes)) << "seed " << seed;
