@@ -4,7 +4,7 @@
 // Three configurations sweep each size:
 //   naive     the §6.4.1 overconstraining pairwise generator (O(n^2) pairs)
 //             plus the pass-based Bellman–Ford solver
-//   scanline  the visibility scan-line generator (ordered-segment profile,
+//   scanline  the visibility scan-line generator (blocked segment profile,
 //             nets from its partner lists) plus the pass-based solver
 //   worklist  compact_flat as production runs it: the scan-line generator
 //             plus the worklist solver
@@ -13,6 +13,12 @@
 // oracle::solve_leftmost. The scanline and worklist rows solve the same
 // system and report the same width_after; the naive generator
 // overconstrains, so its width is larger.
+//
+// A fourth row, shuffled_column, times the scan-line generator alone on the
+// visibility profile's worst insertion order: a one-layer column listed in
+// random order (make_shuffled_column_field), whose profile grows to one
+// segment per box with every insert at a random place. Its time per box
+// must stay nearly flat from 1k to 50k boxes.
 //
 // CI runs the 1k/10k sizes via scripts/bench_smoke.sh and uploads the JSON
 // as BENCH_compact_scaling.json; run the binary with no filter for the
@@ -98,9 +104,44 @@ void BM_CompactNaive(benchmark::State& state) { run_mode(state, "naive"); }
 void BM_CompactScanline(benchmark::State& state) { run_mode(state, "scanline"); }
 void BM_CompactWorklist(benchmark::State& state) { run_mode(state, "worklist"); }
 
+const SynthField& shuffled_column_of_size(int boxes) {
+  if (boxes <= 1000) {
+    static const SynthField field = make_shuffled_column_field(1000, 1);
+    return field;
+  }
+  if (boxes <= 10000) {
+    static const SynthField field = make_shuffled_column_field(10000, 1);
+    return field;
+  }
+  static const SynthField field = make_shuffled_column_field(50000, 1);
+  return field;
+}
+
+void BM_CompactShuffledColumn(benchmark::State& state) {
+  const SynthField& field = shuffled_column_of_size(static_cast<int>(state.range(0)));
+  std::vector<CompactionBox> boxes(field.boxes.size());
+  for (std::size_t i = 0; i < boxes.size(); ++i) boxes[i].geometry = field.boxes[i];
+  ConstraintSystem system;
+  add_box_variables(system, boxes);
+  std::size_t constraints = 0;
+  for (auto _ : state) {
+    system.truncate_constraints(0);
+    generate_constraints(system, boxes, CompactionRules::mosis());
+    constraints = system.constraint_count();
+    benchmark::DoNotOptimize(constraints);
+  }
+  state.counters["boxes"] = static_cast<double>(field.boxes.size());
+  state.counters["constraints"] = static_cast<double>(constraints);
+}
+
 BENCHMARK(BM_CompactNaive)->Arg(1000)->Arg(10000)->Arg(50000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CompactScanline)->Arg(1000)->Arg(10000)->Arg(50000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CompactWorklist)->Arg(1000)->Arg(10000)->Arg(50000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CompactShuffledColumn)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(50000)
+    ->Unit(benchmark::kMillisecond);
 
 double time_once(int boxes, const char* mode) {
   const SynthField& field = field_of_size(boxes);

@@ -3,10 +3,12 @@
 # BENCH_compact_scaling.json, BENCH_leaf_scaling.json, BENCH_xy_scaling.json,
 # BENCH_io_scaling.json and BENCH_serve_throughput.json — the artifacts CI
 # uploads to grow the performance trajectory (schemas: docs/BENCHMARKS.md).
-# The xy point doubles as a regression tripwire: the job fails if the
-# production (incremental) schedule is not at least as fast per
-# post-first-round iteration as the test oracle's scratch schedule at the
-# 10k-box size. The serve point asserts the
+# The compact-scaling point gates the visibility profile's worst case: the
+# job fails if the shuffled column's time per box grows more than 3x from
+# 1k to 10k boxes. The xy point doubles as a regression tripwire: the job
+# fails if the production (incremental) schedule is not at least as fast
+# per post-first-round iteration as the test oracle's scratch schedule at
+# the 10k-box size. The serve point asserts the
 # compile-once path is >= 3x compile-per-request, and (on hosts with >= 4
 # cores) that 4 serving threads scale >= 2.5x over 1; that core-gated bar
 # stamps its verdict into the artifact as a top-level "gate" field:
@@ -92,6 +94,34 @@ with open(sys.argv[1]) as f:
 errors = [b["name"] for b in data.get("benchmarks", []) if b.get("error_occurred")]
 if errors:
     sys.exit("error: benchmarks failed their in-bench assertions: " + ", ".join(errors))
+EOF
+
+# Profile tripwire: the shuffled column inserts every box at a random place
+# in a visibility profile that grows to one segment per box. A profile that
+# splices in bounded blocks (or a balanced tree) keeps the time per box
+# nearly flat from 1k to 10k boxes (1.3-1.7x measured); one that shifts
+# the whole profile per insert, such as a plain sorted vector, grows it
+# roughly with the profile size. So the row's time per box at 10k must stay
+# within 3x of its time per box at 1k.
+python3 - "$SCALING_OUT" <<'EOF'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    data = json.load(f)
+per_box = {}
+for bench in data.get("benchmarks", []):
+    name = bench.get("name", "")
+    if name.startswith("BM_CompactShuffledColumn/") and bench.get("boxes"):
+        per_box[name.split("/")[1]] = bench["real_time"] / bench["boxes"]
+small, large = per_box.get("1000"), per_box.get("10000")
+if small is None or large is None:
+    sys.exit("error: BENCH_compact_scaling.json is missing the 1k/10k shuffled-column rows")
+growth = large / small if small else float("inf")
+print(f"shuffled column time per box: 1k {small * 1e6:.1f} ns, 10k {large * 1e6:.1f} ns, "
+      f"growth {growth:.2f}x")
+if growth > 3.0:
+    sys.exit(f"error: the visibility profile's time per box grew {growth:.2f}x from 1k to "
+             f"10k shuffled-column boxes (bar: 3x)")
 EOF
 
 # Regression tripwire: the production schedule must never be SLOWER than

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -66,18 +65,20 @@ Adjacency build_adjacency(const ConstraintSystem& system, Direction dir) {
     const int t = dir.tail(c);
     return t < 0 ? n : static_cast<std::size_t>(t);
   };
+  // offsets[k] counts, then ends, tail k's run; filling each run from its
+  // end, constraints in reverse, leaves it holding the run's start.
   adj.offsets.assign(n + 2, 0);
   for (const Constraint& c : cs) {
-    if (dir.head(c) >= 0) ++adj.offsets[key(c) + 1];
+    if (dir.head(c) >= 0) ++adj.offsets[key(c)];
   }
-  for (std::size_t v = 0; v <= n; ++v) adj.offsets[v + 1] += adj.offsets[v];
+  for (std::size_t v = 0; v < n; ++v) adj.offsets[v + 1] += adj.offsets[v];
+  adj.offsets[n + 1] = adj.offsets[n];
   adj.arcs.resize(adj.offsets[n + 1]);
-  std::vector<std::size_t> cursor(adj.offsets.begin(), adj.offsets.end() - 1);
-  for (std::size_t e = 0; e < cs.size(); ++e) {
+  for (std::size_t e = cs.size(); e-- > 0;) {
     const Constraint& c = cs[e];
     if (dir.head(c) < 0) continue;
-    adj.arcs[cursor[key(c)]++] = {c.weight - pitch_term(system, c),
-                                  static_cast<Index>(dir.head(c)), static_cast<Index>(e)};
+    adj.arcs[--adj.offsets[key(c)]] = {c.weight - pitch_term(system, c),
+                                       static_cast<Index>(dir.head(c)), static_cast<Index>(e)};
   }
   return adj;
 }
@@ -147,7 +148,11 @@ class LongestPaths {
       g_[v] = std::max(dir_.floor, dir_.reversed ? -seed[v] : seed[v]);
     }
     const std::vector<Coord> seeded = g_;
-    std::deque<std::size_t> queue;
+    // The FIFO holds each variable at most once, so a ring of n slots
+    // holds it.
+    std::vector<Index> queue(n_);
+    std::size_t front = 0;
+    std::size_t size = 0;
     std::vector<char> queued(n_, 0);
     bool abandoned = false;
     const auto relax = [&](Coord from, std::size_t v, Coord gain) {
@@ -157,7 +162,8 @@ class LongestPaths {
         abandoned = true;
       } else if (!queued[v]) {
         queued[v] = 1;
-        queue.push_back(v);
+        const std::size_t slot = front + size++;
+        queue[slot < n_ ? slot : slot - n_] = static_cast<Index>(v);
       }
     };
     ++stats.passes;
@@ -170,9 +176,10 @@ class LongestPaths {
               c.weight - pitch_term(system_, c));
       }
     }
-    while (!queue.empty() && !abandoned) {
-      const std::size_t u = queue.front();
-      queue.pop_front();
+    while (size > 0 && !abandoned) {
+      const std::size_t u = queue[front];
+      if (++front == n_) front = 0;
+      --size;
       queued[u] = 0;
       ++stats.pops;
       for (std::size_t k = adj_.offsets[u]; k < adj_.offsets[u + 1] && !abandoned; ++k) {

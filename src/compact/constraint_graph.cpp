@@ -16,7 +16,7 @@ int ConstraintSystem::add_pitch(Coord initial) {
   return static_cast<int>(pitch_initial_.size()) - 1;
 }
 
-void ConstraintSystem::add_constraint(Constraint c) {
+void ConstraintSystem::reject(const Constraint& c) const {
   const int n = static_cast<int>(initial_.size());
   if (c.to < 0 || c.to >= n || c.from < -1 || c.from >= n) {
     throw Error("constraint references an unknown variable");
@@ -24,10 +24,7 @@ void ConstraintSystem::add_constraint(Constraint c) {
   if (c.pitch < -1 || c.pitch >= static_cast<int>(pitch_initial_.size())) {
     throw Error("constraint references an unknown pitch variable");
   }
-  if (c.pitch == -1 && c.pitch_coeff != 0) {
-    throw Error("constraint has a pitch coefficient but no pitch variable");
-  }
-  constraints_.push_back(c);
+  throw Error("constraint has a pitch coefficient but no pitch variable");
 }
 
 bool ConstraintSystem::satisfied() const {

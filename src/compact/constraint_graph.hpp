@@ -40,7 +40,18 @@ class ConstraintSystem {
   int add_variable(Coord initial);
   int add_pitch(Coord initial);
 
-  void add_constraint(Constraint c);
+  // Appends `c` after checking that it names existing variables and
+  // pitches (rsg::Error otherwise). Inline: constraint generation appends
+  // millions per schedule.
+  void add_constraint(Constraint c) {
+    const int n = static_cast<int>(initial_.size());
+    if (c.to < 0 || c.to >= n || c.from < -1 || c.from >= n || c.pitch < -1 ||
+        c.pitch >= static_cast<int>(pitch_initial_.size()) ||
+        (c.pitch == -1 && c.pitch_coeff != 0)) [[unlikely]] {
+      reject(c);
+    }
+    constraints_.push_back(c);
+  }
   // Convenience for the constant-weight case.
   void add_constraint(int from, int to, Coord weight, ConstraintKind kind) {
     add_constraint({from, to, weight, -1, 0, kind});
@@ -70,6 +81,9 @@ class ConstraintSystem {
   bool satisfied() const;
 
  private:
+  // Throws the message of the first check `c` fails.
+  [[noreturn]] void reject(const Constraint& c) const;
+
   std::vector<Coord> initial_;
   std::vector<Coord> pitch_initial_;
   std::vector<Constraint> constraints_;

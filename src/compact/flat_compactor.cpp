@@ -15,13 +15,17 @@ std::vector<LayerBox> transposed_boxes(const std::vector<LayerBox>& boxes) {
   return out;
 }
 
+void check_stretchable_mask(const std::vector<bool>& stretchable, std::size_t boxes) {
+  if (!stretchable.empty() && stretchable.size() != boxes) {
+    throw Error("compact_flat: stretchable mask size mismatch");
+  }
+}
+
 std::vector<CompactionBox> normalized_compaction_boxes(const std::vector<LayerBox>& boxes,
                                                        const FlatOptions& options,
                                                        const std::vector<bool>& stretchable,
                                                        Coord& width_before) {
-  if (!stretchable.empty() && stretchable.size() != boxes.size()) {
-    throw Error("compact_flat: stretchable mask size mismatch");
-  }
+  check_stretchable_mask(stretchable, boxes.size());
   // Normalize: shift so the leftmost edge is at 0 (the anchor wall).
   Coord min_x = 0;
   Coord max_x = 0;

@@ -45,6 +45,10 @@ FlatResult compact_flat(const std::vector<LayerBox>& boxes, const CompactionRule
                         const FlatOptions& options = {},
                         const std::vector<bool>& stretchable = {});
 
+// Throws rsg::Error unless `stretchable` is empty or has one entry per
+// box of a `boxes`-box geometry.
+void check_stretchable_mask(const std::vector<bool>& stretchable, std::size_t boxes);
+
 // The shared pass prologue of compact_flat and the incremental engine:
 // normalizes the geometry (leftmost edge to the anchor wall), records the
 // starting width, and builds the CompactionBox batch with the stretchable

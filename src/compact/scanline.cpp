@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <future>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -19,20 +18,31 @@ Coord y_gap(const Box& a, const Box& b) {
   return std::max<Coord>({a.lo.y - b.hi.y, b.lo.y - a.hi.y, 0});
 }
 
-// Per-layer visibility profile: disjoint y segments, each remembering the
-// box a left-looking viewer sees there (Figure 6.7). The segments are keyed
-// by their start in a std::map, so query and insert touch only the
-// O(log n + k) segments that overlap the window. Where a new box overlaps a
-// segment, the box whose right edge reaches further stays visible (the new
-// box on ties); adjacent same-box segments are coalesced. The test oracle's
-// linear segment list (tests/oracle) sees the same box at every y point.
+// Per-layer visibility profile: disjoint y segments in y order, each
+// remembering the box a left-looking viewer sees there (Figure 6.7).
+// Where a new box overlaps a segment, the box whose right edge reaches
+// further stays visible (the new box on ties); adjacent same-box segments
+// of one insert are coalesced. The test oracle's linear segment list
+// (tests/oracle) sees the same box at every y point.
+//
+// The segments live in blocks of at most kBlock contiguous entries, with a
+// sorted index of each block's first start: a query or insert searches the
+// index and one block, walks the k segments it overlaps, and splices at
+// most a block's worth of entries, so each costs O(log n + k + kBlock)
+// however the inserts are ordered. A splice that would overfill a block
+// splits it, one that would leave it under a quarter full merges it with a
+// neighbor, so every block but a sole one stays at least a quarter full.
+// The profiles of the bundled designs (tens of segments) fit in one block.
 class OrderedProfile {
  public:
   void query(Coord y0, Coord y1, std::vector<std::size_t>& seen) const {
-    if (y0 >= y1 || segments_.empty()) return;
-    auto it = first_overlapping(y0);
-    for (; it != segments_.end() && it->first < y1; ++it) {
-      seen.push_back(it->second.box);
+    if (y0 >= y1) return;
+    for (Pos p = first_overlapping(y0); p.block < blocks_.size(); ++p.block, p.at = 0) {
+      const std::vector<Segment>& s = blocks_[p.block].segments;
+      for (; p.at < s.size(); ++p.at) {
+        if (s[p.at].y0 >= y1) return;
+        seen.push_back(s[p.at].box);
+      }
     }
   }
 
@@ -41,19 +51,10 @@ class OrderedProfile {
     if (y0 >= y1) return;
     const Coord new_reach = boxes[box].geometry.box.hi.x;
 
-    // Detach the segments overlapping [y0, y1).
-    overlapped_.clear();
-    std::map<Coord, Segment>::const_iterator it = first_overlapping(y0);
-    const auto first = it;
-    while (it != segments_.end() && it->first < y1) {
-      overlapped_.push_back({it->first, it->second.y1, it->second.box});
-      ++it;
-    }
-    segments_.erase(first, it);
-
-    // Rebuild left to right: kept flanks of split segments, the contested
-    // overlaps (further right edge wins, new box on ties), and the gaps in
-    // between (always the new box).
+    // Walk the run [first, last) of segments overlapping [y0, y1) and
+    // rebuild it left to right: kept flanks of split segments, the
+    // contested overlaps (further right edge wins, new box on ties), and
+    // the gaps in between (always the new box).
     rebuilt_.clear();
     auto emit = [&](Coord a, Coord b, std::size_t bx) {
       if (a >= b) return;
@@ -63,8 +64,12 @@ class OrderedProfile {
       }
       rebuilt_.push_back({a, b, bx});
     };
+    const Pos first = first_overlapping(y0);
+    Pos last = first;
     Coord cursor = y0;
-    for (const Piece& s : overlapped_) {
+    while (last.block < blocks_.size()) {
+      const Segment& s = blocks_[last.block].segments[last.at];
+      if (s.y0 >= y1) break;
       if (s.y0 < y0) emit(s.y0, y0, s.box);
       emit(cursor, std::max(cursor, s.y0), box);
       const Coord o0 = std::max(s.y0, y0);
@@ -73,34 +78,143 @@ class OrderedProfile {
       emit(o0, o1, old_wins ? s.box : box);
       if (s.y1 > y1) emit(y1, s.y1, s.box);
       cursor = o1;
+      if (++last.at == blocks_[last.block].segments.size()) {
+        ++last.block;
+        last.at = 0;
+      }
     }
     emit(cursor, y1, box);
-    for (const Piece& p : rebuilt_) segments_.emplace(p.y0, Segment{p.y1, p.box});
+    replace(first, last);
   }
 
  private:
+  static constexpr std::size_t kBlock = 128;
+
   struct Segment {
-    Coord y1;
-    std::size_t box;
-  };
-  struct Piece {
     Coord y0;
     Coord y1;
     std::size_t box;
   };
+  // A block in y order: its first segment's start and its segments.
+  struct Block {
+    Coord start;
+    std::vector<Segment> segments;
+  };
+  // A segment's place: blocks_[block], entry `at`; {blocks_.size(), 0} is
+  // the end. Every other position has `at` inside its block.
+  struct Pos {
+    std::size_t block;
+    std::size_t at;
+  };
 
-  std::map<Coord, Segment>::const_iterator first_overlapping(Coord y0) const {
-    auto it = segments_.upper_bound(y0);
-    if (it != segments_.begin()) {
-      const auto prev = std::prev(it);
-      if (prev->second.y1 > y0) return prev;
+  // The first segment ending above y0: the last one starting at or below
+  // y0 if it reaches past it, else the next.
+  Pos first_overlapping(Coord y0) const {
+    const auto b = static_cast<std::size_t>(
+        std::upper_bound(blocks_.begin(), blocks_.end(), y0,
+                         [](Coord y, const Block& block) { return y < block.start; }) -
+        blocks_.begin());
+    if (b == 0) return {0, 0};
+    const std::vector<Segment>& s = blocks_[b - 1].segments;
+    // Branch-free search for the last start <= y0; the block's first
+    // start is <= y0.
+    const Segment* at = s.data();
+    for (std::size_t len = s.size(); len > 1;) {
+      const std::size_t half = len / 2;
+      at = at[half].y0 <= y0 ? at + half : at;
+      len -= half;
     }
-    return it;
+    const auto i = static_cast<std::size_t>(at - s.data());
+    if (at->y1 > y0) return {b - 1, i};
+    if (i + 1 < s.size()) return {b - 1, i + 1};
+    return {b, 0};
   }
 
-  std::map<Coord, Segment> segments_;
-  std::vector<Piece> overlapped_;  // scratch, reused across inserts
-  std::vector<Piece> rebuilt_;
+  // Replaces the run [first, last) with rebuilt_ (never empty).
+  void replace(Pos first, Pos last) {
+    if (blocks_.empty()) {
+      // The first insert: one empty block to splice into.
+      blocks_.push_back({0, {}});
+    }
+    // The run as block b from entry i through block b2 up to entry j.
+    std::size_t b = first.block;
+    std::size_t i = first.at;
+    std::size_t b2 = last.block;
+    std::size_t j = last.at;
+    if (first.block == blocks_.size() ||
+        (first.at == 0 && first.block > 0 && last.block == first.block && last.at == 0)) {
+      // An insert between blocks (or past the last) appends to the block
+      // before, which keeps the index as it is.
+      b = b2 = first.block - 1;
+      i = j = blocks_[b].segments.size();
+    } else if (last.at == 0 && last.block > b) {
+      b2 = last.block - 1;
+      j = blocks_[b2].segments.size();
+    }
+    const std::size_t r = rebuilt_.size();
+    if (b == b2) {
+      std::vector<Segment>& s = blocks_[b].segments;
+      const std::size_t n = s.size() - (j - i) + r;
+      if (n <= kBlock && (n >= kBlock / 4 || blocks_.size() == 1)) {
+        const std::size_t common = std::min(r, j - i);
+        std::copy(rebuilt_.begin(), rebuilt_.begin() + static_cast<std::ptrdiff_t>(common),
+                  s.begin() + static_cast<std::ptrdiff_t>(i));
+        if (r > common) {
+          s.insert(s.begin() + static_cast<std::ptrdiff_t>(j),
+                   rebuilt_.begin() + static_cast<std::ptrdiff_t>(common), rebuilt_.end());
+        } else {
+          s.erase(s.begin() + static_cast<std::ptrdiff_t>(i + r),
+                  s.begin() + static_cast<std::ptrdiff_t>(j));
+        }
+        blocks_[b].start = s.front().y0;
+        return;
+      }
+    }
+    rebalance(b, i, b2, j);
+  }
+
+  // The general splice: the blocks b..b2 with their run replaced, plus a
+  // neighbor when that leaves under a quarter block, are redistributed
+  // evenly over as few blocks as hold them.
+  void rebalance(std::size_t b, std::size_t i, std::size_t b2, std::size_t j) {
+    const std::vector<Segment>& head = blocks_[b].segments;
+    const std::vector<Segment>& tail = blocks_[b2].segments;
+    spill_.assign(head.begin(), head.begin() + static_cast<std::ptrdiff_t>(i));
+    spill_.insert(spill_.end(), rebuilt_.begin(), rebuilt_.end());
+    spill_.insert(spill_.end(), tail.begin() + static_cast<std::ptrdiff_t>(j), tail.end());
+    erase_blocks(b, b2 + 1);
+    if (spill_.size() < kBlock / 4) {
+      if (b < blocks_.size()) {
+        const std::vector<Segment>& next = blocks_[b].segments;
+        spill_.insert(spill_.end(), next.begin(), next.end());
+        erase_blocks(b, b + 1);
+      } else if (b > 0) {
+        --b;
+        const std::vector<Segment>& prev = blocks_[b].segments;
+        spill_.insert(spill_.begin(), prev.begin(), prev.end());
+        erase_blocks(b, b + 1);
+      }
+    }
+    const std::size_t m = (spill_.size() + kBlock - 1) / kBlock;
+    std::size_t from = 0;
+    for (std::size_t k = 0; k < m; ++k) {
+      const std::size_t to = spill_.size() * (k + 1) / m;
+      blocks_.insert(blocks_.begin() + static_cast<std::ptrdiff_t>(b + k),
+                     Block{spill_[from].y0,
+                           {spill_.begin() + static_cast<std::ptrdiff_t>(from),
+                            spill_.begin() + static_cast<std::ptrdiff_t>(to)}});
+      from = to;
+    }
+  }
+
+  void erase_blocks(std::size_t b, std::size_t e) {
+    blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(b),
+                  blocks_.begin() + static_cast<std::ptrdiff_t>(e));
+  }
+
+  std::vector<Block> blocks_;     // in y order
+  std::vector<Segment> rebuilt_;  // scratch, reused across inserts
+  std::vector<Segment> spill_;
 };
 
 }  // namespace
@@ -399,8 +513,10 @@ void emit_pair_constraints(ConstraintSystem& system, const std::vector<Compactio
                            const std::vector<std::size_t>& order, const CompactionRules& rules,
                            const std::vector<const SweepShard*>& shards) {
   // Scatter the shard runs into one partner CSR keyed by box index. The
-  // scatter order across shards is irrelevant: the per-box merge sorts and
-  // deduplicates, which is what pins the emitted stream.
+  // scatter order across shards is irrelevant: each box's run is sorted in
+  // place and read without repeats (a partner recurs when the query met
+  // it in several segments or bands), which is what pins the emitted
+  // stream.
   const std::size_t n = boxes.size();
   std::vector<std::size_t> counts(n + 1, 0);
   for (const SweepShard* shard : shards) {
@@ -421,14 +537,13 @@ void emit_pair_constraints(ConstraintSystem& system, const std::vector<Compactio
   }
   const std::vector<std::size_t> net = net_labels(boxes, order, counts, merged);
 
-  std::vector<std::size_t> seen;
   for (const std::size_t ib : order) {
-    seen.assign(merged.begin() + static_cast<std::ptrdiff_t>(counts[ib]),
-                merged.begin() + static_cast<std::ptrdiff_t>(counts[ib + 1]));
-    std::sort(seen.begin(), seen.end());
-    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-    for (const std::size_t ia : seen) {
-      if (ia != ib) detail::emit_pair_constraint(system, boxes, ia, ib, rules, net);
+    const auto run = merged.begin() + static_cast<std::ptrdiff_t>(counts[ib]);
+    const auto end = merged.begin() + static_cast<std::ptrdiff_t>(counts[ib + 1]);
+    std::sort(run, end);
+    for (auto it = run; it != end; ++it) {
+      if ((it != run && *it == it[-1]) || *it == ib) continue;
+      detail::emit_pair_constraint(system, boxes, *it, ib, rules, net);
     }
   }
 }

@@ -46,11 +46,13 @@ struct CompactionBox {
 void add_box_variables(ConstraintSystem& system, std::vector<CompactionBox>& boxes);
 
 // The visibility scan-line generator of Figure 6.7, the only one the
-// compactors run. The visibility profile is an ordered segment map, and
-// nets come from the sweep's own partner lists (one union test per
-// partner, plus a forward scan per zero-height box), so generation is
-// O((n + p) log n) in the box count n and the number p of partners the
-// sweep reports, each of which emits at most four constraints.
+// compactors run. The visibility profile is a blocked sorted array (a
+// two-level B-tree of at most 128 segments per block), and nets come from
+// the sweep's own partner lists (one union test per partner, plus a
+// forward scan per zero-height box), so generation is O((n + p) log n) in
+// the box count n and the number p of partners the sweep reports, each of
+// which emits at most four constraints, whatever order the boxes arrive
+// in.
 //
 // Batches of at least kBandedGenerationMinBoxes boxes sweep `threads` y
 // bands (below) on as many std::async tasks; smaller ones sweep one band
@@ -121,10 +123,10 @@ void add_width_and_anchor(ConstraintSystem& system, const std::vector<Compaction
                           const CompactionRules& rules);
 
 // Emits the pair constraints merged from the shard partner lists: per box
-// in sweep order the partners are gathered, sorted and deduplicated, so
-// any shard partition of the same geometry produces the byte-identical
-// stream. The shards must cover every (layer, band) of one partition: the
-// net labels are read off the merged partner lists.
+// in sweep order the partners are gathered and sorted, and each is emitted
+// once, so any shard partition of the same geometry produces the
+// byte-identical stream. The shards must cover every (layer, band) of one
+// partition: the net labels are read off the merged partner lists.
 void emit_pair_constraints(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
                            const std::vector<std::size_t>& order, const CompactionRules& rules,
                            const std::vector<const SweepShard*>& shards);

@@ -72,6 +72,17 @@ SynthField make_pla_field(int inputs, int terms) {
   return field;
 }
 
+SynthField make_shuffled_column_field(int boxes, std::uint32_t seed) {
+  std::vector<int> rows(static_cast<std::size_t>(std::max(boxes, 0)));
+  for (std::size_t k = 0; k < rows.size(); ++k) rows[k] = static_cast<int>(k);
+  std::shuffle(rows.begin(), rows.end(), std::mt19937(seed));
+  SynthField field;
+  for (const int row : rows) {
+    add(field, Layer::kMetal1, Box(0, row * 20, 10, row * 20 + 16), false);
+  }
+  return field;
+}
+
 SynthField make_random_field(std::uint32_t seed, int tiles) {
   SynthField field;
   std::mt19937 rng(seed ^ 0x51F15EEDu);

@@ -39,6 +39,14 @@ SynthField make_grid_field_of_size(int boxes);
 // stresses the visibility profile hardest.
 SynthField make_pla_field(int inputs, int terms);
 
+// A one-layer column in a seeded random order: `boxes` metal1 boxes 10
+// wide and 16 high at y pitch 20, each closer than the metal1 spacing to
+// its neighbors. Every box starts at the same x, so the sweep inserts them
+// in index order, each at a random place in a visibility profile that
+// grows to one segment per box: the worst insertion order for a profile
+// kept in sorted arrays.
+SynthField make_shuffled_column_field(int boxes, std::uint32_t seed);
+
 // Seeded random tile field for property testing: every tile draws one of
 // several motifs (single box, fragmented bus, transistor, overlapping
 // same-net metal) with jittered geometry and a seeded stretchable mask.

@@ -66,6 +66,11 @@ XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes,
     start_round = ck.rounds_done;
   }
 
+  // A mask that does not fit the geometry (say a checkpoint of another
+  // design) is a caller error, not an infeasible axis: checked here, before
+  // best effort can skip the passes it would fail.
+  check_stretchable_mask(stretchable, result.boxes.size());
+
   // The incremental engine keeps per-axis band/warm state alive across the
   // whole schedule.
   IncrementalCompactor engine(rules, options, stretchable);

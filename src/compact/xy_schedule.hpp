@@ -65,7 +65,9 @@ struct XyScheduleOptions {
   // throwing — the generator pipeline uses this so any layout may request
   // compaction — and records the skip in the result. A round where BOTH
   // axes are infeasible cannot make progress and terminates the schedule
-  // early with converged = false.
+  // early with converged = false. A caller error is not skipped: a
+  // stretchable mask whose size differs from the geometry (the resumed
+  // one, on resume) throws before the first round either way.
   bool best_effort = false;
   // Checkpoint/restart. The sink (if set) receives the full schedule state
   // after EVERY completed round; `resume` (if set) restores that state and

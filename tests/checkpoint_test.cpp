@@ -352,5 +352,52 @@ end
   std::remove(path.c_str());
 }
 
+TEST(Checkpoint, StretchableLayersRejectACheckpointOfAnotherDesign) {
+  // The mask follows the flattened top cell, the resumed schedule runs the
+  // checkpoint's boxes: when their counts differ, the run must fail rather
+  // than return the checkpoint's geometry as if both axes were infeasible.
+  constexpr const char* kSample = R"(
+cell brick
+  box metal1 0 0 20 8
+end
+assembly
+  inst a brick 0 0 N
+  inst b brick 40 0 N
+  label 1 from a to b
+end
+)";
+  constexpr const char* kDesign = R"(
+(macro mrow (n)
+  (locals foo)
+  (do (i 1 (+ i 1) (> i n))
+      (mk_instance b.i brick)
+      (cond ((> i 1) (connect b.(- i 1) b.i 1)))))
+(assign r (mrow n))
+(mk_cell "row" (subcell r b.1))
+)";
+  const std::string path = testing::TempDir() + "rsg_checkpoint_mask.rsgc";
+
+  Generator writer;
+  CompactionRequest writing;
+  writing.enabled = true;
+  writing.checkpoint_out = path;
+  writer.set_compaction(writing);
+  ASSERT_TRUE(writer.run(kSample, kDesign, "n = 6").compacted);
+
+  Generator resumer;
+  CompactionRequest resuming;
+  resuming.enabled = true;
+  resuming.checkpoint_in = path;
+  resuming.stretchable_layers = {Layer::kMetal1};
+  resumer.set_compaction(resuming);
+  try {
+    resumer.run(kSample, kDesign, "n = 4");
+    ADD_FAILURE() << "a 6-brick checkpoint resumed under a 4-brick mask";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "compact_flat: stretchable mask size mismatch");
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace rsg

@@ -1,16 +1,17 @@
 // Equivalence property tests for the scaled compaction hot path against
-// the test-only oracle (tests/oracle): the ordered-segment profile and the
+// the test-only oracle (tests/oracle): the blocked segment profile and the
 // nets read off its partner lists must emit the byte-identical constraint
 // system as the all-pairs/linear-scan reference generator, for every band
-// partition; the worklist solvers must reproduce the pass-based solutions
-// exactly (the least/greatest fixpoints are unique) and certify every
-// infeasible verdict; and the hashed rigid-group matcher must build the
-// same groups as the all-pairs scan — across 500+ seeded random box
-// fields, the structured grid/PLA shapes the benchmarks sweep, and the
-// stacked geometry compaction rounds leave behind. On the bundled designs
-// the incremental schedule must match the scratch one, every engine pass
-// emitting the scratch stream. A work tripwire keeps the solver's
-// dequeues linear.
+// partition, also on profiles deep enough to split and merge blocks; the
+// worklist solvers must reproduce the pass-based solutions exactly (the
+// least/greatest fixpoints are unique) and certify every infeasible
+// verdict; and the hashed rigid-group matcher must build the same groups
+// as the all-pairs scan — across 500+ seeded random box fields, the
+// structured grid/PLA shapes the benchmarks sweep, and the stacked
+// geometry compaction rounds leave behind. On the bundled designs the
+// incremental schedule must match the scratch one, every engine pass
+// emitting the scratch stream, and its per-round work is pinned. A work
+// tripwire keeps the solver's dequeues linear.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -343,6 +344,55 @@ TEST(CompactScaling, BandShardedGenerationMatchesSerialByteForByte) {
   }
 }
 
+// Poly stripes over a diffusion column, listed in a seeded random order:
+// stripe k crosses diffusion box k, each at its own jittered x, so the
+// sweep interleaves the layers and queries reach across into the other
+// layer's profile. Every 40th row also gets a diffusion strap further right
+// spanning 120 rows: swept after the rows it covers, each strap collapses
+// their segments into one, which drains blocks and merges them.
+SynthField striped_column_field(int rows, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  const auto jitter = [&] { return static_cast<Coord>(rng() % 9); };
+  SynthField field;
+  for (int k = 0; k < rows; ++k) {
+    const Coord y = 20 * static_cast<Coord>(k);
+    const Coord d = jitter();
+    const Coord p = jitter();
+    field.boxes.push_back({Layer::kDiffusion, Box(d, y, d + 10, y + 16)});
+    field.boxes.push_back({Layer::kPoly, Box(p - 4, y + 6, p + 14, y + 10)});
+    if (k % 40 == 0) field.boxes.push_back({Layer::kDiffusion, Box(30, y, 34, y + 20 * 120)});
+  }
+  std::shuffle(field.boxes.begin(), field.boxes.end(), rng);
+  field.stretchable.assign(field.boxes.size(), false);
+  return field;
+}
+
+TEST(CompactScaling, DeepProfilesMatchReferenceByteForByte) {
+  // The fields above hold profiles of a few dozen segments, which fit in
+  // one block of the generator's blocked profile. These two grow to a
+  // thousand segments or more in random order, so blocks split, drain and
+  // merge: a shuffled one-layer column, and shuffled poly stripes over a
+  // diffusion column with straps. The stream must stay the reference
+  // generator's at one band and banded.
+  const std::vector<SynthField> fields = {make_shuffled_column_field(2000, 7),
+                                          striped_column_field(1000, 11)};
+  std::uint32_t seed = 0;
+  for (const SynthField& field : fields) {
+    ConstraintSystem ref;
+    const std::vector<CompactionBox> ref_boxes = to_compaction_boxes(field, ref);
+    oracle::generate_constraints_reference(ref, ref_boxes, CompactionRules::mosis());
+
+    ConstraintSystem fast;
+    const std::vector<CompactionBox> fast_boxes = to_compaction_boxes(field, fast);
+    generate_constraints(fast, fast_boxes, CompactionRules::mosis());
+    expect_identical_systems(fast, ref, seed);
+    for (const int bands : {4, 8}) {
+      expect_identical_systems(banded_constraints(field, bands, /*threads=*/2), ref, seed);
+    }
+    ++seed;
+  }
+}
+
 TEST(CompactScaling, BuilderThreadsAreAThroughputKnobOnly) {
   // compact_flat with generation_threads on a batch past the banding
   // threshold must reproduce the serial result exactly, rubber band
@@ -444,24 +494,32 @@ TEST(CompactScaling, RamRoundThreeXPassIsCertifiedInfeasible) {
   EXPECT_FALSE(expect_worklist_matches_pass_based(system, "ram 16x16 round 3 x"));
 }
 
+// The designs the stacked fields come from, plus a generated PLA: decoder
+// decbits=6, ram 16x16, mult asize=8 and a 3-term PLA.
+const std::vector<std::vector<LayerBox>>& schedule_designs() {
+  static const std::vector<std::vector<LayerBox>> designs = [] {
+    Generator pla_generator;
+    const pla::TruthTable table = pla::TruthTable::parse(
+        "10 10\n"
+        "01 11\n"
+        "-1 01\n");
+    return std::vector<std::vector<LayerBox>>{
+        decoder_geometry(6), ram_geometry(16, 16),
+        design_geometry("mult.sample", "mult.rsg", "mult.par", "asize = 8\n"),
+        flatten_boxes(*pla::generate_pla(pla_generator, table).top)};
+  }();
+  return designs;
+}
+
 TEST(CompactScaling, IncrementalScheduleMatchesScratchOnDesigns) {
-  // The designs the stacked fields come from, plus a generated PLA, under
-  // the schedule `.compact:xy` runs: their schedules skip infeasible passes
-  // and end in passes that move a handful of boxes, where the incremental
-  // engine reuses most shards and the whole width/anchor prefix. The
-  // production schedule's geometry must equal the scratch schedule's, and
-  // its work the checked one-band schedule's; the checked schedules check
-  // every pass's stream against scratch generation, at the production
-  // band count (one) and at four.
-  Generator pla_generator;
-  const pla::TruthTable table = pla::TruthTable::parse(
-      "10 10\n"
-      "01 11\n"
-      "-1 01\n");
-  const std::vector<std::vector<LayerBox>> designs = {
-      decoder_geometry(6), ram_geometry(16, 16),
-      design_geometry("mult.sample", "mult.rsg", "mult.par", "asize = 8\n"),
-      flatten_boxes(*pla::generate_pla(pla_generator, table).top)};
+  // The schedule_designs() under the schedule `.compact:xy` runs: their
+  // schedules skip infeasible passes and end in passes that move a handful
+  // of boxes, where the incremental engine reuses most shards and the
+  // whole width/anchor prefix. The production schedule's geometry must
+  // equal the scratch schedule's, and its work the checked one-band
+  // schedule's; the checked schedules check every pass's stream against
+  // scratch generation, at the production band count (one) and at four.
+  const std::vector<std::vector<LayerBox>>& designs = schedule_designs();
   const XyScheduleOptions schedule = CompactionRequest::default_schedule();
   const CompactionRules rules = CompactionRules::mosis();
   int skipped = 0;
@@ -515,6 +573,77 @@ TEST(CompactScaling, EndToEndWorklistMatchesPassBasedOnBenchmarkGrid) {
   const FlatResult work =
       compact_flat(field.boxes, CompactionRules::mosis(), options, field.stretchable);
   EXPECT_LT(work.width_after, work.width_before);  // the compactor did work
+}
+
+TEST(CompactScaling, ScheduleWorkIsPinnedOnDesigns) {
+  // The production schedule's work on schedule_designs(), round by round.
+  // Every counter is deterministic, so a change that alters the constraint
+  // stream, the solver's pops, the shard reuse or a warm verdict fails here
+  // on any host, whatever it does to the time. A change to the emitted
+  // pairs re-pins these rows on purpose.
+  struct Work {
+    std::size_t constraints;
+    std::size_t pops;
+    std::size_t reswept;
+    std::size_t reused;
+    bool warm_x;
+    bool warm_y;
+    bool x_skipped;
+    bool y_skipped;
+    Coord width_delta;
+    Coord height_delta;
+  };
+  const std::vector<std::vector<Work>> pinned = {
+      {
+          {9552, 48, 5987, 0, false, false, true, false, 0, 134},
+          {19037, 8, 3955, 0, false, false, false, false, 12, 0},
+          {19039, 0, 2687, 1272, false, false, false, false, 0, 0},
+          {19039, 0, 1563, 2396, true, true, false, false, 0, 0},
+      },
+      {
+          {12361, 0, 3913, 0, false, false, false, false, 95, 54},
+          {11163, 0, 3419, 0, true, false, false, false, 0, 0},
+          {5139, 0, 2829, 590, false, false, true, false, 0, -30},
+          {8883, 0, 2124, 590, false, false, false, false, 0, 0},
+          {9439, 0, 2680, 590, true, true, false, false, 0, 0},
+      },
+      {
+          {5753, 8, 1640, 0, false, false, false, false, -15, 46},
+          {6010, 1798, 1988, 0, false, false, false, false, 0, -98},
+          {6843, 666, 3263, 254, false, false, false, false, -7, 2},
+          {6384, 0, 2804, 254, false, false, false, false, 7, 0},
+          {6403, 0, 2823, 254, false, false, false, false, 0, 0},
+          {6390, 0, 2810, 254, false, false, false, false, 0, 0},
+          {6395, 0, 2815, 254, false, true, false, false, 0, 0},
+          {6395, 0, 1281, 1788, true, true, false, false, 0, 0},
+      },
+      {
+          {294, 23, 163, 0, false, false, true, false, 0, 18},
+          {595, 1, 142, 0, false, false, false, false, 20, 0},
+          {606, 0, 113, 30, true, true, false, false, 0, 0},
+      },
+  };
+  const std::vector<std::vector<LayerBox>>& designs = schedule_designs();
+  ASSERT_EQ(designs.size(), pinned.size());
+  for (std::size_t d = 0; d < designs.size(); ++d) {
+    const XyScheduleResult result = production_schedule(designs[d]);
+    ASSERT_EQ(result.round_stats.size(), pinned[d].size()) << "design " << d;
+    for (std::size_t r = 0; r < pinned[d].size(); ++r) {
+      const RoundStats& got = result.round_stats[r];
+      const Work& want = pinned[d][r];
+      const std::string at = "design " + std::to_string(d) + " round " + std::to_string(r + 1);
+      EXPECT_EQ(got.constraints_emitted, want.constraints) << at;
+      EXPECT_EQ(got.solve_pops, want.pops) << at;
+      EXPECT_EQ(got.partners_reswept, want.reswept) << at;
+      EXPECT_EQ(got.partners_reused, want.reused) << at;
+      EXPECT_EQ(got.warm_x, want.warm_x) << at;
+      EXPECT_EQ(got.warm_y, want.warm_y) << at;
+      EXPECT_EQ(got.x_skipped, want.x_skipped) << at;
+      EXPECT_EQ(got.y_skipped, want.y_skipped) << at;
+      EXPECT_EQ(got.width_delta, want.width_delta) << at;
+      EXPECT_EQ(got.height_delta, want.height_delta) << at;
+    }
+  }
 }
 
 }  // namespace

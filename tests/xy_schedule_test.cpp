@@ -355,5 +355,25 @@ TEST(XySchedule, GeneratedPlaCompactsBestEffort) {
   EXPECT_FALSE(flatten_boxes(*result.top).empty());
 }
 
+TEST(XySchedule, BestEffortStillRejectsAMismatchedMask) {
+  // A stretchable mask sized for other geometry is a caller error. Best
+  // effort skips infeasible axes, and it must not turn this error into two
+  // skipped axes that return the input unchanged.
+  const std::vector<LayerBox> boxes = {{Layer::kMetal1, Box(0, 0, 10, 10)},
+                                       {Layer::kMetal1, Box(40, 0, 50, 10)}};
+  const std::vector<bool> mask = {true, false, true};
+  XyScheduleOptions schedule;
+  schedule.best_effort = true;
+  try {
+    compact_flat_schedule(boxes, CompactionRules::mosis(), {}, schedule, mask);
+    ADD_FAILURE() << "a three-entry mask on two boxes was accepted";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "compact_flat: stretchable mask size mismatch");
+  }
+  schedule.best_effort = false;
+  EXPECT_THROW(compact_flat_schedule(boxes, CompactionRules::mosis(), {}, schedule, mask),
+               Error);
+}
+
 }  // namespace
 }  // namespace rsg::compact
