@@ -7,12 +7,21 @@
 // Regenerates the measurement: full multiplier generation across sizes with
 // the per-phase split as counters. Absolute times are ~10^4x faster on
 // modern hardware; the claim under test is the SPLIT and the scaling.
+//
+// BM_DecoderInterpret isolates the "executing the design" third: one
+// Interpreter::run of the compiled decoder program, whose top-level loops
+// bind ~2^decbits * decbits indexed names in the global frame. Its
+// variable_lookups counter turns the time into a cost per §4.1 lookup, which
+// should stay nearly flat as the global frame grows.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
 
 #include "io/param_file.hpp"
+#include "lang/interp.hpp"
 #include "rsg/generator.hpp"
+#include "rsg/session.hpp"
 
 namespace {
 
@@ -50,6 +59,30 @@ void BM_MultiplierGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiplierGeneration)->Arg(8)->Arg(16)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond);
+
+void BM_DecoderInterpret(benchmark::State& state) {
+  const auto design = CompiledDesign::compile(read_text_file(designs_path("pla.sample")),
+                                              read_text_file(designs_path("decoder.rsg")));
+  const ParameterFile params = ParameterFile::parse(read_text_file(designs_path("pla.par")) +
+                                                    "decbits = " +
+                                                    std::to_string(state.range(0)) + "\n");
+  // Each run needs fresh tables (it makes the cell "decoder"); building and
+  // freeing them stays outside the timed region.
+  std::unique_ptr<GenerationSession> session;
+  std::unique_ptr<lang::Interpreter> interp;
+  for (auto _ : state) {
+    state.PauseTiming();
+    interp.reset();
+    session = std::make_unique<GenerationSession>(design);
+    interp = std::make_unique<lang::Interpreter>(session->cells(), session->interfaces(),
+                                                 session->graph());
+    params.apply(*interp);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(interp->run(design->program()));
+  }
+  state.counters["variable_lookups"] = static_cast<double>(interp->stats().variable_lookups);
+}
+BENCHMARK(BM_DecoderInterpret)->Arg(6)->Arg(8)->Arg(10)->Unit(benchmark::kMillisecond);
 
 void print_claim() {
   Generator generator;

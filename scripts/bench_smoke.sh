@@ -16,9 +16,13 @@
 # The leaf point also runs the warm-vs-cold schedule pair and
 # asserts warm-started re-solves use <= half the post-first-round pivots
 # of cold at 32 cells, with a zero-pivot confirming round.
+# BENCH_decoder_interpret.json is the interpreter's scaling row
+# (BM_DecoderInterpret): the job fails if its time per variable lookup at
+# decbits=10 is more than 2x the decbits=6 one.
 #
 # Usage: scripts/bench_smoke.sh [build-dir] [smoke.json] [scaling.json]
 #                               [leaf.json] [xy.json] [io.json] [serve.json]
+#                               [interpret.json]
 set -eu
 
 BUILD_DIR="${1:-build}"
@@ -28,6 +32,7 @@ LEAF_OUT="${4:-BENCH_leaf_scaling.json}"
 XY_OUT="${5:-BENCH_xy_scaling.json}"
 IO_OUT="${6:-BENCH_io_scaling.json}"
 SERVE_OUT="${7:-BENCH_serve_throughput.json}"
+INTERP_OUT="${8:-BENCH_decoder_interpret.json}"
 
 # Portable core count: nproc is not POSIX (absent on stock macOS).
 if command -v nproc >/dev/null 2>&1; then
@@ -40,11 +45,12 @@ fi
 
 cmake --build "$BUILD_DIR" -j "$JOBS" --target rsg_benchmarks
 
-# run_bench <binary-name> <output.json> [benchmark-filter]
+# run_bench <binary-name> <output.json> [benchmark-filter] [min-time-s]
 run_bench() {
   bin="$BUILD_DIR/bench/$1"
   out="$2"
   filter="${3:-}"
+  min_time="${4:-0.05}"
   if [ ! -x "$bin" ]; then
     echo "error: benchmark binary '$bin' is missing or not executable" >&2
     echo "       (configure with -DRSG_BUILD_BENCH=ON and install Google Benchmark)" >&2
@@ -52,7 +58,7 @@ run_bench() {
   fi
   "$bin" \
     ${filter:+--benchmark_filter="$filter"} \
-    --benchmark_min_time=0.05 \
+    --benchmark_min_time="$min_time" \
     --benchmark_format=json \
     --benchmark_out="$out" \
     --benchmark_out_format=json
@@ -83,6 +89,9 @@ run_bench bench_io_scaling "$IO_OUT" '/100000$'
 # The serving stack: compile-once vs compile-per-request, the 1/2/4/8-thread
 # sweep, and cache cold vs hit.
 run_bench bench_serve_throughput "$SERVE_OUT"
+# The interpreter on the decoder at decbits 6/8/10. A decbits=10 run is
+# ~30 ms, so the row gets a longer minimum time than the others.
+run_bench bench_t45_generation "$INTERP_OUT" 'BM_DecoderInterpret' 0.3
 
 # A benchmark that tripped its in-bench assertion still writes JSON; fail
 # on any error_occurred entry rather than uploading a poisoned artifact.
@@ -184,6 +193,34 @@ if last != 0:
     sys.exit(f"error: the warm schedule's confirming round took {last} pivots, not 0")
 EOF
 
+# Interpreter tripwire: a §4.1 lookup must cost about the same however
+# many bindings the frames hold. At decbits=10 the decoder's global frame
+# holds ~10k indexed a.t.i bindings against ~400 at decbits=6, so a frame
+# that scans its bindings grows the time per lookup with its size (~27x);
+# hashed integer keys and slots keep it nearly flat (1.1-1.2x on a 4-core
+# x86-64 host). The bar: the time per lookup at decbits=10 stays within 2x
+# of the decbits=6 one.
+python3 - "$INTERP_OUT" <<'EOF'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    data = json.load(f)
+per_lookup = {}
+for bench in data.get("benchmarks", []):
+    name = bench.get("name", "")
+    if name.startswith("BM_DecoderInterpret/") and bench.get("variable_lookups"):
+        per_lookup[name.split("/")[1]] = bench["real_time"] / bench["variable_lookups"]
+small, large = per_lookup.get("6"), per_lookup.get("10")
+if small is None or large is None:
+    sys.exit("error: BENCH_decoder_interpret.json is missing the decbits 6/10 rows")
+growth = large / small if small else float("inf")
+print(f"decoder interpretation time per lookup: decbits=6 {small * 1e6:.0f} ns, "
+      f"decbits=10 {large * 1e6:.0f} ns, growth {growth:.2f}x")
+if growth > 2.0:
+    sys.exit(f"error: the interpreter's time per lookup grew {growth:.2f}x from decbits=6 to "
+             f"decbits=10 (bar: 2x)")
+EOF
+
 # Serving tripwires. (1) Compile-once must amortize the sample/AST work:
 # >= 3x over compile-per-request, on any host — the ratio is CPU-bound and
 # does not depend on core count. (2) 4 serving threads must be >= 2.5x the
@@ -251,4 +288,5 @@ check_artifact "$LEAF_OUT" BENCH_leaf_scaling.json
 check_artifact "$XY_OUT" BENCH_xy_scaling.json
 check_artifact "$IO_OUT" BENCH_io_scaling.json
 check_artifact "$SERVE_OUT" BENCH_serve_throughput.json
+check_artifact "$INTERP_OUT" BENCH_decoder_interpret.json
 exit "$status"

@@ -8,44 +8,43 @@
 
 namespace rsg::lang {
 
-void Interpreter::register_handlers() {
-  handlers_ = {
-      {"defun", &Interpreter::sf_defun},
-      {"macro", &Interpreter::sf_macro},
-      {"cond", &Interpreter::sf_cond},
-      {"do", &Interpreter::sf_do},
-      {"prog", &Interpreter::sf_prog},
-      {"assign", &Interpreter::sf_assign},
-      {"setq", &Interpreter::sf_assign},
-      {"print", &Interpreter::sf_print},
-      {"read", &Interpreter::sf_read},
-      {"+", &Interpreter::b_add},
-      {"-", &Interpreter::b_sub},
-      {"*", &Interpreter::b_mul},
-      {"//", &Interpreter::b_div},
-      {"mod", &Interpreter::b_mod},
-      {"=", &Interpreter::b_eq},
-      {"/=", &Interpreter::b_ne},
-      {">", &Interpreter::b_gt},
-      {"<", &Interpreter::b_lt},
-      {">=", &Interpreter::b_ge},
-      {"<=", &Interpreter::b_le},
-      {"and", &Interpreter::b_and},
-      {"or", &Interpreter::b_or},
-      {"not", &Interpreter::b_not},
-      {"mk_instance", &Interpreter::b_mk_instance},
-      {"connect", &Interpreter::b_connect},
-      {"mk_cell", &Interpreter::b_mk_cell},
-      {"subcell", &Interpreter::b_subcell},
-      {"declare_interface", &Interpreter::b_declare_interface},
-      {"array", &Interpreter::b_array},
-      {"tt_inputs", &Interpreter::b_tt_inputs},
-      {"tt_outputs", &Interpreter::b_tt_outputs},
-      {"tt_terms", &Interpreter::b_tt_terms},
-      {"tt_in", &Interpreter::b_tt_in},
-      {"tt_out", &Interpreter::b_tt_out},
-  };
-}
+// Indexed by symbol id: entry i handles kPreludeNames[i].
+const Interpreter::Handler Interpreter::kHandlers[kBuiltinCount] = {
+    &Interpreter::sf_defun,             // defun
+    &Interpreter::sf_macro,             // macro
+    &Interpreter::sf_cond,              // cond
+    &Interpreter::sf_do,                // do
+    &Interpreter::sf_prog,              // prog
+    &Interpreter::sf_assign,            // assign
+    &Interpreter::sf_assign,            // setq
+    &Interpreter::sf_print,             // print
+    &Interpreter::sf_read,              // read
+    &Interpreter::b_add,                // +
+    &Interpreter::b_sub,                // -
+    &Interpreter::b_mul,                // *
+    &Interpreter::b_div,                // //
+    &Interpreter::b_mod,                // mod
+    &Interpreter::b_eq,                 // =
+    &Interpreter::b_ne,                 // /=
+    &Interpreter::b_gt,                 // >
+    &Interpreter::b_lt,                 // <
+    &Interpreter::b_ge,                 // >=
+    &Interpreter::b_le,                 // <=
+    &Interpreter::b_and,                // and
+    &Interpreter::b_or,                 // or
+    &Interpreter::b_not,                // not
+    &Interpreter::b_mk_instance,        // mk_instance
+    &Interpreter::b_connect,            // connect
+    &Interpreter::b_mk_cell,            // mk_cell
+    &Interpreter::b_subcell,            // subcell
+    &Interpreter::b_declare_interface,  // declare_interface
+    &Interpreter::b_array,              // array
+    &Interpreter::b_tt_inputs,          // tt_inputs
+    &Interpreter::b_tt_outputs,         // tt_outputs
+    &Interpreter::b_tt_terms,           // tt_terms
+    &Interpreter::b_tt_in,              // tt_in
+    &Interpreter::b_tt_out,             // tt_out
+};
 
 // ---------------------------------------------------------------------------
 // Arithmetic and logic
@@ -153,10 +152,11 @@ Value Interpreter::b_mk_instance(const Expr& expr, const EnvPtr& frame) {
   // (mk_instance VAR CELL): creates a partial-instance node of CELL and
   // binds it to VAR (Figure 4.5's calling convention in the design files).
   check_arity(expr, 2, "mk_instance");
-  const std::string name = binding_name(expr.elements[1], frame);
+  tick();
+  const Key key = binding_key(expr.elements[1], frame);
   const Cell* cell = coerce_cell(eval(expr.elements[2], frame), expr.elements[2]);
   GraphNode* node = graph_.make_instance(cell);
-  assign(name, Value::node(node), frame);
+  assign(expr.elements[1], key, Value::node(node), frame);
   return Value::node(node);
 }
 
@@ -184,8 +184,8 @@ Value Interpreter::b_mk_cell(const Expr& expr, const EnvPtr& frame) {
 
 Value Interpreter::b_subcell(const Expr& expr, const EnvPtr& frame) {
   // (subcell ENV VAR): the value bound to VAR in the environment returned by
-  // a macro. VAR's indices evaluate in the CALLER's frame; the mangled name
-  // is then looked up in ENV only (§4.2).
+  // a macro. VAR's indices evaluate in the CALLER's frame; the key is then
+  // looked up in ENV only (§4.2).
   check_arity(expr, 2, "subcell");
   const Value env_value = eval(expr.elements[1], frame);
   if (!env_value.is_environment()) {
@@ -193,10 +193,11 @@ Value Interpreter::b_subcell(const Expr& expr, const EnvPtr& frame) {
          std::string("subcell: first argument must be a macro environment, got ") +
              env_value.type_name());
   }
-  const std::string name = binding_name(expr.elements[2], frame);
-  const Value* found = env_value.as_environment()->find(name);
+  const Key key = binding_key(expr.elements[2], frame);
+  const Value* found = env_value.as_environment()->find(key);
   if (found == nullptr) {
-    fail(expr.elements[2], "subcell: no variable '" + name + "' in the given environment");
+    fail(expr.elements[2],
+         "subcell: no variable '" + symbols_->spell(key) + "' in the given environment");
   }
   return *found;
 }
@@ -242,15 +243,16 @@ Value Interpreter::b_array(const Expr& expr, const EnvPtr& frame) {
   const std::int64_t index = eval_int(expr.elements[3], frame);
   if (count < 1) fail(expr.elements[2], "array: count must be >= 1");
 
-  auto env = std::make_shared<Environment>(static_cast<std::size_t>(count) + 1);
+  static const auto kNoSlots = std::make_shared<const FrameLayout>();
+  auto env = std::make_shared<Environment>(symbols_, kNoSlots);
   GraphNode* previous = nullptr;
   for (std::int64_t i = 1; i <= count; ++i) {
     GraphNode* node = graph_.make_instance(cell);
-    env->set(mangle_indexed_name("c", {i}), Value::node(node));
+    env->set(Key{kSymC, 1, {i, 0}}, Value::node(node));
     if (previous != nullptr) graph_.connect(previous, node, static_cast<int>(index));
     previous = node;
   }
-  env->set("count", Value::integer(count));
+  env->set(Key{kSymCount}, Value::integer(count));
   ++stats_.frames_created;
   return Value::environment(std::move(env));
 }

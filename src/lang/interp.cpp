@@ -1,85 +1,162 @@
 #include "lang/interp.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <utility>
 
+#include "lang/parser.hpp"
 #include "support/error.hpp"
 
 namespace rsg::lang {
 
 Interpreter::Interpreter(CellTable& cells, InterfaceTable& interfaces, ConnectivityGraph& graph,
                          std::ostream* output, std::istream* input)
-    : cells_(cells),
-      interfaces_(interfaces),
-      graph_(graph),
-      global_(std::make_shared<Environment>()),
-      output_(output),
-      input_(input) {
-  global_->set("true", Value::boolean(true));
-  global_->set("false", Value::boolean(false));
-  global_->set("nil", Value::nil());
-  register_handlers();
-}
+    : cells_(cells), interfaces_(interfaces), graph_(graph), output_(output), input_(input) {}
 
 void Interpreter::fail(const Expr& site, const std::string& message) const {
   throw LangError(message, site.line, site.column);
 }
 
-void Interpreter::check_arity(const Expr& expr, std::size_t args, const char* name) const {
-  if (expr.elements.size() - 1 != args) {
-    fail(expr, std::string(name) + " expects " + std::to_string(args) + " argument(s), got " +
-                   std::to_string(expr.elements.size() - 1));
+void Interpreter::arity_error(const Expr& expr, std::size_t args, const char* name) const {
+  fail(expr, std::string(name) + " expects " + std::to_string(args) + " argument(s), got " +
+                 std::to_string(expr.elements.size() - 1));
+}
+
+void Interpreter::poll() {
+  poll_countdown_ = kPollInterval;
+  if (cancel_ != nullptr) cancel_->check("interpreter");
+}
+
+void Interpreter::set_global(const std::string& name, Value value) {
+  if (global_ == nullptr) {
+    unlinked_globals_.emplace_back(name, std::move(value));
+  } else {
+    global_->set(symbols_->intern_key(name), std::move(value));
   }
+}
+
+namespace {
+
+void renumber(Expr& expr, const std::vector<SymbolId>& ids) {
+  if (expr.kind == Expr::Kind::kVar) expr.sym = ids[expr.sym];
+  for (Expr& index : expr.indices) renumber(index, ids);
+  for (Expr& element : expr.elements) renumber(element, ids);
+}
+
+// Restores the running program when a form's evaluation ends or unwinds.
+class RunningScope {
+ public:
+  RunningScope(const ProgramBody*& running, const ProgramBody* body)
+      : running_(running), outer_(std::exchange(running, body)) {}
+  ~RunningScope() { running_ = outer_; }
+  RunningScope(const RunningScope&) = delete;
+  RunningScope& operator=(const RunningScope&) = delete;
+
+ private:
+  const ProgramBody*& running_;
+  const ProgramBody* outer_;
+};
+
+}  // namespace
+
+std::shared_ptr<const ProgramBody> Interpreter::link(const Program& program) {
+  const std::shared_ptr<const ProgramBody>& body = program.body();
+  if (global_ == nullptr) {
+    // The first program: its table becomes this interpreter's, so its ids
+    // need no translation, and the globals bound so far get their keys.
+    symbols_ = std::make_shared<SymbolSpace>(body->symbols);
+    global_ = std::make_shared<Environment>(symbols_);
+    global_->set(Key{kSymTrue}, Value::boolean(true));
+    global_->set(Key{kSymFalse}, Value::boolean(false));
+    global_->set(Key{kSymNil}, Value::nil());
+    for (auto& [name, value] : unlinked_globals_) {
+      global_->set(symbols_->intern_key(name), std::move(value));
+    }
+    unlinked_globals_.clear();
+    return body;
+  }
+  if (body->symbols == symbols_->base()) return body;
+  // A later program with its own table: a copy renumbered into this
+  // interpreter's space, its new names going to the overlay.
+  std::vector<SymbolId> ids(body->symbols->size());
+  for (std::size_t id = 0; id < ids.size(); ++id) {
+    ids[id] = symbols_->intern(body->symbols->name(static_cast<SymbolId>(id)));
+  }
+  auto copy = std::make_shared<ProgramBody>();
+  copy->symbols = symbols_->base();
+  copy->forms = body->forms;
+  for (Expr& form : copy->forms) renumber(form, ids);
+  return copy;
 }
 
 Value Interpreter::run(const Program& program) {
+  const std::shared_ptr<const ProgramBody> body = link(program);
+  const RunningScope scope(running_, body.get());
   Value last;
-  for (const Expr& form : program) last = eval(form, global_);
+  for (const Expr& form : body->forms) last = eval(form, global_);
   return last;
 }
 
-Value Interpreter::eval(const Expr& expr, const EnvPtr& frame) {
-  switch (expr.kind) {
-    case Expr::Kind::kNumber:
-      return Value::integer(expr.number);
-    case Expr::Kind::kString:
-      return Value::string(expr.text);
-    case Expr::Kind::kVar:
-      return eval_var(expr, frame);
-    case Expr::Kind::kList:
-      return eval_list(expr, frame);
+const Value* Interpreter::first_hop(const Expr& var, const EnvPtr& frame, Key& key) {
+  if (var.slot != kNoSlot) {
+    ++stats_.variable_lookups;
+    return &frame->slot(var.slot);
   }
-  fail(expr, "unreachable expression kind");
+  key = var.indices.empty() ? Key{var.sym} : binding_key(var, frame);
+  ++stats_.variable_lookups;
+  return lookup(key, frame);
+}
+
+Value Interpreter::finish_var(const Value* found, const Key& key, const Expr& var,
+                              const EnvPtr& frame) {
+  if (found == nullptr) {
+    if (const Cell* cell = find_cell(key)) return Value::cell(cell);
+    fail(var, "unbound variable '" + symbols_->spell(key) +
+                  "' (not a parameter, local, or cell name)");
+  }
+  if (!found->is_symbol()) return *found;
+  return resolve_symbol(found->as_symbol().name, frame, var);
 }
 
 Value Interpreter::eval_var(const Expr& expr, const EnvPtr& frame) {
-  return resolve_name(binding_name(expr, frame), frame, expr);
+  Key key;
+  const Value* found = first_hop(expr, frame, key);
+  return finish_var(found, key, expr, frame);
 }
 
-std::string Interpreter::binding_name(const Expr& var, const EnvPtr& frame) {
+Key Interpreter::binding_key(const Expr& var, const EnvPtr& frame) {
   if (var.kind != Expr::Kind::kVar) fail(var, "expected a variable");
-  if (var.indices.empty()) return var.text;
-  std::vector<std::int64_t> indices;
-  indices.reserve(var.indices.size());
-  for (const Expr& index : var.indices) {
-    const Value v = eval(index, frame);
-    if (!v.is_integer()) {
-      fail(index, "index of '" + var.text + "' must evaluate to an integer, got " +
-                      v.type_name());
-    }
-    indices.push_back(v.as_integer());
-  }
-  return mangle_indexed_name(var.text, indices);
+  Key key{var.sym};
+  for (const Expr& index : var.indices) key.index[key.count++] = eval_int(index, frame, &var);
+  return key;
 }
 
-Value Interpreter::resolve_name(std::string name, const EnvPtr& frame, const Expr& site) {
-  // §4.1 lookup chain with symbol indirection (Figure 4.1). A bounded hop
-  // count catches accidental cycles like a=b, b=a in the parameter file.
-  for (int hop = 0; hop < 32; ++hop) {
+const Value* Interpreter::lookup(const Key& key, const EnvPtr& frame) const {
+  const Value* found = frame->find(key);
+  if (found == nullptr && frame != global_) found = global_->find(key);
+  return found;
+}
+
+const Cell* Interpreter::find_cell(const Key& key) {
+  if (key.count != 0) return std::as_const(cells_).find(symbols_->spell(key));
+  if (key.sym < cell_hits_.size() && cell_hits_[key.sym] != nullptr) return cell_hits_[key.sym];
+  const Cell* cell = std::as_const(cells_).find(symbols_->name(key.sym));
+  if (cell != nullptr) {
+    if (key.sym >= cell_hits_.size()) cell_hits_.resize(symbols_->size());
+    cell_hits_[key.sym] = cell;
+  }
+  return cell;
+}
+
+Value Interpreter::resolve_symbol(std::string name, const EnvPtr& frame, const Expr& site) {
+  // The hops after a symbol value: the name arrives as a string and maps to
+  // its key by the canonical rule. A bounded hop count catches accidental
+  // cycles like a=b, b=a in the parameter file.
+  for (int hop = 1; hop < kMaxHops; ++hop) {
     ++stats_.variable_lookups;
-    const Value* found = frame->find(name);
-    if (found == nullptr && frame != global_) found = global_->find(name);
+    const std::optional<Key> key = symbols_->find_key(name);
+    const Value* found = key ? lookup(*key, frame) : nullptr;
     if (found != nullptr) {
       if (found->is_symbol()) {
         name = found->as_symbol().name;
@@ -87,18 +164,28 @@ Value Interpreter::resolve_name(std::string name, const EnvPtr& frame, const Exp
       }
       return *found;
     }
-    const Cell* cell = std::as_const(cells_).find(name);
+    const Cell* cell = key ? find_cell(*key) : std::as_const(cells_).find(name);
     if (cell != nullptr) return Value::cell(cell);
     fail(site, "unbound variable '" + name + "' (not a parameter, local, or cell name)");
   }
   fail(site, "symbol indirection cycle while resolving '" + name + "'");
 }
 
-void Interpreter::assign(const std::string& name, Value value, const EnvPtr& frame) {
-  if (frame->contains(name) || frame == global_ || !global_->contains(name)) {
-    frame->set(name, std::move(value));
+void Interpreter::assign(const Expr& var, const Key& key, Value value, const EnvPtr& frame) {
+  if (var.slot != kNoSlot) {
+    frame->slot(var.slot) = std::move(value);
+  } else if (frame == global_ || frame->contains(key) || !global_->contains(key)) {
+    frame->set(key, std::move(value));
   } else {
-    global_->set(name, std::move(value));
+    global_->set(key, std::move(value));
+  }
+}
+
+void Interpreter::bind_here(const Expr& var, Value value, const EnvPtr& frame) {
+  if (var.slot != kNoSlot) {
+    frame->slot(var.slot) = std::move(value);
+  } else {
+    frame->set(Key{var.sym}, std::move(value));
   }
 }
 
@@ -120,16 +207,38 @@ std::string Interpreter::coerce_name(const Value& value, const Expr& site) {
   fail(site, std::string("expected a name (string or symbol), got ") + value.type_name());
 }
 
-std::int64_t Interpreter::eval_int(const Expr& expr, const EnvPtr& frame) {
-  const Value v = eval(expr, frame);
+std::int64_t Interpreter::eval_int(const Expr& expr, const EnvPtr& frame, const Expr* indexed) {
+  // Literals and variables bound to integers are read in place.
+  Value v;
+  if (expr.kind == Expr::Kind::kNumber) return expr.number;
+  if (expr.kind == Expr::Kind::kVar) {
+    Key key;
+    const Value* found = first_hop(expr, frame, key);
+    if (found != nullptr && found->is_integer()) return found->as_integer();
+    v = finish_var(found, key, expr, frame);
+  } else {
+    v = eval(expr, frame);
+  }
   if (!v.is_integer()) {
+    if (indexed != nullptr) {
+      fail(expr, "index of '" + indexed->text + "' must evaluate to an integer, got " +
+                     v.type_name());
+    }
     fail(expr, std::string("expected an integer, got ") + v.type_name());
   }
   return v.as_integer();
 }
 
 GraphNode* Interpreter::eval_node(const Expr& expr, const EnvPtr& frame) {
-  const Value v = eval(expr, frame);
+  Value v;
+  if (expr.kind == Expr::Kind::kVar) {
+    Key key;
+    const Value* found = first_hop(expr, frame, key);
+    if (found != nullptr && found->is_node()) return found->as_node();
+    v = finish_var(found, key, expr, frame);
+  } else {
+    v = eval(expr, frame);
+  }
   if (!v.is_node()) {
     fail(expr, std::string("expected an instance node, got ") + v.type_name());
   }
@@ -141,14 +250,17 @@ Value Interpreter::eval_list(const Expr& expr, const EnvPtr& frame) {
   const Expr& head = expr.elements.front();
   if (!head.is_simple_var()) fail(head, "operator position must be a plain name");
 
-  auto handler = handlers_.find(head.text);
   try {
-    if (handler != handlers_.end()) return (this->*handler->second)(expr, frame);
-
-    auto def = definitions_.find(head.text);
-    if (def != definitions_.end()) return call_definition(def->second, expr, frame);
+    if (head.sym < kBuiltinCount) return (this->*kHandlers[head.sym])(expr, frame);
+    if (head.sym < definitions_.size() && definitions_[head.sym] != nullptr) {
+      // Holding the definition keeps it alive if its body redefines it.
+      const std::shared_ptr<const Definition> def = definitions_[head.sym];
+      return call_definition(*def, expr, frame);
+    }
   } catch (const LangError&) {
     throw;
+  } catch (const StatusError&) {
+    throw;  // a deadline or cancellation: the caller's verdict, not a design error
   } catch (const Error& e) {
     // Attach the call site to errors raised by value coercions etc.
     fail(expr, e.what());
@@ -157,19 +269,23 @@ Value Interpreter::eval_list(const Expr& expr, const EnvPtr& frame) {
 }
 
 Value Interpreter::call_definition(const Definition& def, const Expr& expr, const EnvPtr& frame) {
+  const FrameLayout& layout = *def.layout;
   const std::size_t argc = expr.elements.size() - 1;
-  if (argc != def.formals.size()) {
-    fail(expr, "'" + def.name + "' expects " + std::to_string(def.formals.size()) +
-                   " argument(s), got " + std::to_string(argc));
+  if (argc != layout.formals.size()) {
+    fail(expr, "'" + def.form->elements[1].text + "' expects " +
+                   std::to_string(layout.formals.size()) + " argument(s), got " +
+                   std::to_string(argc));
   }
   if (depth_ >= kMaxDepth) fail(expr, "call depth limit exceeded (runaway recursion?)");
+  tick();
 
-  // Size the frame from the formal+local count, as §4.5 prescribes.
-  auto callee = std::make_shared<Environment>(def.formals.size() + def.locals.size());
-  for (std::size_t i = 0; i < def.formals.size(); ++i) {
-    callee->set(def.formals[i], eval(expr.elements[i + 1], frame));
+  // The frame is the definition's slot array (§4.5 sizes it from the
+  // formal+local count); later bindings of a repeated name win.
+  auto callee = std::make_shared<Environment>(symbols_, def.layout);
+  for (std::size_t i = 0; i < argc; ++i) {
+    callee->slot(layout.formals[i]) = eval(expr.elements[i + 1], frame);
   }
-  for (const std::string& local : def.locals) callee->set(local, Value::nil());
+  for (const std::uint32_t local : layout.locals) callee->slot(local) = Value::nil();
 
   ++stats_.frames_created;
   ++stats_.procedure_calls;
@@ -177,7 +293,9 @@ Value Interpreter::call_definition(const Definition& def, const Expr& expr, cons
   stats_.max_call_depth = std::max(stats_.max_call_depth, depth_);
   Value last;
   try {
-    last = eval_body(def.body, 0, callee);
+    const RunningScope scope(running_, def.program.get());
+    const std::vector<Expr>& forms = def.form->elements;
+    for (std::size_t i = layout.body_start; i < forms.size(); ++i) last = eval(forms[i], callee);
   } catch (...) {
     --depth_;
     throw;
@@ -187,13 +305,6 @@ Value Interpreter::call_definition(const Definition& def, const Expr& expr, cons
   // Functions return their last value; macros return their evaluation
   // environment so callers can pick results with subcell (§4.2).
   return def.is_macro ? Value::environment(std::move(callee)) : last;
-}
-
-Value Interpreter::eval_body(const std::vector<Expr>& body, std::size_t first,
-                             const EnvPtr& frame) {
-  Value last;
-  for (std::size_t i = first; i < body.size(); ++i) last = eval(body[i], frame);
-  return last;
 }
 
 // ---------------------------------------------------------------------------
@@ -206,48 +317,30 @@ void Interpreter::define_procedure(const Expr& expr, bool is_macro) {
   }
   const Expr& name_expr = expr.elements[1];
   if (!name_expr.is_simple_var()) fail(name_expr, "procedure name must be a plain name");
-
-  Definition def;
-  def.name = name_expr.text;
-  def.is_macro = is_macro;
+  const std::string& name = name_expr.text;
 
   // §4.2: the interpreter must classify calls ahead of time, so macro names
   // must begin with 'm' and function names must not.
-  if (is_macro && (def.name.empty() || def.name.front() != 'm')) {
-    fail(name_expr, "macro name '" + def.name + "' must begin with 'm'");
+  if (is_macro && (name.empty() || name.front() != 'm')) {
+    fail(name_expr, "macro name '" + name + "' must begin with 'm'");
   }
-  if (!is_macro && !def.name.empty() && def.name.front() == 'm') {
-    fail(name_expr, "function name '" + def.name +
-                        "' must not begin with 'm' (reserved for macros)");
+  if (!is_macro && !name.empty() && name.front() == 'm') {
+    fail(name_expr, "function name '" + name + "' must not begin with 'm' (reserved for macros)");
   }
-  if (handlers_.contains(def.name)) {
-    fail(name_expr, "'" + def.name + "' is a built-in and cannot be redefined");
-  }
-
-  const Expr& formals = expr.elements[2];
-  if (formals.kind != Expr::Kind::kList) fail(formals, "formals must be a parenthesized list");
-  for (const Expr& formal : formals.elements) {
-    if (!formal.is_simple_var()) fail(formal, "formal parameter must be a plain name");
-    def.formals.push_back(formal.text);
+  if (name_expr.sym < kBuiltinCount) {
+    fail(name_expr, "'" + name + "' is a built-in and cannot be redefined");
   }
 
-  std::size_t body_start = 3;
-  if (body_start < expr.elements.size()) {
-    const Expr& maybe_locals = expr.elements[body_start];
-    if (maybe_locals.kind == Expr::Kind::kList && !maybe_locals.elements.empty() &&
-        maybe_locals.elements.front().is_var("locals")) {
-      for (std::size_t i = 1; i < maybe_locals.elements.size(); ++i) {
-        const Expr& local = maybe_locals.elements[i];
-        if (!local.is_simple_var()) fail(local, "local must be a plain name");
-        def.locals.push_back(local.text);
-      }
-      ++body_start;
-    }
-  }
-  def.body.assign(expr.elements.begin() + static_cast<std::ptrdiff_t>(body_start),
-                  expr.elements.end());
-
-  definitions_[def.name] = std::move(def);
+  // The same layout the parser gave the body's variables their slots from;
+  // a malformed formals or locals list fails here, when the form runs.
+  auto def = std::make_shared<Definition>();
+  def->is_macro = is_macro;
+  def->layout = std::make_shared<const FrameLayout>(*frame_layout(
+      expr, [this](const Expr& site, const char* message) { fail(site, message); }));
+  def->form = &expr;
+  def->program = running_->shared_from_this();
+  if (name_expr.sym >= definitions_.size()) definitions_.resize(symbols_->size());
+  definitions_[name_expr.sym] = std::move(def);
 }
 
 Value Interpreter::sf_defun(const Expr& expr, const EnvPtr&) {
@@ -288,12 +381,13 @@ Value Interpreter::sf_do(const Expr& expr, const EnvPtr& frame) {
   const Expr& var = spec.elements[0];
   if (!var.is_simple_var()) fail(var, "do loop variable must be a plain name");
 
-  frame->set(var.text, eval(spec.elements[1], frame));
+  bind_here(var, eval(spec.elements[1], frame), frame);
   Value last;
   for (;;) {
     if (eval(spec.elements[3], frame).truthy()) break;
+    tick();
     for (std::size_t i = 2; i < expr.elements.size(); ++i) last = eval(expr.elements[i], frame);
-    frame->set(var.text, eval(spec.elements[2], frame));
+    bind_here(var, eval(spec.elements[2], frame), frame);
   }
   return last;
 }
@@ -306,9 +400,9 @@ Value Interpreter::sf_prog(const Expr& expr, const EnvPtr& frame) {
 
 Value Interpreter::sf_assign(const Expr& expr, const EnvPtr& frame) {
   check_arity(expr, 2, "assign");
-  const std::string name = binding_name(expr.elements[1], frame);
+  const Key key = binding_key(expr.elements[1], frame);
   Value value = eval(expr.elements[2], frame);
-  assign(name, value, frame);
+  assign(expr.elements[1], key, value, frame);
   return value;
 }
 

@@ -70,7 +70,13 @@ class Value {
   std::string to_display_string() const;
   const char* type_name() const;
 
-  friend bool operator==(const Value& a, const Value& b) { return a.storage_ == b.storage_; }
+  friend bool operator==(const Value& a, const Value& b) {
+    // Loop tests compare integers; skip the variant's visit for them.
+    const auto* x = std::get_if<std::int64_t>(&a.storage_);
+    const auto* y = std::get_if<std::int64_t>(&b.storage_);
+    if (x != nullptr && y != nullptr) return *x == *y;
+    return a.storage_ == b.storage_;
+  }
 
  private:
   using Storage = std::variant<std::monostate, std::int64_t, bool, std::string, Symbol,

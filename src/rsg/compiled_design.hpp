@@ -2,11 +2,15 @@
 //
 // A CompiledDesign holds everything about a design that does NOT depend on
 // the parameter file: the sample layout's cell library and interface table,
-// and the design program parsed to an AST. All of it is const after
-// construction, so one CompiledDesign can back any number of concurrent
-// GenerationSessions — each session overlays its own mutable tables on top
-// (layout/cell_table.hpp, iface/interface_table.hpp) and never writes the
-// base.
+// and the design program compiled once — parsed to an AST whose
+// identifiers are symbol ids into the program's SymbolTable, whose call
+// heads name their handler or definition slot by id, and whose procedure
+// bodies address formals and locals by frame slot (lang/ast.hpp). All of it
+// is const after construction, so one CompiledDesign can back any number
+// of concurrent GenerationSessions — each session overlays its own mutable
+// tables on top (layout/cell_table.hpp, iface/interface_table.hpp), and
+// each run's interpreter keeps the names it first meets at run time in its
+// own symbol overlay; nothing writes the base.
 //
 // The cell library can additionally be seeded from an RSGB snapshot
 // (docs/formats/RSGB.md): the file is mapped read-only and imported before
@@ -35,9 +39,9 @@ struct CompileOptions {
 class CompiledDesign {
  public:
   // Parses `sample_text` into the immutable cell/interface tables and
-  // `design_text` into the immutable program. Throws (LayoutError /
-  // lang::ParseError / SnapshotError) on malformed input, so a returned
-  // design is always runnable.
+  // `design_text` into the immutable program (lang::parse_program). Throws
+  // (LayoutError / LangError / SnapshotError) on malformed input, so a
+  // returned design is always runnable.
   static std::shared_ptr<const CompiledDesign> compile(const std::string& sample_text,
                                                        const std::string& design_text,
                                                        const CompileOptions& options = {});

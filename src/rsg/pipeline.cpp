@@ -31,6 +31,7 @@ GeneratorResult execute_generation(CellTable& cells, InterfaceTable& interfaces,
   const auto t1 = Clock::now();
   lang::Interpreter interp(cells, interfaces, graph);
   if (encoding != nullptr) interp.set_encoding_table(encoding);
+  interp.set_cancel_token(cancel);
   params.apply(interp);
   interp.run(program);
   const auto t2 = Clock::now();

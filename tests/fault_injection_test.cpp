@@ -27,7 +27,9 @@
 #include "io/atomic_file.hpp"
 #include "io/checkpoint.hpp"
 #include "io/cif_writer.hpp"
+#include "io/param_file.hpp"
 #include "io/snapshot.hpp"
+#include "lang/interp.hpp"
 #include "rsg/pipeline.hpp"
 #include "rsg/serve_core.hpp"
 #include "rsg/serve_socket.hpp"
@@ -345,6 +347,35 @@ TEST_F(FaultInjectionTest, ExpiredTokenRejectsGenerationBeforeAnyWork) {
     EXPECT_EQ(e.code(), StatusCode::kDeadlineExceeded);
     EXPECT_NE(std::string(e.what()).find("generation start"), std::string::npos);
   }
+}
+
+TEST_F(FaultInjectionTest, CancelledTokenStopsTheInterpreterInsideItsLoops) {
+  // The interpreter polls its token every Interpreter::kPollInterval ticks
+  // (do iterations, procedure calls, mk_instance), so a fired token stops
+  // the design's loops, not the next phase boundary, and it surfaces as the
+  // token's own StatusError — not as a design error at the call site.
+  const auto design = CompiledDesign::compile(read_text_file(designs_path("pla.sample")),
+                                              read_text_file(designs_path("decoder.rsg")));
+  GenerationSession session(design);
+  lang::Interpreter interp(session.cells(), session.interfaces(), session.graph());
+  CancelSource source;
+  source.cancel();
+  const CancelToken token = source.token();
+  interp.set_cancel_token(&token);
+  ParameterFile::parse(read_text_file(designs_path("pla.par")) + "decbits = 8\n").apply(interp);
+  try {
+    interp.run(design->program());
+    FAIL() << "expected StatusError";
+  } catch (const LangError& e) {
+    FAIL() << "the poll surfaced as a design error: " << e.what();
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.code(), StatusCode::kCancelled);
+    EXPECT_NE(std::string(e.what()).find("interpreter"), std::string::npos);
+  }
+  // Stopped inside the loops: a poll interval of ticks ran, mk_cell did not.
+  EXPECT_EQ(interp.stats().cells_made, 0u);
+  EXPECT_GE(interp.stats().variable_lookups,
+            static_cast<std::size_t>(lang::Interpreter::kPollInterval));
 }
 
 // ---------------------------------------------------------------------------

@@ -146,21 +146,52 @@ TEST(GenerationSession, ByteIdenticalToLegacyGenerator) {
   }
 }
 
+// Parameter text naming things the program never mentions: a plain value
+// and a symbol value naming one of the design's sample cells; where the
+// design reads a renamed cell, that name is routed through the new symbol.
+// Every name here is first met at run time, so it lands in the session's
+// symbol overlay — never in the compiled design's shared table.
+std::string run_time_names(const SeedDesign& design, int thread, int run) {
+  struct Rename {
+    const char* design;
+    const char* param;  // a cell name the program reads, or "" for none
+    const char* cell;
+  };
+  static const Rename kRenames[] = {
+      {"mult", "corecell", "cell"},  {"pla", "andcell", "and-cell"},
+      {"pla_folded", "andcell", "and-cell"}, {"decoder", "andcell", "and-cell"},
+      {"ram", "", "bit"},           {"synth", "", "tile"},
+  };
+  const std::string tag = std::to_string(thread) + "_" + std::to_string(run);
+  for (const Rename& rename : kRenames) {
+    if (design.name != rename.design) continue;
+    std::string text = "\nunused_" + tag + " = " + tag.substr(0, 1) + "\nalias_" + tag + " = " +
+                       rename.cell + "\n";
+    if (*rename.param != '\0') text += std::string(rename.param) + " = alias_" + tag + "\n";
+    return text;
+  }
+  ADD_FAILURE() << "no run-time names for design " << design.name;
+  return {};
+}
+
 TEST(GenerationSession, ConcurrentMixedSessionsAreByteIdentical) {
   const std::vector<SeedDesign> designs = seed_designs();
 
   // Compile each design once; record single-threaded reference output.
   std::vector<std::shared_ptr<const CompiledDesign>> compiled;
   std::vector<std::string> reference;
+  std::vector<std::size_t> symbols;
   for (const SeedDesign& design : designs) {
     compiled.push_back(CompiledDesign::compile(design.sample, design.design));
+    symbols.push_back(compiled.back()->program().symbols().size());
     reference.push_back(run_session(compiled.back(), design));
     EXPECT_EQ(reference.back(), run_legacy(design)) << design.name;
   }
 
   // N threads, each running a rotating mix of designs off the SHARED
-  // compiled bases. Any cross-session interference shows up as an output
-  // diff; any base write shows up under TSan.
+  // compiled bases, each with parameter names of its own. Any
+  // cross-session interference shows up as an output diff; any base write
+  // shows up under TSan.
   constexpr int kThreads = 8;
   constexpr int kRunsPerThread = 3;
   std::vector<std::vector<std::string>> outputs(kThreads);
@@ -170,7 +201,9 @@ TEST(GenerationSession, ConcurrentMixedSessionsAreByteIdentical) {
     threads.emplace_back([&, t] {
       for (int r = 0; r < kRunsPerThread; ++r) {
         const std::size_t i = static_cast<std::size_t>(t + r) % designs.size();
-        outputs[static_cast<std::size_t>(t)].push_back(run_session(compiled[i], designs[i]));
+        SeedDesign design = designs[i];
+        design.params += run_time_names(design, t, r);
+        outputs[static_cast<std::size_t>(t)].push_back(run_session(compiled[i], design));
       }
     });
   }
@@ -182,6 +215,10 @@ TEST(GenerationSession, ConcurrentMixedSessionsAreByteIdentical) {
       EXPECT_EQ(outputs[static_cast<std::size_t>(t)][static_cast<std::size_t>(r)], reference[i])
           << designs[i].name << " diverged on thread " << t << " run " << r;
     }
+  }
+  // No run-time name reached a compiled design's symbol table.
+  for (std::size_t i = 0; i < designs.size(); ++i) {
+    EXPECT_EQ(compiled[i]->program().symbols().size(), symbols[i]) << designs[i].name;
   }
 }
 
