@@ -15,15 +15,32 @@
 // scratch on that metric at the 10k size; scripts/bench_smoke.sh fails
 // the build if the 10k ratio ever drops below 1.0 (regression tripwire).
 //
-// CI runs the 10k size via scripts/bench_smoke.sh and uploads the JSON as
-// BENCH_xy_scaling.json; run the binary with no filter for the full table.
+// The design rows run the same two schedules, as `.compact:xy` runs them,
+// over the inputs of the perfbench `compact` workload at its sizes:
+// decoder decbits=8, ram 32x32, mult asize=20 and the 8x8x32 PLA of
+// TruthTable::random(8, 8, 32, 1) (the inputs
+// CompactScaling.ScheduleWorkIsPinnedOnCompactInputs pins). One iteration
+// is one set of the four schedules, and the counters are the set's rounds,
+// emitted constraints and solve pops: the probe a change to the flat
+// passes sizes itself with before a full perfbench run.
+//
+// CI runs the 10k size and the design rows via scripts/bench_smoke.sh and
+// uploads the JSON as BENCH_xy_scaling.json; run the binary with no filter
+// for the full table.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "compact/synth_design.hpp"
 #include "compact/xy_schedule.hpp"
+#include "io/param_file.hpp"
+#include "layout/flatten.hpp"
 #include "oracle/scratch_schedule.hpp"
+#include "pla/pla_builder.hpp"
+#include "pla/truth_table.hpp"
+#include "rsg/generator.hpp"
+#include "rsg/pipeline.hpp"
 
 namespace {
 
@@ -87,6 +104,66 @@ BENCHMARK(BM_XyScheduleIncremental)
     ->Arg(10000)
     ->Arg(50000)
     ->Unit(benchmark::kMillisecond);
+
+std::vector<rsg::LayerBox> design_geometry(const char* sample, const char* design,
+                                           const char* params, const std::string& overrides,
+                                           const std::string& top = "",
+                                           const rsg::lang::Interpreter::EncodingTable* encoding =
+                                               nullptr) {
+  rsg::Generator generator;
+  generator.set_encoding_table(encoding);
+  const rsg::GeneratorResult result = generator.run(
+      rsg::read_text_file(rsg::designs_path(sample)), rsg::read_text_file(rsg::designs_path(design)),
+      rsg::read_text_file(rsg::designs_path(params)) + "\n" + overrides, top);
+  return rsg::flatten_boxes(*result.top);
+}
+
+const std::vector<std::vector<rsg::LayerBox>>& compact_workload_designs() {
+  static const std::vector<std::vector<rsg::LayerBox>> designs = [] {
+    const rsg::lang::Interpreter::EncodingTable encoding =
+        rsg::pla::to_encoding_table(rsg::pla::TruthTable::random(8, 8, 32, 1));
+    return std::vector<std::vector<rsg::LayerBox>>{
+        design_geometry("pla.sample", "decoder.rsg", "pla.par", "decbits = 8\n", "decoder"),
+        design_geometry("ram.sample", "ram.rsg", "ram.par", "words = 32\nbits = 32\n"),
+        design_geometry("mult.sample", "mult.rsg", "mult.par", "asize = 20\n"),
+        design_geometry("pla.sample", "pla.rsg", "pla.par", "", "pla", &encoding)};
+  }();
+  return designs;
+}
+
+void run_designs(benchmark::State& state, bool incremental) {
+  const std::vector<std::vector<rsg::LayerBox>>& designs = compact_workload_designs();
+  const XyScheduleOptions schedule = rsg::CompactionRequest::default_schedule();
+  const CompactionRules rules = CompactionRules::mosis();
+  std::size_t rounds = 0;
+  std::size_t constraints = 0;
+  std::size_t pops = 0;
+  for (auto _ : state) {
+    rounds = constraints = pops = 0;
+    for (const std::vector<rsg::LayerBox>& boxes : designs) {
+      const XyScheduleResult result =
+          incremental ? compact_flat_schedule(boxes, rules, {}, schedule)
+                      : oracle::scratch_flat_schedule(boxes, rules, {}, schedule);
+      benchmark::DoNotOptimize(result.width_after);
+      rounds += static_cast<std::size_t>(result.rounds);
+      for (const RoundStats& round : result.round_stats) {
+        constraints += round.constraints_emitted;
+        pops += round.solve_pops;
+      }
+    }
+  }
+  state.counters["rounds"] = static_cast<double>(rounds);
+  state.counters["constraints"] = static_cast<double>(constraints);
+  state.counters["solve_pops"] = static_cast<double>(pops);
+}
+
+void BM_XyScheduleDesignsScratch(benchmark::State& state) { run_designs(state, false); }
+void BM_XyScheduleDesignsIncremental(benchmark::State& state) { run_designs(state, true); }
+
+// A set takes tens of milliseconds, so the rows ask for enough time to
+// average several sets whatever minimum the command line gives.
+BENCHMARK(BM_XyScheduleDesignsScratch)->MinTime(0.5)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_XyScheduleDesignsIncremental)->MinTime(0.5)->Unit(benchmark::kMillisecond);
 
 void print_scaling_table() {
   std::printf("== x/y schedule at scale: scratch vs incremental (%d fixed rounds) ==\n", kRounds);

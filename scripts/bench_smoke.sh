@@ -8,11 +8,13 @@
 # 1k to 10k boxes. The xy point doubles as a regression tripwire: the job
 # fails if the production (incremental) schedule is not at least as fast
 # per post-first-round iteration as the test oracle's scratch schedule at
-# the 10k-box size. The serve point asserts the
-# compile-once path is >= 3x compile-per-request, and (on hosts with >= 4
-# cores) that 4 serving threads scale >= 2.5x over 1; that core-gated bar
-# stamps its verdict into the artifact as a top-level "gate" field:
-# "passed", or "skipped_cores<4" when the host was too small to assert.
+# the 10k-box size, or not at least as fast per set of the `compact`
+# workload's four design inputs (BM_XyScheduleDesigns*). The serve point
+# asserts the compile-once path is >= 3x compile-per-request, and (on
+# hosts with >= 4 cores) that 4 serving threads scale >= 2.5x over 1; that
+# core-gated bar stamps its verdict into the artifact as a top-level "gate"
+# field: "passed", or "skipped_cores<4" when the host was too small to
+# assert.
 # The leaf point also runs the warm-vs-cold schedule pair and
 # asserts warm-started re-solves use <= half the post-first-round pivots
 # of cold at 32 cells, with a zero-pivot confirming round.
@@ -79,8 +81,8 @@ run_bench bench_compact_scaling "$SCALING_OUT" '/(1000|10000)$'
 # both sides so it cannot accidentally match /128 or /256.
 run_bench bench_leaf_scaling "$LEAF_OUT" 'BM_LeafSolve.*/(2|4|8)$|BM_LeafSchedule(Warm|Cold)/(8|32)$'
 # The oracle's scratch x/y schedule vs the production one at the 10k
-# acceptance size.
-run_bench bench_xy_scaling "$XY_OUT" '/10000$'
+# acceptance size, and on the `compact` workload's design inputs.
+run_bench bench_xy_scaling "$XY_OUT" '/10000$|BM_XyScheduleDesigns.*'
 # The streaming I/O pipeline at the 100k size (the bounded-buffer contract
 # is asserted inside the benchmark — a violation turns into an error_occurred
 # entry and fails the JSON check below). The 1M acceptance point needs an
@@ -157,6 +159,36 @@ print(f"xy schedule 10k post-first-round: scratch {scratch:.2f} ms, "
       f"incremental {incremental:.2f} ms, speedup {speedup:.2f}x")
 if speedup < 1.0:
     sys.exit(f"error: incremental x/y schedule regressed below scratch ({speedup:.2f}x < 1.0x)")
+EOF
+
+# Design tripwire: the same rule on real layouts. The design rows run both
+# schedules, as `.compact:xy` runs them, over the inputs the perfbench
+# `compact` workload measures (decoder decbits=8, ram 32x32, mult asize=20,
+# an 8x8x32 PLA). Their late passes move a handful of boxes, so this guards
+# the engine's per-pass bookkeeping: work that scales with every box on
+# every pass (copies, re-sorts, full refreshes) shows here first, where
+# the synthetic grid's uniform rounds hide it. The production schedule must
+# not be slower per set than the scratch one.
+python3 - "$XY_OUT" <<'EOF'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    data = json.load(f)
+per_set = {}
+for bench in data.get("benchmarks", []):
+    name = bench.get("name", "").split("/")[0]
+    if name in ("BM_XyScheduleDesignsScratch", "BM_XyScheduleDesignsIncremental"):
+        per_set[name] = bench["real_time"]
+scratch = per_set.get("BM_XyScheduleDesignsScratch")
+incremental = per_set.get("BM_XyScheduleDesignsIncremental")
+if scratch is None or incremental is None:
+    sys.exit("error: BENCH_xy_scaling.json is missing the BM_XyScheduleDesigns* rows")
+speedup = scratch / incremental if incremental else float("inf")
+print(f"xy schedule on the compact designs, per set: scratch {scratch:.2f} ms, "
+      f"incremental {incremental:.2f} ms, speedup {speedup:.2f}x")
+if speedup < 1.0:
+    sys.exit(f"error: the incremental x/y schedule is slower than scratch on the compact "
+             f"designs ({speedup:.2f}x < 1.0x)")
 EOF
 
 # Warm-start tripwire: at the 32-cell leaf schedule under the production

@@ -109,9 +109,10 @@ class LongestPaths {
         g_(g),
         adj_(build_adjacency(system, dir)) {}
 
-  SolveStats solve(const std::vector<Coord>* warm_seed) {
+  SolveStats solve(const std::vector<Coord>* warm_seed, bool seed_feasible) {
     SolveStats stats;
-    if (warm_seed == nullptr || warm_seed->size() != n_ || n_ == 0 || !warm(*warm_seed, stats)) {
+    if (warm_seed == nullptr || warm_seed->size() != n_ || n_ == 0 ||
+        !warm(*warm_seed, seed_feasible, stats)) {
       cold(stats);
     }
     stats.converged = true;
@@ -141,12 +142,20 @@ class LongestPaths {
   // systems, so the cold solve stays the single verdict. Returns false when
   // the phase abandoned or verification failed: the seed overshot the
   // extreme solution somewhere, and the cold solve reruns. Exactness first.
-  bool warm(const std::vector<Coord>& seed, SolveStats& stats) {
+  // When the caller has checked that the seed satisfies every constraint
+  // (`seed_feasible`) and no value was clamped, the sweep can raise
+  // nothing, so it is skipped: the fixpoint is the seed itself.
+  bool warm(const std::vector<Coord>& seed, bool seed_feasible, SolveStats& stats) {
     stats.warm_attempted = true;
     g_.resize(n_);
+    bool clamped = false;
     for (std::size_t v = 0; v < n_; ++v) {
-      g_[v] = std::max(dir_.floor, dir_.reversed ? -seed[v] : seed[v]);
+      const Coord s = dir_.reversed ? -seed[v] : seed[v];
+      g_[v] = std::max(dir_.floor, s);
+      clamped = clamped || g_[v] != s;
     }
+    ++stats.passes;
+    if (seed_feasible && !clamped) return accept_if_supported(stats, nullptr);
     const std::vector<Coord> seeded = g_;
     // The FIFO holds each variable at most once, so a ring of n slots
     // holds it.
@@ -166,7 +175,6 @@ class LongestPaths {
         queue[slot < n_ ? slot : slot - n_] = static_cast<Index>(v);
       }
     };
-    ++stats.passes;
     for (const Constraint& c : system_.constraints()) {
       if (abandoned) break;
       const int t = dir_.tail(c);
@@ -186,10 +194,19 @@ class LongestPaths {
         relax(g_[u], adj_.arcs[k].head, adj_.arcs[k].gain);
       }
     }
-    if (abandoned || !supported()) return false;
+    return !abandoned && accept_if_supported(stats, &seeded);
+  }
+
+  // Accepts the warm fixpoint when verification proves it extreme, and
+  // counts the seeded values that survived (`seeded`: the seed, or null
+  // when the fixpoint is the seed itself).
+  bool accept_if_supported(SolveStats& stats, const std::vector<Coord>* seeded) {
+    if (!supported()) return false;
     stats.warm_accepted = true;
     for (std::size_t v = 0; v < n_; ++v) {
-      if (g_[v] > dir_.floor && g_[v] == seeded[v]) ++stats.warm_pops_saved;
+      if (g_[v] > dir_.floor && (seeded == nullptr || g_[v] == (*seeded)[v])) {
+        ++stats.warm_pops_saved;
+      }
     }
     return true;
   }
@@ -341,15 +358,16 @@ PositiveCycle::PositiveCycle(std::vector<std::size_t> cycle, std::size_t relaxat
       cycle_(std::move(cycle)),
       relaxations_(relaxations) {}
 
-SolveStats solve_leftmost_worklist(ConstraintSystem& system,
-                                   const std::vector<Coord>* warm_seed) {
-  return LongestPaths(system, {false, 0}, system.values).solve(warm_seed);
+SolveStats solve_leftmost_worklist(ConstraintSystem& system, const std::vector<Coord>* warm_seed,
+                                   bool seed_feasible) {
+  return LongestPaths(system, {false, 0}, system.values).solve(warm_seed, seed_feasible);
 }
 
 SolveStats solve_rightmost_worklist(ConstraintSystem& system, Coord width,
                                     std::vector<Coord>& upper_bounds,
                                     const std::vector<Coord>* warm_seed) {
-  const SolveStats stats = LongestPaths(system, {true, -width}, upper_bounds).solve(warm_seed);
+  const SolveStats stats =
+      LongestPaths(system, {true, -width}, upper_bounds).solve(warm_seed, /*seed_feasible=*/false);
   for (Coord& u : upper_bounds) u = -u;
   return stats;
 }

@@ -91,9 +91,14 @@ class PositiveCycle : public Error {
 // an upper (lower) bound on the extreme solution, so tight-chain support
 // for every variable proves exactness. A seed that fails verification
 // falls back to the cold solve, so warm starting never changes the result,
-// only the work (SolveStats reports the outcome).
+// only the work (SolveStats reports the outcome). `seed_feasible` is the
+// caller's word that the seed already satisfies every constraint (the
+// incremental engine's warm gate checks exactly that): the warm phase then
+// skips its first relaxation sweep, which could raise nothing, and goes
+// straight to verification. Every SolveStats field reads as without it.
 SolveStats solve_leftmost_worklist(ConstraintSystem& system,
-                                   const std::vector<Coord>* warm_seed = nullptr);
+                                   const std::vector<Coord>* warm_seed = nullptr,
+                                   bool seed_feasible = false);
 SolveStats solve_rightmost_worklist(ConstraintSystem& system, Coord width,
                                     std::vector<Coord>& upper_bounds,
                                     const std::vector<Coord>* warm_seed = nullptr);

@@ -49,18 +49,20 @@ FlatResult compact_flat(const std::vector<LayerBox>& boxes, const CompactionRule
 // box of a `boxes`-box geometry.
 void check_stretchable_mask(const std::vector<bool>& stretchable, std::size_t boxes);
 
-// The shared pass prologue of compact_flat and the incremental engine:
-// normalizes the geometry (leftmost edge to the anchor wall), records the
-// starting width, and builds the CompactionBox batch with the stretchable
-// marking applied. Kept in one place so the incremental engine's
-// byte-identical-to-compact_flat contract cannot drift.
+// compact_flat's pass prologue: normalizes the geometry (leftmost edge to
+// the anchor wall), records the starting width, and builds the
+// CompactionBox batch with the stretchable marking applied. The
+// incremental engine normalizes in its own single read of the input; the
+// test oracle's stream check runs this function, so the engine's
+// byte-identical-to-compact_flat contract cannot drift unseen.
 std::vector<CompactionBox> normalized_compaction_boxes(const std::vector<LayerBox>& boxes,
                                                        const FlatOptions& options,
                                                        const std::vector<bool>& stretchable,
                                                        Coord& width_before);
 
-// Axis swap used by every y-by-transposition path (the incremental
-// engine's y passes, tests): [lo.y, lo.x, hi.y, hi.x] per box.
+// Axis swap used by the y-by-transposition paths outside the incremental
+// engine (the leaf y pass, the test oracle's scratch y pass, tests):
+// [lo.y, lo.x, hi.y, hi.x] per box.
 std::vector<LayerBox> transposed_boxes(const std::vector<LayerBox>& boxes);
 
 }  // namespace rsg::compact

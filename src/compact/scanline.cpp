@@ -361,8 +361,7 @@ namespace {
 // layer clipped to it. Each box lives in exactly one layer's profile, so
 // the shards are independent.
 void sweep_layer_band(int layer, Coord y0, Coord y1, const std::vector<CompactionBox>& boxes,
-                      const std::vector<std::size_t>& order, const CompactionRules& rules,
-                      SweepShard& out) {
+                      const SweepOrder& order, const CompactionRules& rules, SweepShard& out) {
   out.query_boxes.clear();
   out.run_offsets.assign(1, 0);
   out.partners.clear();
@@ -394,7 +393,7 @@ void sweep_layer_band(int layer, Coord y0, Coord y1, const std::vector<Compactio
 
 }  // namespace
 
-void sweep_shards(const std::vector<CompactionBox>& boxes, const std::vector<std::size_t>& order,
+void sweep_shards(const std::vector<CompactionBox>& boxes, const SweepOrder& order,
                   const CompactionRules& rules, const std::vector<Coord>& cuts,
                   const std::vector<std::size_t>& shard_indices, std::vector<SweepShard>& shards,
                   int threads) {
@@ -422,10 +421,10 @@ void sweep_shards(const std::vector<CompactionBox>& boxes, const std::vector<std
   }
 }
 
-std::vector<std::size_t> sweep_order(const std::vector<CompactionBox>& boxes) {
+SweepOrder sweep_order(const std::vector<CompactionBox>& boxes) {
   // A stable pass by right edge, then one by left edge: the order is by
   // (left, right), ties by index.
-  std::vector<std::size_t> order(boxes.size());
+  SweepOrder order(boxes.size());
   std::iota(order.begin(), order.end(), 0);
   std::vector<Coord> key(boxes.size());
   for (std::size_t i = 0; i < boxes.size(); ++i) key[i] = boxes[i].geometry.box.hi.x;
@@ -474,7 +473,7 @@ namespace {
 // per partner (plus the scans), however many boxes compaction stacks on
 // one rectangle.
 std::vector<std::size_t> net_labels(const std::vector<CompactionBox>& boxes,
-                                    const std::vector<std::size_t>& order,
+                                    const SweepOrder& order,
                                     const std::vector<std::size_t>& offsets,
                                     const std::vector<std::size_t>& partners) {
   const std::size_t n = boxes.size();
@@ -510,7 +509,7 @@ std::vector<std::size_t> net_labels(const std::vector<CompactionBox>& boxes,
 }  // namespace
 
 void emit_pair_constraints(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
-                           const std::vector<std::size_t>& order, const CompactionRules& rules,
+                           const SweepOrder& order, const CompactionRules& rules,
                            const std::vector<const SweepShard*>& shards) {
   // Scatter the shard runs into one partner CSR keyed by box index. The
   // scatter order across shards is irrelevant: each box's run is sorted in
@@ -553,7 +552,7 @@ void generate_constraints(ConstraintSystem& system, const std::vector<Compaction
   // Band count follows the thread count: layers * threads shards strided
   // over `threads` tasks keeps every worker busy past the per-layer limit.
   const int bands = boxes.size() >= kBandedGenerationMinBoxes ? resolve_sweep_threads(threads) : 1;
-  const std::vector<std::size_t> order = sweep_order(boxes);
+  const SweepOrder order = sweep_order(boxes);
   const std::vector<Coord> cuts = band_cuts(boxes, bands);
   std::vector<SweepShard> shards(static_cast<std::size_t>(kNumLayers) * (cuts.size() - 1));
   std::vector<std::size_t> all(shards.size());

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "compact/constraint_graph.hpp"
@@ -93,8 +94,24 @@ std::vector<Coord> band_cuts(const std::vector<CompactionBox>& boxes, int bands)
 // hardware core, and the result is always at least 1.
 int resolve_sweep_threads(int threads);
 
-// The sweep order: left edge, then right edge, ties by box index.
-std::vector<std::size_t> sweep_order(const std::vector<CompactionBox>& boxes);
+// A permutation of box indices, 32 bits each (a box's edge variables are
+// ints, so its index fits).
+using SweepOrder = std::vector<std::uint32_t>;
+
+// The sweep order: left edge, then right edge, ties by box index. The
+// incremental engine keeps it across passes and re-places only the boxes
+// whose x extent changed.
+SweepOrder sweep_order(const std::vector<CompactionBox>& boxes);
+
+// True when box a precedes box b in the sweep order.
+inline bool sweep_before(const std::vector<CompactionBox>& boxes, std::uint32_t a,
+                         std::uint32_t b) {
+  const Box& p = boxes[a].geometry.box;
+  const Box& q = boxes[b].geometry.box;
+  if (p.lo.x != q.lo.x) return p.lo.x < q.lo.x;
+  if (p.hi.x != q.hi.x) return p.hi.x < q.hi.x;
+  return a < b;
+}
 
 // The y window box `box` opens onto profile layer `layer` (its y extent
 // grown by the §6.4.1 shadow margin), or false when the layers neither
@@ -108,7 +125,7 @@ bool layer_window(const CompactionBox& box, int layer, const CompactionRules& ru
 // into `shards`) strided across `threads` std::async tasks.
 // generate_constraints passes every index; the incremental engine passes
 // only the dirty ones, on one thread.
-void sweep_shards(const std::vector<CompactionBox>& boxes, const std::vector<std::size_t>& order,
+void sweep_shards(const std::vector<CompactionBox>& boxes, const SweepOrder& order,
                   const CompactionRules& rules, const std::vector<Coord>& cuts,
                   const std::vector<std::size_t>& shard_indices, std::vector<SweepShard>& shards,
                   int threads);
@@ -128,7 +145,7 @@ void add_width_and_anchor(ConstraintSystem& system, const std::vector<Compaction
 // byte-identical stream. The shards must cover every (layer, band) of one
 // partition: the net labels are read off the merged partner lists.
 void emit_pair_constraints(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
-                           const std::vector<std::size_t>& order, const CompactionRules& rules,
+                           const SweepOrder& order, const CompactionRules& rules,
                            const std::vector<const SweepShard*>& shards);
 
 // The pair emission the generator shares with the test oracle's reference

@@ -79,12 +79,12 @@ XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes,
   // system (rigid geometry violating its own spacing rules) keeps the
   // current geometry for this axis instead of propagating the error.
   // Returns the FlatResult when the pass ran, nullopt when it was skipped.
+  // The pass compacts result.boxes in place.
   const auto run_pass = [&](bool y_axis, bool& infeasible,
                             bool& skipped) -> std::optional<FlatResult> {
     try {
-      FlatResult pass = y_axis ? engine.compact_y(result.boxes) : engine.compact_x(result.boxes);
-      result.boxes = std::move(pass.boxes);
-      return pass;
+      return y_axis ? engine.compact_y_in_place(result.boxes)
+                    : engine.compact_x_in_place(result.boxes);
     } catch (const Error&) {
       if (!schedule.best_effort) throw;
       infeasible = true;
@@ -108,20 +108,24 @@ XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes,
   if (schedule.cancel != nullptr) schedule.cancel->check("x/y schedule start");
 
   using Clock = std::chrono::steady_clock;
+  // The round's facts come from what its passes report: a pass's
+  // width_before is its input's extent on its axis, and its extent_after
+  // the output's; a pass moves only its own axis's coordinates, so the
+  // round left the geometry unchanged exactly when each pass that ran kept
+  // its input.
   for (int round = start_round; !resume_terminal && round < schedule.max_rounds; ++round) {
-    const std::vector<LayerBox> previous = result.boxes;
     RoundStats stats;
     stats.round = round + 1;
     const auto t0 = Clock::now();
 
-    const Extents pre_x = extents_of(result.boxes);
     const std::optional<FlatResult> x_pass =
         run_pass(/*y_axis=*/false, result.x_infeasible, stats.x_skipped);
-    const Extents pre_y = extents_of(result.boxes);
-    stats.width_delta = pre_x.width - pre_y.width;
+    if (x_pass) stats.width_delta = x_pass->width_before - engine.x_stats().extent_after;
     const std::optional<FlatResult> y_pass =
         run_pass(/*y_axis=*/true, result.y_infeasible, stats.y_skipped);
-    stats.height_delta = pre_y.height - extents_of(result.boxes).height;
+    if (y_pass) stats.height_delta = y_pass->width_before - engine.y_stats().extent_after;
+    const bool unchanged = (!x_pass || engine.x_stats().geometry_kept) &&
+                           (!y_pass || engine.y_stats().geometry_kept);
 
     if (x_pass) {
       stats.constraints_emitted += x_pass->constraint_count;
@@ -141,7 +145,7 @@ XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes,
 
     const bool frozen =
         result.round_stats.back().x_skipped && result.round_stats.back().y_skipped;
-    if (!frozen && result.boxes == previous) result.converged = true;
+    if (!frozen && unchanged) result.converged = true;
 
     if (schedule.checkpoint_sink) {
       XyCheckpoint ck;

@@ -30,7 +30,8 @@ Placement derive_placement(const GraphNode& from, const GraphNode::Edge& edge,
 }  // namespace
 
 Cell& expand_to_cell(ConnectivityGraph& graph, GraphNode* root, const std::string& cell_name,
-                     const InterfaceTable& interfaces, CellTable& cells, ExpandStats* stats) {
+                     const InterfaceTable& interfaces, CellTable& cells, ExpandStats* stats,
+                     const CancelToken* cancel) {
   (void)graph;
   if (root == nullptr) throw LayoutError("mk_cell: null root node");
   if (root->expanded()) {
@@ -64,6 +65,9 @@ Cell& expand_to_cell(ConnectivityGraph& graph, GraphNode* root, const std::strin
         other->placement = derived;
         component.push_back(other);
         frontier.push(other);
+        if (cancel != nullptr && component.size() % kExpandPollInterval == 0) {
+          cancel->check("mk_cell expansion");
+        }
       } else if (*other->placement != derived) {
         // A redundant (cycle) edge that contradicts the spanning-tree-derived
         // placement: the sample layout and design file disagree.

@@ -16,6 +16,7 @@
 #include "graph/connectivity_graph.hpp"
 #include "iface/interface_table.hpp"
 #include "layout/cell_table.hpp"
+#include "support/cancel.hpp"
 
 namespace rsg {
 
@@ -25,13 +26,21 @@ struct ExpandStats {
   std::size_t interface_lookups = 0;
 };
 
+// How many placed nodes expand_to_cell places between polls of its cancel
+// token.
+inline constexpr std::size_t kExpandPollInterval = 1024;
+
 // mk_cell (§4.4.3): expands the connected component of `root` into a new
 // cell named `cell_name` in `cells`. Every node in the component must be
 // unexpanded; after the call each node carries its placement and owner.
 // Instances are added in node-creation order, so output is deterministic and
 // independent of edge insertion order.
+//
+// `cancel` (optional) is polled every kExpandPollInterval placed nodes,
+// before the cell is created: a fired token throws StatusError
+// (CANCELLED or DEADLINE_EXCEEDED) and no cell is made.
 Cell& expand_to_cell(ConnectivityGraph& graph, GraphNode* root, const std::string& cell_name,
                      const InterfaceTable& interfaces, CellTable& cells,
-                     ExpandStats* stats = nullptr);
+                     ExpandStats* stats = nullptr, const CancelToken* cancel = nullptr);
 
 }  // namespace rsg

@@ -177,7 +177,7 @@ Value Interpreter::b_mk_cell(const Expr& expr, const EnvPtr& frame) {
   check_arity(expr, 2, "mk_cell");
   const std::string name = coerce_name(eval(expr.elements[1], frame), expr.elements[1]);
   GraphNode* root = eval_node(expr.elements[2], frame);
-  Cell& cell = expand_to_cell(graph_, root, name, interfaces_, cells_);
+  Cell& cell = expand_to_cell(graph_, root, name, interfaces_, cells_, nullptr, cancel_);
   ++stats_.cells_made;
   return Value::cell(&cell);
 }

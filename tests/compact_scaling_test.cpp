@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <random>
 #include <string>
@@ -24,6 +25,7 @@
 #include "compact/synth_design.hpp"
 #include "compact/xy_schedule.hpp"
 #include "io/param_file.hpp"
+#include "io/snapshot.hpp"
 #include "layout/flatten.hpp"
 #include "oracle/pass_based_solvers.hpp"
 #include "oracle/quadratic_rigid_groups.hpp"
@@ -58,7 +60,7 @@ std::vector<CompactionBox> to_compaction_boxes(const SynthField& field,
 ConstraintSystem banded_constraints(const SynthField& field, int bands, int threads) {
   ConstraintSystem system;
   const std::vector<CompactionBox> boxes = to_compaction_boxes(field, system);
-  const std::vector<std::size_t> order = sweep_order(boxes);
+  const SweepOrder order = sweep_order(boxes);
   const std::vector<Coord> cuts = band_cuts(boxes, bands);
   std::vector<SweepShard> shards(static_cast<std::size_t>(kNumLayers) * (cuts.size() - 1));
   std::vector<std::size_t> all(shards.size());
@@ -118,10 +120,12 @@ std::vector<SynthField> property_fields() {
 
 // The flattened top cell of a seed design from designs/, parameter
 // overrides appended to its parameter file.
-std::vector<LayerBox> design_geometry(const std::string& sample, const std::string& design,
-                                      const std::string& params, const std::string& overrides,
-                                      const std::string& top = "") {
+std::vector<LayerBox> design_geometry(
+    const std::string& sample, const std::string& design, const std::string& params,
+    const std::string& overrides, const std::string& top = "",
+    const lang::Interpreter::EncodingTable* encoding = nullptr) {
   Generator generator;
+  generator.set_encoding_table(encoding);
   const GeneratorResult result =
       generator.run(read_text_file(designs_path(sample)), read_text_file(designs_path(design)),
                     read_text_file(designs_path(params)) + "\n" + overrides, top);
@@ -528,6 +532,7 @@ TEST(CompactScaling, IncrementalScheduleMatchesScratchOnDesigns) {
     const XyScheduleResult production = compact_flat_schedule(designs[d], rules, {}, schedule);
     ASSERT_EQ(production.boxes, want.boxes) << "design " << d;
     ASSERT_EQ(production.rounds, want.rounds) << "design " << d;
+    ASSERT_EQ(production.converged, want.converged) << "design " << d;
     for (const int bands : {1, 4}) {
       const XyScheduleResult got =
           oracle::checked_flat_schedule(designs[d], rules, {}, schedule, {}, bands);
@@ -631,6 +636,119 @@ TEST(CompactScaling, ScheduleWorkIsPinnedOnDesigns) {
     for (std::size_t r = 0; r < pinned[d].size(); ++r) {
       const RoundStats& got = result.round_stats[r];
       const Work& want = pinned[d][r];
+      const std::string at = "design " + std::to_string(d) + " round " + std::to_string(r + 1);
+      EXPECT_EQ(got.constraints_emitted, want.constraints) << at;
+      EXPECT_EQ(got.solve_pops, want.pops) << at;
+      EXPECT_EQ(got.partners_reswept, want.reswept) << at;
+      EXPECT_EQ(got.partners_reused, want.reused) << at;
+      EXPECT_EQ(got.warm_x, want.warm_x) << at;
+      EXPECT_EQ(got.warm_y, want.warm_y) << at;
+      EXPECT_EQ(got.x_skipped, want.x_skipped) << at;
+      EXPECT_EQ(got.y_skipped, want.y_skipped) << at;
+      EXPECT_EQ(got.width_delta, want.width_delta) << at;
+      EXPECT_EQ(got.height_delta, want.height_delta) << at;
+    }
+  }
+}
+
+// The inputs of the perfbench `compact` workload at the sizes it measures:
+// decoder decbits=8, ram 32x32, mult asize=20, and the 8-input, 8-output,
+// 32-term PLA of TruthTable::random(8, 8, 32, 1).
+const std::vector<std::vector<LayerBox>>& compact_workload_designs() {
+  static const std::vector<std::vector<LayerBox>> designs = [] {
+    const lang::Interpreter::EncodingTable encoding =
+        pla::to_encoding_table(pla::TruthTable::random(8, 8, 32, 1));
+    return std::vector<std::vector<LayerBox>>{
+        decoder_geometry(8), ram_geometry(32, 32),
+        design_geometry("mult.sample", "mult.rsg", "mult.par", "asize = 20\n"),
+        design_geometry("pla.sample", "pla.rsg", "pla.par", "", "pla", &encoding)};
+  }();
+  return designs;
+}
+
+// CRC-32 of a geometry as (layer, lo.x, lo.y, hi.x, hi.y) int64 rows.
+std::uint32_t geometry_crc32(const std::vector<LayerBox>& boxes) {
+  std::vector<std::int64_t> rows;
+  rows.reserve(5 * boxes.size());
+  for (const LayerBox& lb : boxes) {
+    rows.insert(rows.end(), {static_cast<std::int64_t>(lb.layer), lb.box.lo.x, lb.box.lo.y,
+                             lb.box.hi.x, lb.box.hi.y});
+  }
+  return snapshot_crc32(rows.data(), rows.size() * sizeof(std::int64_t));
+}
+
+TEST(CompactScaling, ScheduleWorkIsPinnedOnCompactInputs) {
+  // The production schedule's work on compact_workload_designs(), round by
+  // round, with the same ten fields as ScheduleWorkIsPinnedOnDesigns, plus
+  // the final geometry's box count and CRC-32. These are the sizes the
+  // `compact` workload's time is measured on, so a change that claims time
+  // there is checked to do the same work on any host.
+  struct Work {
+    std::size_t constraints;
+    std::size_t pops;
+    std::size_t reswept;
+    std::size_t reused;
+    bool warm_x;
+    bool warm_y;
+    bool x_skipped;
+    bool y_skipped;
+    Coord width_delta;
+    Coord height_delta;
+  };
+  struct Pin {
+    std::size_t boxes;
+    std::uint32_t crc32;
+    std::vector<Work> rounds;
+  };
+  const std::vector<Pin> pinned = {
+      {10520,
+       0x8f8ad994u,
+       {
+           {50284, 73, 32049, 0, false, false, true, false, 0, 518},
+           {100393, 12, 20891, 0, false, false, false, false, 12, 0},
+           {100393, 0, 14251, 6646, false, false, false, false, 0, 0},
+           {100393, 0, 8229, 12668, true, true, false, false, 0, 0},
+       }},
+      {3200,
+       0xf687a8dfu,
+       {
+           {48281, 0, 15513, 0, false, false, false, false, 191, 86},
+           {43323, 0, 13499, 0, true, false, false, false, 0, 0},
+           {20003, 0, 11293, 2206, false, false, true, false, 0, -62},
+           {34147, 0, 8348, 2206, false, false, false, false, 0, 0},
+           {36475, 0, 10676, 2206, true, true, false, false, 0, 0},
+       }},
+      {2880,
+       0x1f16e1b2u,
+       {
+           {34907, 20, 10226, 0, false, false, false, false, -39, 118},
+           {36454, 12976, 12476, 0, false, false, false, false, 0, -314},
+           {50336, 5117, 29380, 1598, false, false, false, false, -19, 2},
+           {43014, 0, 22058, 1598, false, false, false, false, 19, 0},
+           {43700, 0, 22744, 1598, false, false, false, false, 0, 0},
+           {43824, 0, 22868, 1598, false, false, false, false, 0, 0},
+           {43890, 0, 22934, 1598, false, false, false, false, 0, 0},
+           {43859, 0, 22903, 1598, false, false, false, false, 0, 0},
+       }},
+      {1940,
+       0x169c1facu,
+       {
+           {10037, 711, 6532, 0, false, false, true, false, 0, 78},
+           {19983, 19, 5133, 0, false, false, false, false, 56, 0},
+           {19999, 7, 3993, 1146, false, false, false, false, 0, 0},
+           {19769, 0, 2677, 2232, true, true, false, false, 0, 0},
+       }},
+  };
+  const std::vector<std::vector<LayerBox>>& designs = compact_workload_designs();
+  ASSERT_EQ(designs.size(), pinned.size());
+  for (std::size_t d = 0; d < designs.size(); ++d) {
+    const XyScheduleResult result = production_schedule(designs[d]);
+    EXPECT_EQ(result.boxes.size(), pinned[d].boxes) << "design " << d;
+    EXPECT_EQ(geometry_crc32(result.boxes), pinned[d].crc32) << "design " << d;
+    ASSERT_EQ(result.round_stats.size(), pinned[d].rounds.size()) << "design " << d;
+    for (std::size_t r = 0; r < pinned[d].rounds.size(); ++r) {
+      const RoundStats& got = result.round_stats[r];
+      const Work& want = pinned[d].rounds[r];
       const std::string at = "design " + std::to_string(d) + " round " + std::to_string(r + 1);
       EXPECT_EQ(got.constraints_emitted, want.constraints) << at;
       EXPECT_EQ(got.solve_pops, want.pops) << at;

@@ -1,12 +1,17 @@
 // Tests for connectivity graphs and expansion (Ch. 3): spanning trees,
 // redundant cycle edges, the Figure 3.3 missing-interface property, error
-// paths, and determinism of the generated layout.
+// paths, determinism of the generated layout, and the cancel poll inside
+// long expansions.
 #include "graph/connectivity_graph.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "graph/expand.hpp"
 #include "io/def_writer.hpp"
+#include "support/cancel.hpp"
 #include "support/error.hpp"
 
 namespace rsg {
@@ -214,6 +219,50 @@ TEST_F(GraphTest, MacrocellsNestHierarchically) {
 
   EXPECT_EQ(grid.flattened_instance_count(), 2u + 4u);  // 2 rows + 4 leaves
   EXPECT_EQ(grid.bounding_box(), Box(0, 0, 22, 24));
+}
+
+TEST_F(GraphTest, CancelledTokenStopsALongExpansionBeforeTheCell) {
+  // A chain of more than two poll intervals. A cancelled token throws
+  // StatusError kCancelled at a poll, and no cell is made; a token that
+  // never fires expands the chain exactly as no token does.
+  interfaces_.declare("a", "a", 1, Interface{{12, 0}, Orientation::kNorth});
+  const std::size_t length = 2 * kExpandPollInterval + 5;
+  const auto chain = [&](ConnectivityGraph& graph) {
+    std::vector<GraphNode*> nodes;
+    for (std::size_t i = 0; i < length; ++i) {
+      nodes.push_back(graph.make_instance(cell("a")));
+      if (i > 0) graph.connect(nodes[i - 1], nodes[i], 1);
+    }
+    return nodes.front();
+  };
+
+  CancelSource source;
+  source.cancel();
+  const CancelToken cancelled = source.token();
+  ConnectivityGraph stopped;
+  try {
+    expand_to_cell(stopped, chain(stopped), "stopped", interfaces_, cells_, nullptr, &cancelled);
+    ADD_FAILURE() << "a cancelled token did not stop the expansion";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.code(), StatusCode::kCancelled);
+    EXPECT_NE(std::string(e.what()).find("mk_cell expansion"), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(cells_.contains("stopped"));
+
+  ConnectivityGraph plain;
+  const Cell& without = expand_to_cell(plain, chain(plain), "plain", interfaces_, cells_);
+  ConnectivityGraph polled;
+  const CancelToken never;
+  const Cell& with =
+      expand_to_cell(polled, chain(polled), "polled", interfaces_, cells_, nullptr, &never);
+  ASSERT_EQ(without.instances().size(), length);
+  ASSERT_EQ(with.instances().size(), length);
+  for (std::size_t i = 0; i < length; ++i) {
+    EXPECT_EQ(with.instances()[i].placement, without.instances()[i].placement) << i;
+    EXPECT_EQ(with.instances()[i].name, without.instances()[i].name) << i;
+    EXPECT_EQ(without.instances()[i].placement.location, (Point{static_cast<Coord>(12 * i), 0}))
+        << i;
+  }
 }
 
 }  // namespace

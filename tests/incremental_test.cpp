@@ -4,7 +4,9 @@
 // the rubber band, every engine pass's constraint stream equals a scratch
 // generation at one band and at four, and the schedules' geometry equals
 // the scratch schedule's; the dirty-band locality contract (a single moved
-// box re-sweeps exactly the bands its shadow window touches), warm-start
+// box re-sweeps exactly the bands its shadow window touches), the kept
+// sweep order and the moved-only refresh of initial abscissas over inputs
+// that move 0, 1, a few, about an eighth and all of the boxes, warm-start
 // exactness for both worklist solvers, and the both-axes-infeasible early
 // termination of the schedule.
 #include "compact/incremental.hpp"
@@ -12,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <string>
 #include <utility>
 
 #include "compact/synth_design.hpp"
@@ -62,6 +66,8 @@ TEST(Incremental, ScratchVsIncrementalByteIdentityOnSeededFields) {
           compact_flat_schedule(field.boxes, rules, options, schedule, field.stretchable);
       ASSERT_EQ(production.boxes, scratch.boxes) << "rubber " << rubber << " seed " << seed;
       ASSERT_EQ(production.rounds, scratch.rounds) << "rubber " << rubber << " seed " << seed;
+      ASSERT_EQ(production.converged, scratch.converged)
+          << "rubber " << rubber << " seed " << seed;
       for (const int bands : {1, 4}) {
         const XyScheduleResult checked = oracle::checked_flat_schedule(
             field.boxes, rules, options, schedule, field.stretchable, bands);
@@ -158,6 +164,125 @@ TEST(Incremental, SingleMovedBoxDirtiesItsBandAndSpacingNeighbors) {
   EXPECT_EQ(oracle::stream_divergence(engine.x_system(), moved, CompactionRules::mosis()), "");
   const FlatResult scratch = compact_flat(moved, CompactionRules::mosis());
   EXPECT_EQ(second.boxes, scratch.boxes);
+}
+
+// Columns of boxes sharing one x extent each: `columns` columns of
+// `rows` metal1 and poly boxes, box k * columns + c in column c, so a box
+// moved onto another column's extent ties there with boxes of lower and
+// of higher index, and the sweep order must break each tie by index.
+SynthField column_groups_field(int columns, int rows) {
+  SynthField field;
+  for (int k = 0; k < rows; ++k) {
+    for (int c = 0; c < columns; ++c) {
+      const Layer layer = (c + k) % 3 == 0 ? Layer::kPoly : Layer::kMetal1;
+      field.boxes.push_back({layer, Box(c * 20, k * 30, c * 20 + 8, k * 30 + 10)});
+      field.stretchable.push_back(k % 2 == 0);
+    }
+  }
+  return field;
+}
+
+TEST(Incremental, KeptSweepOrderAndMovedOnlyRefreshMatchScratch) {
+  // One engine per field and band count, driven through inputs that move
+  // 0 boxes, 1, a few, just under and just over an eighth of them, and all
+  // of them, then a uniform x shift (normalization leaves nothing moved), a
+  // y-only move (the order is kept as it is) and a layer change (a full
+  // rebuild). Each input gets an x pass and a y pass; every pass's system,
+  // initial abscissas and constraint order, must equal a scratch
+  // generation's. The x pass's telemetry shows which order path ran: x
+  // moves of up to an eighth of the boxes are merged into the kept order,
+  // more fall back to a sortedness check or a full sort.
+  const CompactionRules rules = CompactionRules::mosis();
+  const std::vector<SynthField> fields = {make_random_field(7, 40), make_random_field(11, 90),
+                                          column_groups_field(8, 12)};
+  for (const int bands : {1, 4}) {
+    for (std::size_t f = 0; f < fields.size(); ++f) {
+      const SynthField& field = fields[f];
+      const std::size_t n = field.boxes.size();
+      ASSERT_GE(n, 40u);
+      IncrementalCompactor engine(rules, {}, field.stretchable, bands);
+      std::vector<LayerBox> input = field.boxes;
+      std::mt19937 rng(static_cast<std::uint32_t>(f * 31 + static_cast<std::size_t>(bands)));
+      const auto at = [&](const std::string& step) {
+        return "bands " + std::to_string(bands) + " field " + std::to_string(f) + " " + step;
+      };
+      const auto pass = [&](const std::string& step) {
+        // An infeasible system still leaves the pass's system to check.
+        try {
+          engine.compact_x(input);
+        } catch (const Error&) {
+        }
+        EXPECT_EQ(oracle::stream_divergence(engine.x_system(), input, rules, {},
+                                            field.stretchable),
+                  "")
+            << at(step) << " (x)";
+        const IncrementalPassStats x = engine.x_stats();
+        try {
+          engine.compact_y(input);
+        } catch (const Error&) {
+        }
+        EXPECT_EQ(oracle::stream_divergence(engine.y_system(), transposed_boxes(input), rules, {},
+                                            field.stretchable),
+                  "")
+            << at(step) << " (y)";
+        return x;
+      };
+      // Moves k boxes in x, none of them on the leftmost edge (so the
+      // normalization shift stays put): each onto another box's x extent,
+      // where it ties, or right by a few units when that is where it is.
+      const auto move_x = [&](std::size_t k) {
+        Coord min_x = input.front().box.lo.x;
+        for (const LayerBox& lb : input) min_x = std::min(min_x, lb.box.lo.x);
+        std::vector<std::size_t> movable;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (input[i].box.lo.x != min_x) movable.push_back(i);
+        }
+        std::shuffle(movable.begin(), movable.end(), rng);
+        ASSERT_GE(movable.size(), k);
+        for (std::size_t m = 0; m < k; ++m) {
+          Box& box = input[movable[m]].box;
+          const Box& target = input[rng() % n].box;
+          if (target.lo.x != box.lo.x && target.lo.x != min_x) {
+            box = Box(target.lo.x, box.lo.y, target.hi.x, box.hi.y);
+          } else {
+            box = box.translated({3 + static_cast<Coord>(rng() % 5), 0});
+          }
+        }
+      };
+
+      EXPECT_TRUE(pass("first").full_build) << at("first");
+      const IncrementalPassStats still = pass("unchanged");
+      EXPECT_EQ(still.boxes_moved, 0u) << at("unchanged");
+      EXPECT_EQ(still.shards_reswept, 0) << at("unchanged");
+      for (const std::size_t k : {std::size_t{1}, std::size_t{3}, n / 8}) {
+        move_x(k);
+        const IncrementalPassStats merged = pass("x move of " + std::to_string(k));
+        EXPECT_EQ(merged.boxes_moved, k) << at("x move of " + std::to_string(k));
+        EXPECT_EQ(merged.order_merged, k) << at("x move of " + std::to_string(k));
+        EXPECT_FALSE(merged.order_sorted) << at("x move of " + std::to_string(k));
+      }
+      move_x(n / 8 + 1);
+      const IncrementalPassStats over = pass("x move over an eighth");
+      EXPECT_EQ(over.boxes_moved, n / 8 + 1) << at("x move over an eighth");
+      EXPECT_EQ(over.order_merged, 0u) << at("x move over an eighth");
+      // All of them: the mirror image reverses the order.
+      for (LayerBox& lb : input) lb.box = Box(-lb.box.hi.x, lb.box.lo.y, -lb.box.lo.x, lb.box.hi.y);
+      const IncrementalPassStats all = pass("mirror");
+      EXPECT_GT(all.boxes_moved, n / 2) << at("mirror");
+      EXPECT_TRUE(all.order_sorted) << at("mirror");
+      for (LayerBox& lb : input) lb.box = lb.box.translated({37, 0});
+      EXPECT_EQ(pass("uniform x shift").boxes_moved, 0u) << at("uniform x shift");
+      for (std::size_t i = 0; i < n; i += 5) input[i].box = input[i].box.translated({0, 4});
+      const IncrementalPassStats y_only = pass("y-only move");
+      EXPECT_EQ(y_only.boxes_moved, (n + 4) / 5) << at("y-only move");
+      EXPECT_EQ(y_only.order_merged, 0u) << at("y-only move");
+      EXPECT_FALSE(y_only.order_sorted) << at("y-only move");
+      input[n / 2].layer = input[n / 2].layer == Layer::kPoly ? Layer::kMetal1 : Layer::kPoly;
+      const IncrementalPassStats relayered = pass("layer change");
+      EXPECT_TRUE(relayered.order_sorted) << at("layer change");
+      EXPECT_EQ(relayered.shards_reswept, relayered.shards_total) << at("layer change");
+    }
+  }
 }
 
 TEST(Incremental, ResizedRigidBoxRefreshesTheWidthPrefix) {

@@ -100,7 +100,7 @@ void generate_constraints_reference(ConstraintSystem& system,
                                     const CompactionRules& rules) {
   const std::vector<std::size_t> net = all_pairs_nets(boxes);
   add_width_and_anchor(system, boxes, rules);
-  const std::vector<std::size_t> order = sweep_order(boxes);
+  const SweepOrder order = sweep_order(boxes);
 
   // Partner discovery, one profile layer at a time: every box queries the
   // layer's profile through its window onto the layer, then the layer's

@@ -90,7 +90,7 @@ bool same_stream(const ConstraintSystem& a, const ConstraintSystem& b) {
 void generate_in_bands(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
                        int bands) {
   const CompactionRules rules = CompactionRules::mosis();
-  const std::vector<std::size_t> order = sweep_order(boxes);
+  const SweepOrder order = sweep_order(boxes);
   const std::vector<Coord> cuts = band_cuts(boxes, bands);
   std::vector<SweepShard> shards(static_cast<std::size_t>(kNumLayers) * (cuts.size() - 1));
   std::vector<std::size_t> all(shards.size());
