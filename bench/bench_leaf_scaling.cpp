@@ -94,9 +94,9 @@ void BM_LeafSolveDense(benchmark::State& state) {
 void BM_LeafSolveSparse(benchmark::State& state) { run_method(state, &detail::solve_lp_primal); }
 void BM_LeafSolveSparseDual(benchmark::State& state) { run_method(state, &solve_dual); }
 
-// The warm-start acceptance workload: the full leaf x/y schedule under the
-// production defaults (LeafXyOptions{}: at most 4 rounds, stopping on
-// convergence), warm vs cold. The convergence profile on these libraries:
+// The warm-start acceptance workload: the full leaf x/y schedule (at most 4
+// rounds, stopping on convergence; LeafXyOptions{} only chooses the warm
+// start), warm vs cold. The convergence profile on these libraries:
 // round 1 is always cold; round 2 rebuilds a SMALLER model from the
 // compacted geometry (a different row count, so the carried basis is
 // declined for its rows); round 3 only confirms convergence. Its LP is

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checks run by the CI `docs` job (and usable locally).
 
-Six checks, all dependency-free:
+Seven checks, all dependency-free:
 
  1. Markdown link integrity: every relative link target in every tracked
     *.md file must resolve to an existing file or directory (anchors are
@@ -30,6 +30,13 @@ Six checks, all dependency-free:
     identifier (each `::` part) in a source file under src/, tests/,
     examples/, bench/ or perfbench/src, so a deleted or renamed class,
     struct or option cannot leave a stale reference behind.
+ 7. Fault points: every name in the registry comment of
+    src/support/fault_injection.hpp must occur as a string literal in
+    src/ outside that header (a call site, or the literal a caller hands
+    to a writer that fires it) and be armed by a test under tests/
+    (fault::arm, ScopedFault or arm_from_spec), and every literal passed
+    to fault::fired in src/ must be registered, so the list can neither
+    keep a dead point nor miss a live one.
 
 Exits non-zero with one line per violation.
 """
@@ -221,6 +228,55 @@ def check_code_names(errors):
                 errors.append(f"{rel}: `{name}` names nothing in " + ", ".join(CODE_DIRS))
 
 
+FAULT_HEADER = os.path.join("src", "support", "fault_injection.hpp")
+# A registry line: "//   name.point    what it does".
+FAULT_ENTRY_RE = re.compile(r"^//\s+([a-z_]+\.[a-z_]+)\s{2,}\S", re.M)
+STRING_RE = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
+FIRED_RE = re.compile(r'\bfault::fired\(\s*"([^"]*)"')
+ARMED_RE = re.compile(r'\b(?:arm|arm_from_spec|ScopedFault\s+\w+)\(\s*"([^"]*)"')
+
+
+def source_texts(directory):
+    texts = {}
+    for base, _, files in os.walk(os.path.join(REPO, directory)):
+        for name in files:
+            if name.endswith(CODE_SUFFIXES):
+                path = os.path.join(base, name)
+                with open(path, encoding="utf-8") as f:
+                    texts[os.path.relpath(path, REPO)] = f.read()
+    return texts
+
+
+def check_fault_points(errors):
+    """The fault-point registry, the call sites and the tests agree."""
+    with open(os.path.join(REPO, FAULT_HEADER), encoding="utf-8") as f:
+        header = f.read()
+    registry = header.split("Registered fault points", 1)[-1].split("#pragma once", 1)[0]
+    registered = FAULT_ENTRY_RE.findall(registry)
+    if not registered:
+        errors.append(f"{FAULT_HEADER}: no registered fault points found (check the regex)")
+        return
+    src = source_texts("src")
+    literals = set()
+    for path, text in src.items():
+        if path != FAULT_HEADER:
+            literals.update(STRING_RE.findall(text))
+    armed = set()
+    for text in source_texts("tests").values():
+        for literal in ARMED_RE.findall(text):
+            # arm_from_spec's grammar: name[=skip[:count[:param]]], comma-joined.
+            armed.update(part.split("=", 1)[0] for part in literal.split(","))
+    for name in registered:
+        if name not in literals:
+            errors.append(f"{FAULT_HEADER}: fault point '{name}' is not used in src/")
+        if name not in armed:
+            errors.append(f"{FAULT_HEADER}: fault point '{name}' is armed by no test in tests/")
+    for path, text in sorted(src.items()):
+        for name in FIRED_RE.findall(text):
+            if name not in registered:
+                errors.append(f"{path}: fault::fired(\"{name}\") is not in the registry")
+
+
 def main():
     errors = []
     check_links(errors)
@@ -229,6 +285,7 @@ def main():
     check_bench_names(errors)
     check_test_labels(errors)
     check_code_names(errors)
+    check_fault_points(errors)
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     if errors:
@@ -236,7 +293,8 @@ def main():
     count = len(tracked_markdown())
     print(
         f"docs check passed: {count} markdown files, "
-        "links, artifact schemas, status codes, benchmark names, test labels and code names OK"
+        "links, artifact schemas, status codes, benchmark names, test labels, code names and "
+        "fault points OK"
     )
     return 0
 

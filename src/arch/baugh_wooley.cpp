@@ -35,10 +35,6 @@ std::int64_t from_bits(const std::vector<int>& bits) {
   return static_cast<std::int64_t>(value);
 }
 
-std::int64_t reference_product(const std::vector<int>& a_bits, const std::vector<int>& b_bits) {
-  return from_bits(a_bits) * from_bits(b_bits);
-}
-
 namespace {
 
 // The partial product entering cell (column = multiplicand bit j, row =

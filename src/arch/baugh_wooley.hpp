@@ -39,9 +39,6 @@ struct MultiplierSpec {
 // corner cell.
 CellKind carry_save_cell_kind(const MultiplierSpec& spec, int x, int y);
 
-// The final carry-propagate adder row consists of type I cells only.
-inline CellKind carry_propagate_cell_kind(int /*x*/) { return CellKind::kTypeI; }
-
 // Clock assignment alternates by column (the mcell macro: even columns get
 // phi1, odd get phi2).
 inline ClockPhase clock_phase_for_column(int x) {
@@ -54,10 +51,6 @@ inline int full_adder(int a, int b, int c, int& carry_out) {
   carry_out = (a & b) | (a & c) | (b & c);
   return sum;
 }
-
-// Reference product of two two's-complement integers given as bit vectors
-// (LSB first). Uses plain int64 arithmetic; valid for m+n <= 62.
-std::int64_t reference_product(const std::vector<int>& a_bits, const std::vector<int>& b_bits);
 
 // Evaluates the combinational Baugh–Wooley array of Figure 5.1 at bit level:
 // carry-save rows followed by a carry-propagate adder, with complemented

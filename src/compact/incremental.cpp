@@ -43,28 +43,20 @@ IncrementalCompactor::IncrementalCompactor(const CompactionRules& rules,
 
 FlatResult IncrementalCompactor::compact_x(const std::vector<LayerBox>& boxes) {
   std::vector<LayerBox> out = boxes;
-  FlatResult result = pass(x_, out, /*transposed=*/false);
+  FlatResult result = run(/*y_axis=*/false, out);
   result.boxes = std::move(out);
   return result;
 }
 
 FlatResult IncrementalCompactor::compact_y(const std::vector<LayerBox>& boxes) {
   std::vector<LayerBox> out = boxes;
-  FlatResult result = pass(y_, out, /*transposed=*/true);
+  FlatResult result = run(/*y_axis=*/true, out);
   result.boxes = std::move(out);
   return result;
 }
 
-FlatResult IncrementalCompactor::compact_x_in_place(std::vector<LayerBox>& boxes) {
-  return pass(x_, boxes, /*transposed=*/false);
-}
-
-FlatResult IncrementalCompactor::compact_y_in_place(std::vector<LayerBox>& boxes) {
-  return pass(y_, boxes, /*transposed=*/true);
-}
-
-FlatResult IncrementalCompactor::pass(AxisState& state, std::vector<LayerBox>& boxes,
-                                      bool transposed) {
+FlatResult IncrementalCompactor::run(bool y_axis, std::vector<LayerBox>& boxes) {
+  AxisState& state = y_axis ? y_ : x_;
   check_stretchable_mask(stretchable_, boxes.size());
   FlatResult result;
   state.stats = {};
@@ -81,8 +73,8 @@ FlatResult IncrementalCompactor::pass(AxisState& state, std::vector<LayerBox>& b
     min_x = std::numeric_limits<Coord>::max();
     max_x = std::numeric_limits<Coord>::lowest();
     for (const LayerBox& lb : boxes) {
-      min_x = std::min(min_x, transposed ? lb.box.lo.y : lb.box.lo.x);
-      max_x = std::max(max_x, transposed ? lb.box.hi.y : lb.box.hi.x);
+      min_x = std::min(min_x, y_axis ? lb.box.lo.y : lb.box.lo.x);
+      max_x = std::max(max_x, y_axis ? lb.box.hi.y : lb.box.hi.x);
     }
   }
   result.width_before = max_x - min_x;
@@ -135,7 +127,7 @@ FlatResult IncrementalCompactor::pass(AxisState& state, std::vector<LayerBox>& b
   std::size_t moved = 0;
   std::vector<std::uint32_t> x_moved;  // boxes whose x extent changed, ascending
   for (std::size_t i = 0; i < n; ++i) {
-    LayerBox now{boxes[i].layer, in_frame(boxes[i].box, transposed)};
+    LayerBox now{boxes[i].layer, in_frame(boxes[i].box, y_axis)};
     now.box.lo.x -= min_x;
     now.box.hi.x -= min_x;
     CompactionBox& cb = state.boxes[i];
@@ -289,7 +281,7 @@ FlatResult IncrementalCompactor::pass(AxisState& state, std::vector<LayerBox>& b
     const Coord right = system.values[static_cast<std::size_t>(cb.right_var)];
     const LayerBox out{cb.geometry.layer,
                        in_frame(Box(left, cb.geometry.box.lo.y, right, cb.geometry.box.hi.y),
-                                transposed)};
+                                y_axis)};
     kept = kept && out == boxes[i];
     boxes[i] = out;
     width = std::max(width, right);

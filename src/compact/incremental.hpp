@@ -1,5 +1,6 @@
 // The incremental x/y compaction engine: the passes of the flat schedule
-// (compact/xy_schedule.hpp).
+// (compact/xy_schedule.hpp), behind the FlatAxisPasses interface the
+// schedule's round loop runs.
 //
 // A scratch pass (compact_flat) rebuilds the whole constraint system and
 // cold-starts the solver, even when a late round moves a handful of boxes.
@@ -55,7 +56,7 @@
 // The test oracle (tests/oracle/scratch_schedule.hpp) checks every pass's
 // constraint system, width/anchor prefix and initial abscissas included,
 // against a scratch generation, and the schedule's geometry against a
-// scratch schedule.
+// scratch schedule: both are FlatAxisPasses run by the same round loop.
 #pragma once
 
 #include <array>
@@ -89,11 +90,24 @@ struct IncrementalPassStats {
   Coord extent_after = 0;
 };
 
+// The passes a flat x/y schedule runs, one per axis per round. run()
+// compacts `boxes` in place along one axis (y by transposition) and throws
+// rsg::Error when that axis's system is infeasible, leaving `boxes` as it
+// was. stats() describes the axis's last pass: its partner counts even
+// when the pass threw, the rest only when it ran. The engine below is the
+// production implementation; the test oracle substitutes scratch and
+// stream-checked passes, which is why this is an interface.
+class FlatAxisPasses {
+ public:
+  virtual FlatResult run(bool y_axis, std::vector<LayerBox>& boxes) = 0;
+  virtual const IncrementalPassStats& stats(bool y_axis) const = 0;
+};
+
 // One compactor instance serves one alternating schedule: it owns the
 // per-axis box stores, band partitions, shard caches and warm-start
 // coordinates. The rules, options, stretchable mask and band count are
 // fixed for the instance — exactly the xy-schedule contract.
-class IncrementalCompactor {
+class IncrementalCompactor final : public FlatAxisPasses {
  public:
   // `bands`: y bands per layer, the unit of reuse (<= 0 means one). The
   // engine sweeps on the calling thread, and every shard walks every box,
@@ -103,27 +117,22 @@ class IncrementalCompactor {
   IncrementalCompactor(const CompactionRules& rules, const FlatOptions& options,
                        std::vector<bool> stretchable = {}, int bands = 1);
 
-  // One x (y) pass: byte-identical in constraints and geometry to
-  // compact_flat on the same (transposed) input. Throws rsg::Error on
-  // infeasible systems, leaving the engine valid for the next pass: the
-  // store then holds the thrown pass's input.
+  // One pass in place, as the schedule runs it: byte-identical in
+  // constraints and geometry to compact_flat on the same (transposed)
+  // input; the result's `boxes` stays empty. A pass that throws leaves the
+  // engine valid for the next pass: the store then holds its input.
+  FlatResult run(bool y_axis, std::vector<LayerBox>& boxes) override;
+  const IncrementalPassStats& stats(bool y_axis) const override {
+    return y_axis ? y_.stats : x_.stats;
+  }
+
+  // The same passes on a copy, the output in the result's `boxes`.
   FlatResult compact_x(const std::vector<LayerBox>& boxes);
   FlatResult compact_y(const std::vector<LayerBox>& boxes);
 
-  // The same passes in place, as the schedule runs them: `boxes` is the
-  // input and, on return, the compacted geometry; the result's `boxes`
-  // stays empty. A pass that throws leaves `boxes` as it was.
-  FlatResult compact_x_in_place(std::vector<LayerBox>& boxes);
-  FlatResult compact_y_in_place(std::vector<LayerBox>& boxes);
-
-  const IncrementalPassStats& x_stats() const { return x_.stats; }
-  const IncrementalPassStats& y_stats() const { return y_.stats; }
-
-  // The band partitions (infinity-sentinel cut lists; y axis in transposed
-  // space), fixed at each axis's first pass — exposed for the dirty-band
-  // tests and telemetry.
+  // The x band partition (an infinity-sentinel cut list), fixed at the
+  // axis's first pass — exposed for the dirty-band tests.
   const std::vector<Coord>& x_band_cuts() const { return x_.cuts; }
-  const std::vector<Coord>& y_band_cuts() const { return y_.cuts; }
 
   // Each axis's constraint system from its last pass, in the axis's own
   // space (transposed for y) — what the test oracle compares with a
@@ -159,7 +168,6 @@ class IncrementalCompactor {
     Coord margin;
   };
 
-  FlatResult pass(AxisState& state, std::vector<LayerBox>& boxes, bool transposed);
   // Brings the kept sweep order up to date with the store; `x_moved` holds
   // the boxes whose x extent changed (ascending), `resort` forces a full
   // sort.

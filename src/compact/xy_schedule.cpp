@@ -1,7 +1,9 @@
 #include "compact/xy_schedule.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <optional>
 #include <thread>
@@ -16,6 +18,10 @@
 namespace rsg::compact {
 
 namespace {
+
+// The leaf schedule's fixed settings (LeafXyOptions documents them).
+constexpr int kLeafMaxRounds = 4;
+constexpr double kLeafWidthWeight = 1e-3;
 
 struct Extents {
   Coord width = 0;
@@ -37,10 +43,62 @@ Extents extents_of(const std::vector<LayerBox>& boxes) {
   return {max_x - min_x, max_y - min_y};
 }
 
+// How a round ended, as its passes report it.
+struct RoundEnd {
+  bool frozen = false;     // every axis was skipped: no later round can move anything
+  bool unchanged = false;  // the round left the schedule's state as it found it
+};
+
+// The x/y round loop of every schedule. It runs round(k) for k = rounds + 1
+// up to `cap` and owns the policy between rounds:
+//   * a frozen round stops the loop and never counts as converged;
+//   * an unchanged round is converged, and stops the loop under
+//     stop_when_converged; `converged` always describes the last round run;
+//   * persist() runs after every round (the flat schedule's checkpoint);
+//   * `cancel` is polled before the first round and after every persist,
+//     so an abandoned run always leaves its last completed round saved.
+// `last` is how the round before the loop ended, for a resumed schedule: a
+// loop that stopped there runs no further round.
+template <class Round, class Persist>
+void run_rounds(int& rounds, bool& converged, RoundEnd last, int cap, bool stop_when_converged,
+                const CancelToken* cancel, Round&& round, Persist&& persist) {
+  const auto stops = [&](const RoundEnd& end) {
+    return end.frozen || (converged && stop_when_converged);
+  };
+  // A signal raised before any round runs still rejects the work up front:
+  // "expired before it started" must not pay for a full round first.
+  if (cancel != nullptr) cancel->check("x/y schedule start");
+  if (stops(last)) return;
+  while (rounds < cap) {
+    const RoundEnd end = round(rounds + 1);
+    ++rounds;
+    converged = !end.frozen && end.unchanged;
+    persist();
+    if (stops(end)) return;
+    // Test hook: hold the schedule for `param` ms (default 50) at the round
+    // boundary so deadline/cancel tests can deterministically interrupt a
+    // run BETWEEN rounds — after the persist, before the poll.
+    int stall_ms = 0;
+    if (fault::fired("xy_schedule.round_stall", &stall_ms)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms > 0 ? stall_ms : 50));
+    }
+    if (cancel != nullptr) cancel->check(("x/y schedule round " + std::to_string(rounds)).c_str());
+  }
+}
+
 }  // namespace
 
 XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes,
                                        const CompactionRules& rules, const FlatOptions& options,
+                                       const XyScheduleOptions& schedule,
+                                       const std::vector<bool>& stretchable) {
+  // The incremental engine keeps per-axis band/warm state alive across the
+  // whole schedule.
+  IncrementalCompactor engine(rules, options, stretchable);
+  return compact_flat_schedule(boxes, engine, schedule, stretchable);
+}
+
+XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes, FlatAxisPasses& passes,
                                        const XyScheduleOptions& schedule,
                                        const std::vector<bool>& stretchable) {
   XyScheduleResult result;
@@ -52,7 +110,7 @@ XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes,
   // Resume: restore the whole loop state from the checkpoint and continue
   // at the next round. The `boxes` argument is ignored by design — the
   // checkpointed geometry IS the loop state.
-  int start_round = 0;
+  RoundEnd last;
   if (schedule.resume != nullptr) {
     const XyCheckpoint& ck = *schedule.resume;
     result.boxes = ck.boxes;
@@ -63,7 +121,8 @@ XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes,
     result.converged = ck.converged;
     result.round_stats = ck.round_stats;
     result.rounds = ck.rounds_done;
-    start_round = ck.rounds_done;
+    last.frozen = !ck.round_stats.empty() && ck.round_stats.back().x_skipped &&
+                  ck.round_stats.back().y_skipped;
   }
 
   // A mask that does not fit the geometry (say a checkpoint of another
@@ -71,118 +130,62 @@ XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes,
   // best effort can skip the passes it would fail.
   check_stretchable_mask(stretchable, result.boxes.size());
 
-  // The incremental engine keeps per-axis band/warm state alive across the
-  // whole schedule.
-  IncrementalCompactor engine(rules, options, stretchable);
-
-  // One axis pass under the best-effort policy: an infeasible constraint
-  // system (rigid geometry violating its own spacing rules) keeps the
-  // current geometry for this axis instead of propagating the error.
-  // Returns the FlatResult when the pass ran, nullopt when it was skipped.
-  // The pass compacts result.boxes in place.
-  const auto run_pass = [&](bool y_axis, bool& infeasible,
-                            bool& skipped) -> std::optional<FlatResult> {
-    try {
-      return y_axis ? engine.compact_y_in_place(result.boxes)
-                    : engine.compact_x_in_place(result.boxes);
-    } catch (const Error&) {
-      if (!schedule.best_effort) throw;
-      infeasible = true;
-      skipped = true;
-      return std::nullopt;
-    }
-  };
-
-  // A checkpoint taken after the schedule already terminated (converged
-  // with stop_when_converged, or frozen by a doubly-infeasible round) must
-  // resume to the identical result without running another round.
-  const bool resume_terminal =
-      schedule.resume != nullptr &&
-      ((result.converged && schedule.stop_when_converged) ||
-       (!result.round_stats.empty() && result.round_stats.back().x_skipped &&
-        result.round_stats.back().y_skipped));
-
-  // A cancel/deadline signal raised before any round runs still rejects
-  // the work up front — "expired before it started" must not pay for a
-  // full round first.
-  if (schedule.cancel != nullptr) schedule.cancel->check("x/y schedule start");
-
+  // One round: an x pass, then a y pass, each compacting result.boxes in
+  // place. Under best effort an infeasible axis (rigid geometry violating
+  // its own spacing rules) keeps the current geometry for the round
+  // instead of propagating the error. The round's facts come from what the
+  // passes report: a pass's width_before is its input's extent on its
+  // axis, and its extent_after the output's; a pass moves only its own
+  // axis's coordinates, so the round left the geometry unchanged exactly
+  // when each pass that ran kept its input.
   using Clock = std::chrono::steady_clock;
-  // The round's facts come from what its passes report: a pass's
-  // width_before is its input's extent on its axis, and its extent_after
-  // the output's; a pass moves only its own axis's coordinates, so the
-  // round left the geometry unchanged exactly when each pass that ran kept
-  // its input.
-  for (int round = start_round; !resume_terminal && round < schedule.max_rounds; ++round) {
+  const auto round = [&](int k) {
     RoundStats stats;
-    stats.round = round + 1;
+    stats.round = k;
     const auto t0 = Clock::now();
-
-    const std::optional<FlatResult> x_pass =
-        run_pass(/*y_axis=*/false, result.x_infeasible, stats.x_skipped);
-    if (x_pass) stats.width_delta = x_pass->width_before - engine.x_stats().extent_after;
-    const std::optional<FlatResult> y_pass =
-        run_pass(/*y_axis=*/true, result.y_infeasible, stats.y_skipped);
-    if (y_pass) stats.height_delta = y_pass->width_before - engine.y_stats().extent_after;
-    const bool unchanged = (!x_pass || engine.x_stats().geometry_kept) &&
-                           (!y_pass || engine.y_stats().geometry_kept);
-
-    if (x_pass) {
-      stats.constraints_emitted += x_pass->constraint_count;
-      stats.solve_pops += x_pass->solve.pops;
-      stats.warm_x = x_pass->solve.warm_accepted;
+    RoundEnd end{/*frozen=*/true, /*unchanged=*/true};
+    for (const bool y_axis : {false, true}) {
+      std::optional<FlatResult> pass;
+      try {
+        pass = passes.run(y_axis, result.boxes);
+      } catch (const Error&) {
+        if (!schedule.best_effort) throw;
+        (y_axis ? result.y_infeasible : result.x_infeasible) = true;
+        (y_axis ? stats.y_skipped : stats.x_skipped) = true;
+      }
+      // A pass that threw still swept: its partner counts are set before
+      // its solve throws, and they count.
+      const IncrementalPassStats& report = passes.stats(y_axis);
+      stats.partners_reswept += report.partners_reswept;
+      stats.partners_reused += report.partners_reused;
+      if (!pass) continue;
+      end.frozen = false;
+      end.unchanged = end.unchanged && report.geometry_kept;
+      (y_axis ? stats.height_delta : stats.width_delta) = pass->width_before - report.extent_after;
+      (y_axis ? stats.warm_y : stats.warm_x) = pass->solve.warm_accepted;
+      stats.constraints_emitted += pass->constraint_count;
+      stats.solve_pops += pass->solve.pops;
     }
-    if (y_pass) {
-      stats.constraints_emitted += y_pass->constraint_count;
-      stats.solve_pops += y_pass->solve.pops;
-      stats.warm_y = y_pass->solve.warm_accepted;
-    }
-    stats.partners_reswept = engine.x_stats().partners_reswept + engine.y_stats().partners_reswept;
-    stats.partners_reused = engine.x_stats().partners_reused + engine.y_stats().partners_reused;
     stats.wall_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-    result.round_stats.push_back(std::move(stats));
-    result.rounds = round + 1;
-
-    const bool frozen =
-        result.round_stats.back().x_skipped && result.round_stats.back().y_skipped;
-    if (!frozen && unchanged) result.converged = true;
-
-    if (schedule.checkpoint_sink) {
-      XyCheckpoint ck;
-      ck.rounds_done = result.rounds;
-      ck.converged = result.converged;
-      ck.x_infeasible = result.x_infeasible;
-      ck.y_infeasible = result.y_infeasible;
-      ck.width_before = result.width_before;
-      ck.height_before = result.height_before;
-      ck.boxes = result.boxes;
-      ck.stretchable = stretchable;
-      ck.round_stats = result.round_stats;
-      schedule.checkpoint_sink(ck);
-    }
-
-    if (frozen) {
-      // Both axes infeasible: no pass can ever run again (the geometry is
-      // frozen), so looping to the cap would do nothing — terminate early
-      // and do NOT claim convergence.
-      break;
-    }
-    if (result.converged && schedule.stop_when_converged) break;
-
-    // Test hook: hold the schedule for `param` ms (default 50) at the round
-    // boundary so deadline/cancel tests can deterministically interrupt a
-    // run BETWEEN rounds — after the checkpoint flush, before the poll.
-    int stall_ms = 0;
-    if (fault::fired("xy_schedule.round_stall", &stall_ms)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms > 0 ? stall_ms : 50));
-    }
-    // Round boundary: the checkpoint sink above has already persisted this
-    // round, so abandoning here loses no work — a resumed run continues at
-    // round + 1 bit-for-bit.
-    if (schedule.cancel != nullptr) {
-      schedule.cancel->check(("x/y schedule round " + std::to_string(result.rounds)).c_str());
-    }
-  }
+    result.round_stats.push_back(stats);
+    return end;
+  };
+  const auto persist = [&] {
+    if (!schedule.checkpoint_sink) return;
+    XyCheckpoint ck;
+    ck.rounds_done = result.rounds;
+    ck.converged = result.converged;
+    ck.x_infeasible = result.x_infeasible;
+    ck.y_infeasible = result.y_infeasible;
+    ck.width_before = result.width_before;
+    ck.height_before = result.height_before;
+    ck.boxes = result.boxes;
+    ck.stretchable = stretchable;
+    ck.round_stats = result.round_stats;
+    schedule.checkpoint_sink(ck);
+  };
+  run_rounds(result.rounds, result.converged, last, schedule.max_rounds,
+             schedule.stop_when_converged, schedule.cancel, round, persist);
 
   const Extents after = extents_of(result.boxes);
   result.width_after = after.width;
@@ -268,82 +271,63 @@ LeafXyResult compact_leaf_schedule(const CellTable& cells, const InterfaceTable&
   // dual feasibility) and cold-starts when it is stale — e.g. when the
   // rebuilt geometry dropped constraints — so the handles need no
   // management here.
-  LpWarmStart warm_x;
-  LpWarmStart warm_y;
-  LpWarmStart* const warm_x_ptr = options.warm_start ? &warm_x : nullptr;
-  LpWarmStart* const warm_y_ptr = options.warm_start ? &warm_y : nullptr;
-  for (int round = 0; round < options.max_rounds; ++round) {
+  std::array<LpWarmStart, 2> warm;
+  // One axis pass over the current library. The y specs may be read after
+  // the x pass: they test y components, and an x pass writes x components.
+  const auto run_axis = [&](bool y_axis, bool& ran, LpStats& lp, double& objective) {
+    const std::vector<PitchSpec> specs = specs_for_axis(y_axis);
+    if (specs.empty()) return;
+    const auto compact = y_axis ? &compact_leaf_cells_y : &compact_leaf_cells;
+    const LeafResult pass = compact(state.cells(), state.interfaces(), cell_names, specs, rules,
+                                    kLeafWidthWeight, /*stretchable_layers=*/{},
+                                    options.warm_start ? &warm[y_axis] : nullptr);
+    for (const auto& [name, boxes] : pass.cells) state.geometry[name] = boxes;
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+      Point& vector = state.vectors[{specs[s].cell_a, specs[s].cell_b, specs[s].interface_index}];
+      (y_axis ? vector.y : vector.x) = pass.pitches[s];
+    }
+    ran = true;
+    lp = pass.lp_stats;
+    objective = pass.objective;
+    result.lp_total += pass.lp_stats;
+  };
+  // Convergence: the pitch vectors are back unchanged, and either the
+  // geometry is too or neither axis found a better objective than last
+  // round. Box positions alone do not decide it — the leaf LPs have tied
+  // alternative optima, and each pass's tie-break depends on the other
+  // axis's coordinates, so the geometry can wander inside the optimal face
+  // forever while every quantity the schedule optimizes (pitches,
+  // objective) sits still. A per-pass rule would differ on those ties, so
+  // the verdict is the round's.
+  const auto close = [](double a, double b) {
+    return std::abs(a - b) <= 1e-9 * (1.0 + std::abs(a) + std::abs(b));
+  };
+  // An axis that ran in neither round is trivially stable (its specs
+  // dropped off — e.g. every pitch collapsed to zero); comparing its
+  // default 0.0 against a real objective would stall convergence.
+  const auto axis_plateau = [&](bool ran, double objective, bool prev_ran, double prev_objective) {
+    if (ran != prev_ran) return false;
+    return !ran || close(objective, prev_objective);
+  };
+  const auto round = [&](int k) {
     const LeafLibraryState before = state;
     LeafRoundStats stats;
-    stats.round = round + 1;
+    stats.round = k;
+    run_axis(/*y_axis=*/false, stats.x_ran, stats.x_lp, stats.x_objective);
+    run_axis(/*y_axis=*/true, stats.y_ran, stats.y_lp, stats.y_objective);
     const LeafRoundStats* previous =
         result.round_stats.empty() ? nullptr : &result.round_stats.back();
-
-    const std::vector<PitchSpec> x_specs = specs_for_axis(/*y_axis=*/false);
-    const std::vector<PitchSpec> y_specs = specs_for_axis(/*y_axis=*/true);
-    if (!x_specs.empty()) {
-      const CellTable pass_cells = state.cells();
-      const InterfaceTable pass_interfaces = state.interfaces();
-      const LeafResult x = compact_leaf_cells(pass_cells, pass_interfaces, cell_names, x_specs,
-                                              rules, options.width_weight,
-                                              options.stretchable_layers, warm_x_ptr);
-      for (const auto& [name, boxes] : x.cells) state.geometry[name] = boxes;
-      for (std::size_t s = 0; s < x_specs.size(); ++s) {
-        const PitchSpec& spec = x_specs[s];
-        state.vectors[{spec.cell_a, spec.cell_b, spec.interface_index}].x = x.pitches[s];
-      }
-      stats.x_ran = true;
-      stats.x_lp = x.lp_stats;
-      stats.x_objective = x.objective;
-      result.lp_total += x.lp_stats;
-    }
-
-    if (!y_specs.empty()) {
-      const CellTable pass_cells = state.cells();
-      const InterfaceTable pass_interfaces = state.interfaces();
-      const LeafResult y = compact_leaf_cells_y(pass_cells, pass_interfaces, cell_names, y_specs,
-                                                rules, options.width_weight,
-                                                options.stretchable_layers, warm_y_ptr);
-      for (const auto& [name, boxes] : y.cells) state.geometry[name] = boxes;
-      for (std::size_t s = 0; s < y_specs.size(); ++s) {
-        const PitchSpec& spec = y_specs[s];
-        state.vectors[{spec.cell_a, spec.cell_b, spec.interface_index}].y = y.pitches[s];
-      }
-      stats.y_ran = true;
-      stats.y_lp = y.lp_stats;
-      stats.y_objective = y.objective;
-      result.lp_total += y.lp_stats;
-    }
-
-    // Convergence: the pitch vectors are back unchanged and neither axis
-    // found a better objective than last round. Box positions are NOT part
-    // of the test — the leaf LPs have tied alternative optima, and each
-    // pass's tie-break depends on the other axis's coordinates, so the
-    // geometry can wander inside the optimal face forever while every
-    // quantity the schedule optimizes (pitches, objective) sits still.
-    const auto close = [](double a, double b) {
-      return std::abs(a - b) <= 1e-9 * (1.0 + std::abs(a) + std::abs(b));
-    };
-    // An axis that ran in neither round is trivially stable (its specs
-    // dropped off — e.g. every pitch collapsed to zero); comparing its
-    // default 0.0 against a real objective would stall convergence.
-    const auto axis_plateau = [&](bool ran, double objective, bool prev_ran,
-                                  double prev_objective) {
-      if (ran != prev_ran) return false;
-      return !ran || close(objective, prev_objective);
-    };
     const bool plateau =
         previous != nullptr &&
         axis_plateau(stats.x_ran, stats.x_objective, previous->x_ran, previous->x_objective) &&
         axis_plateau(stats.y_ran, stats.y_objective, previous->y_ran, previous->y_objective);
     result.round_stats.push_back(std::move(stats));
-    result.rounds = round + 1;
-    // Recomputed every round, not latched: under stop_when_converged =
-    // false a later round may move a pitch vector again, and the flag must
-    // describe the ROUND THE RESULT CAME FROM, not any earlier plateau.
-    result.converged = state == before || (plateau && state.vectors == before.vectors);
-    if (result.converged && options.stop_when_converged) break;
-  }
+    RoundEnd end;
+    end.unchanged = state.vectors == before.vectors && (state == before || plateau);
+    return end;
+  };
+  run_rounds(result.rounds, result.converged, RoundEnd{}, kLeafMaxRounds,
+             /*stop_when_converged=*/true, /*cancel=*/nullptr, round, [] {});
 
   result.cells = state.cells();
   result.interfaces = state.interfaces();

@@ -1,25 +1,31 @@
-// The alternating x/y compaction schedule.
+// The alternating x/y compaction schedules.
 //
 // The thesis's compactor is one-dimensional: "we will restrict ourselves to
 // one dimensional compaction in the x dimension" (§6.3), with y handled by
 // transposition. A single x pass then y pass (max_rounds = 1) leaves area
 // on the table — pulling boxes down changes which boxes share a band, so a
-// second x pass can reclaim width the first could not see. This driver
-// alternates the two axes until a round leaves the geometry unchanged (the
-// schedule's fixpoint; extents alone can plateau a round before the
-// geometry does) or a hard round cap — the scheduling layer the §6.4
-// experiments left open. Every pass runs through one IncrementalCompactor
-// (compact/incremental.hpp), which re-sweeps only what moved boxes touch
-// and warm-starts each solve; the scratch schedule it is checked and
-// measured against, every pass rebuilt by compact_flat, is test code
-// (tests/oracle/scratch_schedule.hpp).
+// second x pass can reclaim width the first could not see. Both schedules
+// below alternate the two axes in one round loop (xy_schedule.cpp) until a
+// round leaves their state unchanged (the schedule's fixpoint; extents
+// alone can plateau a round before the geometry does) or a hard round cap —
+// the scheduling layer the §6.4 experiments left open. The loop owns the
+// per-round policy: the cap, the frozen and converged stops, the
+// checkpoint hook, and the round-boundary fault point and cancel polls; a
+// schedule supplies only its passes.
+//
+// The FLAT schedule runs its passes through a FlatAxisPasses
+// (compact/incremental.hpp): by default one IncrementalCompactor, which
+// re-sweeps only what moved boxes touch and warm-starts each solve. The
+// test oracle (tests/oracle/scratch_schedule.hpp) runs the same loop over
+// scratch passes, every pass rebuilt by compact_flat, and over
+// stream-checked engine passes.
 // The LEAF library gets the same treatment (§6.1–§6.3 meets the schedule):
 // compact_leaf_schedule alternates compact_leaf_cells (x) with
 // compact_leaf_cells_y (the transposed pipeline) over a pitch-spec list
 // partitioned by axis — specs with a positive x pitch feed the x pass,
 // specs with a positive y pitch the y pass, both-positive specs feed both —
-// rebuilding the library between passes until a round leaves every box and
-// every pitch unchanged.
+// rebuilding the library between passes until a round leaves every pitch
+// unchanged.
 #pragma once
 
 #include <functional>
@@ -32,6 +38,7 @@
 
 namespace rsg::compact {
 
+class FlatAxisPasses;
 struct RoundStats;
 
 // The complete schedule state after round `rounds_done` — everything a
@@ -108,7 +115,7 @@ struct XyScheduleResult {
   Coord height_before = 0;
   Coord height_after = 0;
   int rounds = 0;           // rounds actually run
-  bool converged = false;   // a round left the geometry unchanged
+  bool converged = false;   // the last round left the geometry unchanged
   bool x_infeasible = false;  // best effort: some x pass was skipped
   bool y_infeasible = false;  // best effort: some y pass was skipped
   std::vector<RoundStats> round_stats;  // one entry per round run
@@ -120,17 +127,21 @@ XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes,
                                        const XyScheduleOptions& schedule = {},
                                        const std::vector<bool>& stretchable = {});
 
+// The same schedule over caller-supplied passes (the one above runs an
+// IncrementalCompactor built from its rules, options and mask). `passes`
+// must have been built with `stretchable`, which the schedule checks
+// against the geometry and records in its checkpoints.
+XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes, FlatAxisPasses& passes,
+                                       const XyScheduleOptions& schedule,
+                                       const std::vector<bool>& stretchable);
+
 // --- the leaf-aware x/y round (§6.1–§6.3 under the schedule) ---------------
 
+// The leaf schedule runs at most 4 rounds (leaf rounds converge much
+// faster than flat ones — the library couples globally through the
+// pitches), stops at the first converged round, weighs cell width by 1e-3
+// against the pitches, and keeps every box rigid.
 struct LeafXyOptions {
-  // Hard cap; each round is one x pass (compact_leaf_cells) followed by one
-  // y pass (compact_leaf_cells_y). Leaf rounds converge much faster than
-  // flat ones — the library couples globally through the pitches — so the
-  // default cap is small.
-  int max_rounds = 4;
-  bool stop_when_converged = true;
-  double width_weight = 1e-3;
-  std::vector<Layer> stretchable_layers;
   // Carry each axis's optimal basis into the next round's solve. The
   // engine matches the carried basis to the new LP's rows by content, so a
   // round whose LP holds the previous round's rows in another order, or
@@ -139,7 +150,8 @@ struct LeafXyOptions {
   // (LeafRoundStats::{x,y}_lp warm_accepted and warm_declined_* say which
   // happened). The solved objective is identical either way — only the
   // pivot path (and, on LPs with tied optima, which optimal vertex
-  // reports) changes.
+  // reports) changes. Off, the schedule is the cold oracle of the
+  // warm-start tests and bench gate.
   bool warm_start = true;
 };
 
@@ -162,10 +174,11 @@ struct LeafXyResult {
   CellTable cells;
   InterfaceTable interfaces;
   int rounds = 0;
-  // A round left every pitch vector unchanged and neither axis improved
-  // its objective (box positions may still wander inside the tied optimal
-  // face — each pass's tie-break depends on the other axis's coordinates,
-  // so pitch/objective stability IS the schedule's fixpoint).
+  // The last round left every pitch vector unchanged, and either every box
+  // too or neither axis's objective moved (box positions may still wander
+  // inside the tied optimal face — each pass's tie-break depends on the
+  // other axis's coordinates, so pitch/objective stability IS the
+  // schedule's fixpoint).
   bool converged = false;
   LpStats lp_total;        // summed over every pass of every round
   std::vector<LeafRoundStats> round_stats;

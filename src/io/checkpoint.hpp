@@ -2,9 +2,10 @@
 //
 // Serializes a compact::XyCheckpoint (the x/y schedule's complete loop
 // state after round k) so a long compaction run can stop and resume
-// bit-for-bit. Built from the RSGB machinery in io/snapshot.hpp: the same
-// 64-byte SnapshotHeader (magic "RSGC"), the same section table and
-// CRC-32 discipline, the same 40-byte box record. Sections:
+// bit-for-bit. Written and read by RSGB's section container
+// (write_sections, read_sections in io/snapshot.hpp): the same 64-byte
+// SnapshotHeader (magic "RSGC"), section table, CRC-32 discipline and
+// 40-byte box record. Sections:
 //
 //   META  one CheckpointMetaRecord (round counter, flags, extents, counts)
 //   BOXS  SnapshotBoxRecord array — the geometry after round k
@@ -12,9 +13,10 @@
 //   RNDS  CheckpointRoundRecord array — per-round telemetry so a resumed
 //         run's --compact-stats table covers the rounds it did not run
 //
-// Versioning follows RSGB: readers reject a different major version and
-// accept newer minors (additive sections/flags only). Every section and
-// the header are CRC-checked; any mismatch or truncation throws
+// Versioning and validation follow RSGB (docs/formats/RSGB.md): readers
+// reject a different major version, accept newer minors (additive
+// sections/flags only) and reject a duplicated known section. Every section
+// and the header are CRC-checked; any mismatch or truncation throws
 // rsg::Error rather than resuming from corrupt state.
 #pragma once
 
@@ -84,8 +86,9 @@ CheckpointWriteStats write_compaction_checkpoint(std::ostream& out,
 CheckpointWriteStats write_compaction_checkpoint_file(const std::string& path,
                                                       const compact::XyCheckpoint& checkpoint);
 
-// Validates and materializes a checkpoint image. Throws rsg::Error on bad
-// magic, CRC mismatch, truncation, or a major-version skew.
+// Validates and materializes a checkpoint image, which may sit at any
+// address. Throws rsg::Error on bad magic, CRC mismatch, truncation, a
+// duplicated section or a major-version skew.
 compact::XyCheckpoint read_compaction_checkpoint(const void* data, std::size_t size);
 compact::XyCheckpoint read_compaction_checkpoint_file(const std::string& path);
 

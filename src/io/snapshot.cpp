@@ -1,5 +1,6 @@
 #include "io/snapshot.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <fstream>
@@ -35,14 +36,16 @@ std::string fourcc_name(std::uint32_t type) {
   return s;
 }
 
-// Destination for the two-pass payload generation: the first pass accumulates
-// CRCs and sizes, the second streams bytes to the output.
-struct ByteSink {
-  virtual ~ByteSink() = default;
-  virtual void write(const void* data, std::size_t size) = 0;
-};
+// True when the bytes [offset, offset + size) lie inside a file of
+// `file_bytes` bytes. It never forms offset + size, which a crafted image
+// can wrap past 2^64 into range.
+constexpr bool range_in_file(std::uint64_t offset, std::uint64_t size, std::uint64_t file_bytes) {
+  return offset <= file_bytes && size <= file_bytes - offset;
+}
 
-struct CrcSink final : ByteSink {
+// The writer's two destinations: the first pass accumulates a section's CRC
+// and size, the second streams its bytes to the output.
+struct CrcSink final : SectionSink {
   std::uint32_t crc = 0;
   std::uint64_t bytes = 0;
   void write(const void* data, std::size_t size) override {
@@ -51,34 +54,36 @@ struct CrcSink final : ByteSink {
   }
 };
 
-struct StreamSink final : ByteSink {
-  explicit StreamSink(std::ostream& out) : out_(out) {}
-  std::uint64_t bytes = 0;
+struct StreamSink final : SectionSink {
+  StreamSink(std::ostream& out, const char* fault_point) : out_(out), fault_point_(fault_point) {}
+  std::uint64_t bytes = 0;  // the logical position, failed writes included
   void write(const void* data, std::size_t size) override {
-    // Fault point: a payload write that dies mid-stream (ENOSPC, yanked
-    // disk). The stream fails like a real short write — bytes already
-    // written stay written — and write_snapshot's trailing check throws.
-    if (fault::fired("snapshot.write_payload")) {
+    bytes += size;
+    // Fault point: a write that dies mid-stream (ENOSPC, yanked disk). The
+    // stream fails like a real short write — bytes already written stay
+    // written — and write_sections' trailing check throws.
+    if (fault::fired(fault_point_)) {
       out_.setstate(std::ios::failbit);
       return;
     }
     out_.write(static_cast<const char*>(data), static_cast<std::streamsize>(size));
-    bytes += size;
   }
 
  private:
   std::ostream& out_;
+  const char* fault_point_;
 };
 
 }  // namespace
 
 std::uint32_t snapshot_crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  // IEEE 802.3 reflected CRC-32, nibble-at-a-time (tiny table, no init race).
+  // IEEE 802.3 reflected CRC-32, nibble-at-a-time (tiny table, no init race):
+  // entry n is the register after shifting the 4 bits of n out.
   static constexpr std::array<std::uint32_t, 16> kTable = [] {
     std::array<std::uint32_t, 16> t{};
     for (std::uint32_t n = 0; n < 16; ++n) {
       std::uint32_t c = n;
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      for (int k = 0; k < 4; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       t[n] = c;
     }
     return t;
@@ -92,59 +97,140 @@ std::uint32_t snapshot_crc32(const void* data, std::size_t size, std::uint32_t s
   return crc ^ 0xFFFFFFFFu;
 }
 
+SnapshotBoxRecord snapshot_box_record(const LayerBox& lb) {
+  SnapshotBoxRecord rec{};
+  rec.lo_x = lb.box.lo.x;
+  rec.lo_y = lb.box.lo.y;
+  rec.hi_x = lb.box.hi.x;
+  rec.hi_y = lb.box.hi.y;
+  rec.layer = static_cast<std::uint32_t>(lb.layer);
+  return rec;
+}
+
+LayerBox snapshot_box(const SnapshotBoxRecord& rec, const char* tag) {
+  if (rec.layer >= static_cast<std::uint32_t>(kNumLayers) || rec.lo_x > rec.hi_x ||
+      rec.lo_y > rec.hi_y) {
+    throw Error(std::string(tag) + ": malformed box record");
+  }
+  return {static_cast<Layer>(rec.layer), Box(rec.lo_x, rec.lo_y, rec.hi_x, rec.hi_y)};
+}
+
+// --------------------------------------------------------------------------
+// The section container
+// --------------------------------------------------------------------------
+
+std::uint64_t write_sections(std::ostream& out, const char (&magic)[4], std::uint16_t major,
+                             std::uint16_t minor, std::uint32_t root_cell_index,
+                             const std::vector<SectionSource>& sources, const char* fault_point) {
+  const std::string tag(magic, 4);
+  std::vector<SnapshotSection> sections(sources.size());
+  std::uint64_t offset = sizeof(SnapshotHeader) + sections.size() * sizeof(SnapshotSection);
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    offset = align8(offset);
+    CrcSink crc;
+    sources[i].emit(crc);
+    if (crc.bytes != sources[i].size) throw Error(tag + ": internal writer size mismatch");
+    sections[i].type = sources[i].type;
+    sections[i].offset = offset;
+    sections[i].size = sources[i].size;
+    sections[i].count = sources[i].count;
+    sections[i].crc32 = crc.crc;
+    offset += sources[i].size;
+  }
+
+  SnapshotHeader header{};
+  std::memcpy(header.magic, magic, 4);
+  header.version_major = major;
+  header.version_minor = minor;
+  header.header_bytes = sizeof(SnapshotHeader);
+  header.section_count = static_cast<std::uint32_t>(sections.size());
+  header.file_bytes = offset;
+  header.section_table_offset = sizeof(SnapshotHeader);
+  header.root_cell_index = root_cell_index;
+  header.section_table_crc32 =
+      snapshot_crc32(sections.data(), sections.size() * sizeof(SnapshotSection));
+  header.header_crc32 = snapshot_crc32(&header, 60);
+
+  StreamSink sink(out, fault_point);
+  sink.write(&header, sizeof(header));
+  sink.write(sections.data(), sections.size() * sizeof(SnapshotSection));
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    static constexpr char kPad[8] = {};
+    if (sink.bytes < sections[i].offset) sink.write(kPad, sections[i].offset - sink.bytes);
+    sources[i].emit(sink);
+  }
+  if (!out) throw Error(tag + ": write failed");
+  return header.file_bytes;
+}
+
+SnapshotHeader read_sections(const void* data, std::size_t size, const char (&magic)[4],
+                             std::uint16_t major, std::initializer_list<std::uint32_t> known,
+                             const SectionVisitor& visit) {
+  const std::string tag(magic, 4);
+  const auto* bytes = static_cast<const std::uint8_t*>(data);
+  SnapshotHeader header;
+  if (size < sizeof(header)) throw Error(tag + ": file too small for a header");
+  std::memcpy(&header, bytes, sizeof(header));
+  if (std::memcmp(header.magic, magic, 4) != 0) throw Error(tag + ": bad magic");
+  if (snapshot_crc32(bytes, 60) != header.header_crc32) throw Error(tag + ": header CRC mismatch");
+  if (header.version_major != major) {
+    throw Error(tag + ": unsupported major version " + std::to_string(header.version_major) +
+                " (this reader supports " + std::to_string(major) + ")");
+  }
+  // A newer minor version is additive by contract (§2) and is accepted.
+  if (header.header_bytes < sizeof(SnapshotHeader)) throw Error(tag + ": bad header size");
+  if (header.file_bytes < sizeof(SnapshotHeader) || header.file_bytes > size) {
+    throw Error(tag + ": truncated file (header declares " + std::to_string(header.file_bytes) +
+                " bytes, buffer holds " + std::to_string(size) + ")");
+  }
+  const std::uint64_t table_offset = header.section_table_offset;
+  const std::uint64_t table_size = std::uint64_t{header.section_count} * sizeof(SnapshotSection);
+  if (table_offset < sizeof(SnapshotHeader) || table_offset % 8 != 0 ||
+      !range_in_file(table_offset, table_size, header.file_bytes)) {
+    throw Error(tag + ": section table out of bounds");
+  }
+  if (snapshot_crc32(bytes + table_offset, table_size) != header.section_table_crc32) {
+    throw Error(tag + ": section table CRC mismatch");
+  }
+
+  std::vector<std::uint32_t> seen;
+  for (std::uint32_t i = 0; i < header.section_count; ++i) {
+    SnapshotSection s;
+    std::memcpy(&s, bytes + table_offset + i * sizeof(SnapshotSection), sizeof(s));
+    const std::string name = tag + ": section '" + fourcc_name(s.type) + "'";
+    if (s.offset % 8 != 0 || !range_in_file(s.offset, s.size, header.file_bytes)) {
+      throw Error(name + " out of bounds");
+    }
+    if (snapshot_crc32(bytes + s.offset, s.size) != s.crc32) throw Error(name + " CRC mismatch");
+    if (std::find(known.begin(), known.end(), s.type) != known.end()) {
+      if (std::find(seen.begin(), seen.end(), s.type) != seen.end()) {
+        throw Error(tag + ": duplicate section '" + fourcc_name(s.type) + "'");
+      }
+      seen.push_back(s.type);
+    }
+    // Unknown FourCCs are additive minor-version content and are skipped
+    // by the visitors (§2).
+    visit(s, bytes + s.offset);
+  }
+  return header;
+}
+
 // --------------------------------------------------------------------------
 // SnapshotView
 // --------------------------------------------------------------------------
 
 SnapshotView::SnapshotView(const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  if (reinterpret_cast<std::uintptr_t>(bytes) % 8 != 0) {
+  // The record structs are read in place, which needs their alignment.
+  if (reinterpret_cast<std::uintptr_t>(data) % 8 != 0) {
     throw Error("RSGB: buffer is not 8-byte aligned");
   }
-  if (size < sizeof(SnapshotHeader)) throw Error("RSGB: file too small for a header");
-  header_ = reinterpret_cast<const SnapshotHeader*>(bytes);
-  if (std::memcmp(header_->magic, kSnapshotMagic, 4) != 0) throw Error("RSGB: bad magic");
-  if (snapshot_crc32(bytes, 60) != header_->header_crc32) {
-    throw Error("RSGB: header CRC mismatch");
-  }
-  if (header_->version_major != kSnapshotMajor) {
-    throw Error("RSGB: unsupported major version " + std::to_string(header_->version_major) +
-                " (this reader supports " + std::to_string(kSnapshotMajor) + ")");
-  }
-  // A newer minor version is additive by contract (§2) and is accepted.
-  if (header_->header_bytes < sizeof(SnapshotHeader)) throw Error("RSGB: bad header size");
-  if (header_->file_bytes < sizeof(SnapshotHeader) || header_->file_bytes > size) {
-    throw Error("RSGB: truncated file (header declares " + std::to_string(header_->file_bytes) +
-                " bytes, buffer holds " + std::to_string(size) + ")");
-  }
-  const std::uint64_t file_bytes = header_->file_bytes;
-  const std::uint64_t table_offset = header_->section_table_offset;
-  const std::uint64_t table_size =
-      std::uint64_t{header_->section_count} * sizeof(SnapshotSection);
-  if (table_offset % 8 != 0 || !snapshot_range_in_file(table_offset, table_size, file_bytes)) {
-    throw Error("RSGB: section table out of bounds");
-  }
-  const auto* sections = reinterpret_cast<const SnapshotSection*>(bytes + table_offset);
-  if (snapshot_crc32(sections, table_size) != header_->section_table_crc32) {
-    throw Error("RSGB: section table CRC mismatch");
-  }
-
-  for (std::uint32_t i = 0; i < header_->section_count; ++i) {
-    const SnapshotSection& s = sections[i];
-    if (s.offset % 8 != 0 || !snapshot_range_in_file(s.offset, s.size, file_bytes)) {
-      throw Error("RSGB: section '" + fourcc_name(s.type) + "' out of bounds");
-    }
-    const void* payload = bytes + s.offset;
-    if (snapshot_crc32(payload, s.size) != s.crc32) {
-      throw Error("RSGB: section '" + fourcc_name(s.type) + "' CRC mismatch");
-    }
+  const auto visit = [&](const SnapshotSection& s, const std::uint8_t* payload) {
     auto take = [&](auto*& field, std::size_t& count, std::size_t stride) {
-      if (field != nullptr) throw Error("RSGB: duplicate section '" + fourcc_name(s.type) + "'");
       if (s.size != std::uint64_t{s.count} * stride) {
         throw Error("RSGB: section '" + fourcc_name(s.type) +
                     "' size does not match its record stride");
       }
-      field = static_cast<std::remove_reference_t<decltype(field)>>(payload);
+      field = reinterpret_cast<std::remove_reference_t<decltype(field)>>(payload);
       count = s.count;
     };
     switch (s.type) {
@@ -160,22 +246,24 @@ SnapshotView::SnapshotView(const void* data, std::size_t size) {
       case kSectionInstances:
         take(instances_, instance_count_, sizeof(SnapshotInstanceRecord));
         break;
-      case kSectionStrings:
-        if (strings_ != nullptr) throw Error("RSGB: duplicate section 'STRT'");
-        if (s.size != s.count || s.size == 0 ||
-            static_cast<const char*>(payload)[0] != '\0' ||
-            static_cast<const char*>(payload)[s.size - 1] != '\0') {
+      case kSectionStrings: {
+        const auto* text = reinterpret_cast<const char*>(payload);
+        if (s.size != s.count || s.size == 0 || text[0] != '\0' || text[s.size - 1] != '\0') {
           throw Error("RSGB: malformed string table");
         }
-        strings_ = static_cast<const char*>(payload);
+        strings_ = text;
         string_bytes_ = s.size;
         break;
+      }
       default:
-        break;  // unknown sections are ignored (forward compatibility, §2)
+        break;
     }
-  }
-  if (header_->root_cell_index != kSnapshotNoRootCell &&
-      header_->root_cell_index >= cell_count_) {
+  };
+  header_ = read_sections(data, size, kSnapshotMagic, kSnapshotMajor,
+                          {kSectionCells, kSectionBoxes, kSectionLabels, kSectionInstances,
+                           kSectionStrings},
+                          visit);
+  if (header_.root_cell_index != kSnapshotNoRootCell && header_.root_cell_index >= cell_count_) {
     throw Error("RSGB: root cell index out of range");
   }
 }
@@ -186,8 +274,8 @@ std::string_view SnapshotView::string(std::uint32_t offset) const {
 }
 
 std::string_view SnapshotView::root_cell_name() const {
-  if (header_->root_cell_index == kSnapshotNoRootCell) return {};
-  return string(cell(header_->root_cell_index).name_offset);
+  if (header_.root_cell_index == kSnapshotNoRootCell) return {};
+  return string(cell(header_.root_cell_index).name_offset);
 }
 
 // --------------------------------------------------------------------------
@@ -318,9 +406,9 @@ SnapshotWriteStats write_snapshot(std::ostream& out, const CellTable& cells,
     }
   }
 
-  // Payload generators. Each runs twice — a CRC pass, then the emit pass —
+  // Payload emitters. Each runs twice — a CRC pass, then the emit pass —
   // so no record array is ever materialized.
-  auto gen_cells = [&](ByteSink& sink) {
+  auto emit_cells = [&](SectionSink& sink) {
     std::uint64_t next_box = 0, next_label = 0, next_instance = 0;
     for (std::size_t i = 0; i < ordered.size(); ++i) {
       const Cell& cell = *ordered[i];
@@ -335,34 +423,26 @@ SnapshotWriteStats write_snapshot(std::ostream& out, const CellTable& cells,
       next_box += rec.box_count;
       next_label += rec.label_count;
       next_instance += rec.instance_count;
-      sink.write(&rec, sizeof(rec));
+      sink.record(rec);
     }
   };
-  auto gen_boxes = [&](ByteSink& sink) {
+  auto emit_boxes = [&](SectionSink& sink) {
     for (const Cell* cell : ordered) {
-      for (const LayerBox& lb : cell->boxes()) {
-        SnapshotBoxRecord rec{};
-        rec.lo_x = lb.box.lo.x;
-        rec.lo_y = lb.box.lo.y;
-        rec.hi_x = lb.box.hi.x;
-        rec.hi_y = lb.box.hi.y;
-        rec.layer = static_cast<std::uint32_t>(lb.layer);
-        sink.write(&rec, sizeof(rec));
-      }
+      for (const LayerBox& lb : cell->boxes()) sink.record(snapshot_box_record(lb));
     }
   };
-  auto gen_labels = [&](ByteSink& sink) {
+  auto emit_labels = [&](SectionSink& sink) {
     for (const Cell* cell : ordered) {
       for (const Label& label : cell->labels()) {
         SnapshotLabelRecord rec{};
         rec.text_offset = intern(label.text);
         rec.x = label.at.x;
         rec.y = label.at.y;
-        sink.write(&rec, sizeof(rec));
+        sink.record(rec);
       }
     }
   };
-  auto gen_instances = [&](ByteSink& sink) {
+  auto emit_instances = [&](SectionSink& sink) {
     for (const Cell* cell : ordered) {
       for (const Instance& inst : cell->instances()) {
         SnapshotInstanceRecord rec{};
@@ -371,80 +451,25 @@ SnapshotWriteStats write_snapshot(std::ostream& out, const CellTable& cells,
         rec.x = inst.placement.location.x;
         rec.y = inst.placement.location.y;
         rec.orientation = static_cast<std::uint32_t>(inst.placement.orientation.index());
-        sink.write(&rec, sizeof(rec));
+        sink.record(rec);
       }
     }
   };
-  auto gen_strings = [&](ByteSink& sink) { sink.write(strtab.data(), strtab.size()); };
+  const auto count = [](std::uint64_t n) { return static_cast<std::uint32_t>(n); };
+  const std::uint64_t file_bytes = write_sections(
+      out, kSnapshotMagic, kSnapshotMajor, kSnapshotMinor, root_index,
+      {{kSectionCells, count(ordered.size()), ordered.size() * sizeof(SnapshotCellRecord),
+        emit_cells},
+       {kSectionBoxes, count(total_boxes), total_boxes * sizeof(SnapshotBoxRecord), emit_boxes},
+       {kSectionLabels, count(total_labels), total_labels * sizeof(SnapshotLabelRecord),
+        emit_labels},
+       {kSectionInstances, count(total_instances),
+        total_instances * sizeof(SnapshotInstanceRecord), emit_instances},
+       {kSectionStrings, count(strtab.size()), strtab.size(),
+        [&](SectionSink& sink) { sink.write(strtab.data(), strtab.size()); }}},
+      "snapshot.write_payload");
 
-  const std::array<std::uint32_t, 5> order = {kSectionCells, kSectionBoxes, kSectionLabels,
-                                              kSectionInstances, kSectionStrings};
-  auto run_generator = [&](std::uint32_t type, ByteSink& sink) {
-    switch (type) {
-      case kSectionCells: gen_cells(sink); break;
-      case kSectionBoxes: gen_boxes(sink); break;
-      case kSectionLabels: gen_labels(sink); break;
-      case kSectionInstances: gen_instances(sink); break;
-      case kSectionStrings: gen_strings(sink); break;
-    }
-  };
-
-  // Lay out the file: header, section table, then 8-aligned payloads.
-  std::array<SnapshotSection, 5> sections{};
-  std::uint64_t offset = sizeof(SnapshotHeader) + sections.size() * sizeof(SnapshotSection);
-  const std::array<std::uint64_t, 5> sizes = {
-      ordered.size() * sizeof(SnapshotCellRecord), total_boxes * sizeof(SnapshotBoxRecord),
-      total_labels * sizeof(SnapshotLabelRecord), total_instances * sizeof(SnapshotInstanceRecord),
-      strtab.size()};
-  const std::array<std::uint32_t, 5> counts = {
-      static_cast<std::uint32_t>(ordered.size()), static_cast<std::uint32_t>(total_boxes),
-      static_cast<std::uint32_t>(total_labels), static_cast<std::uint32_t>(total_instances),
-      static_cast<std::uint32_t>(strtab.size())};
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    offset = align8(offset);
-    sections[i].type = order[i];
-    sections[i].offset = offset;
-    sections[i].size = sizes[i];
-    sections[i].count = counts[i];
-    CrcSink crc;
-    run_generator(order[i], crc);
-    if (crc.bytes != sizes[i]) throw Error("RSGB: internal writer size mismatch");
-    sections[i].crc32 = crc.crc;
-    offset += sizes[i];
-  }
-  const std::uint64_t file_bytes = offset;
-
-  SnapshotHeader header{};
-  std::memcpy(header.magic, kSnapshotMagic, 4);
-  header.version_major = kSnapshotMajor;
-  header.version_minor = kSnapshotMinor;
-  header.header_bytes = sizeof(SnapshotHeader);
-  header.section_count = static_cast<std::uint32_t>(sections.size());
-  header.file_bytes = file_bytes;
-  header.section_table_offset = sizeof(SnapshotHeader);
-  header.root_cell_index = root_index;
-  header.flags = 0;
-  header.section_table_crc32 =
-      snapshot_crc32(sections.data(), sections.size() * sizeof(SnapshotSection));
-  header.header_crc32 = snapshot_crc32(&header, 60);
-
-  StreamSink sink(out);
-  sink.write(&header, sizeof(header));
-  sink.write(sections.data(), sections.size() * sizeof(SnapshotSection));
-  for (const SnapshotSection& s : sections) {
-    static constexpr char kPad[8] = {};
-    if (sink.bytes < s.offset) sink.write(kPad, s.offset - sink.bytes);
-    run_generator(s.type, sink);
-  }
-  if (!out) throw Error("RSGB: write failed");
-
-  SnapshotWriteStats stats;
-  stats.file_bytes = file_bytes;
-  stats.cells = ordered.size();
-  stats.boxes = total_boxes;
-  stats.labels = total_labels;
-  stats.instances = total_instances;
-  return stats;
+  return {file_bytes, ordered.size(), total_boxes, total_labels, total_instances};
 }
 
 SnapshotWriteStats write_snapshot_file(const std::string& path, const CellTable& cells,
@@ -487,12 +512,8 @@ SnapshotReadResult load_snapshot(const SnapshotView& view, CellTable& cells) {
     }
     Cell& cell = *created[i];
     for (std::uint32_t b = 0; b < rec.box_count; ++b) {
-      const SnapshotBoxRecord& box = view.box(rec.first_box + b);
-      if (box.layer >= static_cast<std::uint32_t>(kNumLayers) || box.lo_x > box.hi_x ||
-          box.lo_y > box.hi_y) {
-        throw Error("RSGB: malformed box record");
-      }
-      cell.add_box(static_cast<Layer>(box.layer), Box(box.lo_x, box.lo_y, box.hi_x, box.hi_y));
+      const LayerBox box = snapshot_box(view.box(rec.first_box + b), "RSGB");
+      cell.add_box(box.layer, box.box);
       ++result.boxes;
     }
     for (std::uint32_t l = 0; l < rec.label_count; ++l) {

@@ -19,9 +19,12 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "layout/cell_table.hpp"
 
@@ -100,6 +103,11 @@ struct SnapshotBoxRecord {  // RSGB.md §5.2 — 40-byte stride
 };
 static_assert(sizeof(SnapshotBoxRecord) == 40);
 
+// A box as its record, and back. The reader throws rsg::Error, prefixed
+// with `tag`, on a layer or a corner order §5.2 rejects.
+SnapshotBoxRecord snapshot_box_record(const LayerBox& lb);
+LayerBox snapshot_box(const SnapshotBoxRecord& rec, const char* tag);
+
 struct SnapshotLabelRecord {   // RSGB.md §5.3 — 24-byte stride
   std::uint32_t text_offset;   // into STRT
   std::uint32_t reserved;      // zero
@@ -118,29 +126,67 @@ struct SnapshotInstanceRecord {  // RSGB.md §5.4 — 32-byte stride
 };
 static_assert(sizeof(SnapshotInstanceRecord) == 32);
 
-// CRC-32 (IEEE 802.3: reflected, polynomial 0xEDB88320, init/final XOR
-// 0xFFFFFFFF). Chainable: pass the previous return value as `seed`.
+// CRC-32/ISO-HDLC (RSGB.md §7: reflected, polynomial 0xEDB88320,
+// init/final XOR 0xFFFFFFFF; crc32("123456789") = 0xCBF43926). Chainable:
+// pass the previous return value as `seed`.
 std::uint32_t snapshot_crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
 
-// True when the bytes [offset, offset + size) lie inside a file of
-// `file_bytes` bytes. Both the RSGB and the RSGC reader bound their section
-// table and every section with it: it never forms offset + size, which a
-// crafted image can wrap past 2^64 into range.
-constexpr bool snapshot_range_in_file(std::uint64_t offset, std::uint64_t size,
-                                      std::uint64_t file_bytes) {
-  return offset <= file_bytes && size <= file_bytes - offset;
-}
+// --------------------------------------------------------------------------
+// The section container (RSGB.md §3–§4): the 64-byte header, the section
+// table and 8-aligned, CRC-checked payloads. RSGB snapshots and RSGC
+// checkpoints (io/checkpoint.hpp) are written and read through this one
+// writer and this one reader; a format supplies its magic, its version
+// and its sections.
+// --------------------------------------------------------------------------
+
+// Where a section emitter writes its payload.
+class SectionSink {
+ public:
+  virtual void write(const void* data, std::size_t size) = 0;
+  template <class Record>
+  void record(const Record& r) { write(&r, sizeof(r)); }
+};
+
+// One section to write: FourCC, record count (byte count for a byte
+// array), payload bytes, and the emitter that writes exactly that many.
+struct SectionSource {
+  std::uint32_t type;
+  std::uint32_t count;
+  std::uint64_t size;
+  std::function<void(SectionSink&)> emit;
+};
+
+// Writes the header, the table, then the payloads front to back. Each
+// emitter runs twice, once for its CRC and once to emit, so no payload is
+// materialized. The fault point `fault_point` fails a write mid-stream like
+// a full disk. Throws rsg::Error when the stream fails; returns file_bytes.
+std::uint64_t write_sections(std::ostream& out, const char (&magic)[4], std::uint16_t major,
+                             std::uint16_t minor, std::uint32_t root_cell_index,
+                             const std::vector<SectionSource>& sections, const char* fault_point);
+
+// Validates an image in RSGB.md §3's order — size, magic, header CRC, major
+// version, header size, file size, then the section table's bounds,
+// alignment and CRC — and then, section by section, payload alignment,
+// bounds and CRC, and that no type in `known` repeats (§4). Each section
+// passes to `visit` with its payload. Returns the header. Messages start
+// with the magic ("RSGB: header CRC mismatch"). The header and the table
+// are copied, never cast, so the image may sit at any address.
+using SectionVisitor = std::function<void(const SnapshotSection&, const std::uint8_t* payload)>;
+SnapshotHeader read_sections(const void* data, std::size_t size, const char (&magic)[4],
+                             std::uint16_t major, std::initializer_list<std::uint32_t> known,
+                             const SectionVisitor& visit);
 
 // --------------------------------------------------------------------------
-// Zero-copy read view over a complete RSGB image. Non-owning; validates header,
-// bounds and all CRCs on attach and throws rsg::Error on any violation.
+// Zero-copy read view over a complete, 8-aligned RSGB image. Non-owning;
+// validates the container (read_sections) and the record sections on
+// attach and throws rsg::Error on any violation.
 // --------------------------------------------------------------------------
 class SnapshotView {
  public:
   SnapshotView(const void* data, std::size_t size);
 
-  std::uint16_t version_major() const { return header_->version_major; }
-  std::uint16_t version_minor() const { return header_->version_minor; }
+  std::uint16_t version_major() const { return header_.version_major; }
+  std::uint16_t version_minor() const { return header_.version_minor; }
 
   std::size_t cell_count() const { return cell_count_; }
   std::size_t box_count() const { return box_count_; }
@@ -156,11 +202,11 @@ class SnapshotView {
   std::string_view string(std::uint32_t offset) const;
 
   // Index of the root cell, or kSnapshotNoRootCell.
-  std::uint32_t root_cell_index() const { return header_->root_cell_index; }
+  std::uint32_t root_cell_index() const { return header_.root_cell_index; }
   std::string_view root_cell_name() const;
 
  private:
-  const SnapshotHeader* header_ = nullptr;
+  SnapshotHeader header_{};
   const SnapshotCellRecord* cells_ = nullptr;
   const SnapshotBoxRecord* boxes_ = nullptr;
   const SnapshotLabelRecord* labels_ = nullptr;
@@ -191,7 +237,6 @@ class Snapshot {
   ~Snapshot();
 
   const SnapshotView& view() const { return view_; }
-  std::size_t size_bytes() const { return size_; }
   bool mapped() const { return mapped_; }
 
  private:

@@ -5,9 +5,6 @@ namespace rsg {
 std::shared_ptr<const CompiledDesign> CompiledDesign::compile(const std::string& sample_text,
                                                               const std::string& design_text,
                                                               const CompileOptions& options) {
-  using Clock = std::chrono::steady_clock;
-  const auto t0 = Clock::now();
-
   // make_shared needs a public ctor; the design is immutable once returned,
   // so building it in place here is the only mutation it ever sees.
   auto design = std::shared_ptr<CompiledDesign>(new CompiledDesign());
@@ -18,7 +15,6 @@ std::shared_ptr<const CompiledDesign> CompiledDesign::compile(const std::string&
   }
   design->sample_stats_ = load_sample_layout(sample_text, design->cells_, design->interfaces_);
   design->program_ = lang::parse_program(design_text);
-  design->compile_time_ = Clock::now() - t0;
   return design;
 }
 

@@ -18,7 +18,6 @@
 // workers without re-running the designs that produced it.
 #pragma once
 
-#include <chrono>
 #include <memory>
 #include <string>
 
@@ -53,7 +52,6 @@ class CompiledDesign {
   const SnapshotReadResult* snapshot_stats() const {
     return has_snapshot_ ? &snapshot_stats_ : nullptr;
   }
-  std::chrono::duration<double> compile_time() const { return compile_time_; }
 
   CompiledDesign(const CompiledDesign&) = delete;
   CompiledDesign& operator=(const CompiledDesign&) = delete;
@@ -67,7 +65,6 @@ class CompiledDesign {
   SampleLayoutStats sample_stats_;
   SnapshotReadResult snapshot_stats_;
   bool has_snapshot_ = false;
-  std::chrono::duration<double> compile_time_{};
 };
 
 }  // namespace rsg

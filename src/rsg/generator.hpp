@@ -38,10 +38,10 @@ class Generator {
   GeneratorResult run(const std::string& sample_text, const std::string& design_text,
                       const std::string& param_text, const std::string& top_cell = {});
 
-  // File-based variant honouring the parameter file's .example_file /
-  // .output_file directives relative to `base_dir`. The `.snapshot_file`
-  // directive additionally writes the finished cell table as an RSGB
-  // snapshot (docs/formats/RSGB.md) rooted at the output cell.
+  // File-based variant: reads the three files, and writes the CIF to
+  // `output_path` when it is not empty. The parameter file's
+  // `.snapshot_file` directive additionally writes the finished cell table
+  // as an RSGB snapshot (docs/formats/RSGB.md) rooted at the output cell.
   GeneratorResult run_files(const std::string& sample_path, const std::string& design_path,
                             const std::string& param_path, const std::string& output_path = {});
 

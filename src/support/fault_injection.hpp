@@ -15,8 +15,9 @@
 // Arming (env):     RSG_FAULT_INJECT="name=skip:count,other"  — parsed on
 //                   first use, so CLI runs can exercise the same paths.
 //
-// Registered fault points (the authoritative list — tests/fault_injection_
-// test.cpp arms every one of these):
+// Registered fault points (the authoritative list: scripts/check_docs.py
+// checks that each is used in src/ and armed by a test under tests/, and
+// that every name passed to fault::fired is listed here):
 //   stream_writer.flush_fail    BoundedTextSink flush fails like a full disk
 //   snapshot.write_payload      RSGB payload write fails mid-stream
 //   checkpoint.write_payload    RSGC payload write fails mid-stream

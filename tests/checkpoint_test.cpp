@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -63,6 +64,33 @@ std::string checkpoint_bytes(const XyCheckpoint& checkpoint) {
   std::ostringstream out;
   write_compaction_checkpoint(out, checkpoint);
   return out.str();
+}
+
+// `image` with its header and section table edited by `edit`, both CRCs
+// resealed. A table that grows moves to the end of the image.
+template <class Edit>
+std::string craft(const std::string& image, const Edit& edit) {
+  std::string out = image;
+  SnapshotHeader header;
+  std::memcpy(&header, out.data(), sizeof(header));
+  std::uint64_t table_offset = header.section_table_offset;
+  std::vector<SnapshotSection> sections(header.section_count);
+  std::memcpy(sections.data(), out.data() + table_offset,
+              sections.size() * sizeof(SnapshotSection));
+  edit(header, sections);
+  if (sections.size() != header.section_count) {
+    table_offset = (out.size() + 7) / 8 * 8;
+    out.resize(table_offset + sections.size() * sizeof(SnapshotSection));
+    header.section_count = static_cast<std::uint32_t>(sections.size());
+    header.section_table_offset = table_offset;
+    header.file_bytes = out.size();
+  }
+  const std::size_t table_bytes = sections.size() * sizeof(SnapshotSection);
+  std::memcpy(out.data() + table_offset, sections.data(), table_bytes);
+  header.section_table_crc32 = snapshot_crc32(sections.data(), table_bytes);
+  header.header_crc32 = snapshot_crc32(&header, 60);
+  std::memcpy(out.data(), &header, sizeof(header));
+  return out;
 }
 
 // The checkpoint after round 3 of a schedule run to a 3-round cap.
@@ -267,38 +295,57 @@ TEST(Checkpoint, RejectsCorruptionTruncationAndVersionSkew) {
     expect_checkpoints_equal(last, restored);
   }
   // Crafted bounds whose end wraps past 2^64 back into the file. `craft`
-  // edits the header and the section table, then reseals both CRCs, so
-  // only the bounds checks stand between the image and an out-of-bounds
-  // read.
-  const auto craft = [&good](const auto& edit) {
-    std::string image = good;
-    SnapshotHeader header;
-    std::memcpy(&header, image.data(), sizeof(header));
-    const std::uint64_t table_offset = header.section_table_offset;
-    std::vector<SnapshotSection> sections(header.section_count);
-    const std::size_t table_bytes = sections.size() * sizeof(SnapshotSection);
-    std::memcpy(sections.data(), image.data() + table_offset, table_bytes);
-    edit(header, sections);
-    std::memcpy(image.data() + table_offset, sections.data(), table_bytes);
-    header.section_table_crc32 = snapshot_crc32(sections.data(), table_bytes);
-    header.header_crc32 = snapshot_crc32(&header, 60);
-    std::memcpy(image.data(), &header, sizeof(header));
-    return image;
-  };
+  // reseals both CRCs, so only the bounds checks stand between the image
+  // and an out-of-bounds read.
   {
     // A section whose offset + size wraps to 8.
-    const std::string bad = craft([](SnapshotHeader&, std::vector<SnapshotSection>& sections) {
+    const auto wrap = [](SnapshotHeader&, std::vector<SnapshotSection>& sections) {
       sections.front().size = ~std::uint64_t{0} - sections.front().offset + 9;
-    });
+    };
+    const std::string bad = craft(good, wrap);
     EXPECT_THROW(read_compaction_checkpoint(bad.data(), bad.size()), Error);
   }
   {
     // A section table at 2^64 - 64, whose end wraps into the file.
-    const std::string bad = craft([](SnapshotHeader& header, std::vector<SnapshotSection>&) {
+    const auto wrap = [](SnapshotHeader& header, std::vector<SnapshotSection>&) {
       header.section_table_offset = ~std::uint64_t{0} - 63;
-    });
+    };
+    const std::string bad = craft(good, wrap);
     EXPECT_THROW(read_compaction_checkpoint(bad.data(), bad.size()), Error);
   }
+}
+
+TEST(Checkpoint, RejectsADuplicatedSection) {
+  // RSGB.md §4, which RSGC follows: a known section type twice is an error,
+  // never "the last one wins". Each image below is valid but for one extra
+  // table entry naming an existing section's payload again.
+  const std::string good = checkpoint_bytes(three_round_checkpoint(make_random_field(7, 20)));
+  read_compaction_checkpoint(good.data(), good.size());
+  for (const std::uint32_t type : {kSectionCheckpointMeta, kSectionBoxes}) {
+    const auto duplicate = [type](SnapshotHeader&, std::vector<SnapshotSection>& sections) {
+      for (const SnapshotSection& section : std::vector<SnapshotSection>(sections)) {
+        if (section.type == type) sections.push_back(section);
+      }
+    };
+    const std::string bad = craft(good, duplicate);
+    try {
+      read_compaction_checkpoint(bad.data(), bad.size());
+      ADD_FAILURE() << "a second " << (type == kSectionBoxes ? "BOXS" : "META")
+                    << " section was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("duplicate"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(Checkpoint, ReadsAnImageAtAnOddAddress) {
+  // A checkpoint image is read through copies, never cast in place, so any
+  // buffer holds one: here one byte past an aligned allocation.
+  const XyCheckpoint last = three_round_checkpoint(make_random_field(23, 25));
+  const std::string good = checkpoint_bytes(last);
+  const std::string buffer = '\0' + good;
+  ASSERT_NE(reinterpret_cast<std::uintptr_t>(buffer.data() + 1) % 2, 0u);
+  expect_checkpoints_equal(last, read_compaction_checkpoint(buffer.data() + 1, good.size()));
 }
 
 TEST(Checkpoint, GeneratorCheckpointOutThenInReproducesTheRun) {

@@ -702,7 +702,7 @@ TEST(CompactScaling, ScheduleWorkIsPinnedOnCompactInputs) {
   };
   const std::vector<Pin> pinned = {
       {10520,
-       0x8f8ad994u,
+       0x7bf56eb1u,
        {
            {50284, 73, 32049, 0, false, false, true, false, 0, 518},
            {100393, 12, 20891, 0, false, false, false, false, 12, 0},
@@ -710,7 +710,7 @@ TEST(CompactScaling, ScheduleWorkIsPinnedOnCompactInputs) {
            {100393, 0, 8229, 12668, true, true, false, false, 0, 0},
        }},
       {3200,
-       0xf687a8dfu,
+       0x49c9e39eu,
        {
            {48281, 0, 15513, 0, false, false, false, false, 191, 86},
            {43323, 0, 13499, 0, true, false, false, false, 0, 0},
@@ -719,7 +719,7 @@ TEST(CompactScaling, ScheduleWorkIsPinnedOnCompactInputs) {
            {36475, 0, 10676, 2206, true, true, false, false, 0, 0},
        }},
       {2880,
-       0x1f16e1b2u,
+       0x83c7ca4du,
        {
            {34907, 20, 10226, 0, false, false, false, false, -39, 118},
            {36454, 12976, 12476, 0, false, false, false, false, 0, -314},
@@ -731,7 +731,7 @@ TEST(CompactScaling, ScheduleWorkIsPinnedOnCompactInputs) {
            {43859, 0, 22903, 1598, false, false, false, false, 0, 0},
        }},
       {1940,
-       0x169c1facu,
+       0xcb50bbb4u,
        {
            {10037, 711, 6532, 0, false, false, true, false, 0, 78},
            {19983, 19, 5133, 0, false, false, false, false, 56, 0},

@@ -120,7 +120,7 @@ TEST(Incremental, SingleMovedBoxDirtiesItsBandAndSpacingNeighbors) {
   }
   IncrementalCompactor engine(CompactionRules::mosis(), {}, {}, /*bands=*/8);
   const FlatResult first = engine.compact_x(boxes);
-  ASSERT_TRUE(engine.x_stats().full_build);
+  ASSERT_TRUE(engine.stats(/*y_axis=*/false).full_build);
   EXPECT_EQ(oracle::stream_divergence(engine.x_system(), boxes, CompactionRules::mosis()), "");
   // Stabilize: dirty detection compares each pass's INPUT with the last
   // one, so run once more on the compacted output to make it current.
@@ -133,7 +133,7 @@ TEST(Incremental, SingleMovedBoxDirtiesItsBandAndSpacingNeighbors) {
   moved[victim].box = moved[victim].box.translated({5, 0});
 
   const FlatResult second = engine.compact_x(moved);
-  const IncrementalPassStats& stats = engine.x_stats();
+  const IncrementalPassStats& stats = engine.stats(/*y_axis=*/false);
   EXPECT_FALSE(stats.full_build);
   EXPECT_GT(stats.shards_reswept, 0);
   EXPECT_LT(stats.shards_reswept, stats.shards_total);
@@ -216,7 +216,7 @@ TEST(Incremental, KeptSweepOrderAndMovedOnlyRefreshMatchScratch) {
                                             field.stretchable),
                   "")
             << at(step) << " (x)";
-        const IncrementalPassStats x = engine.x_stats();
+        const IncrementalPassStats x = engine.stats(/*y_axis=*/false);
         try {
           engine.compact_y(input);
         } catch (const Error&) {
@@ -450,6 +450,67 @@ TEST(Incremental, BothAxesInfeasibleTerminatesScheduleEarly) {
     EXPECT_TRUE(result.round_stats[0].x_skipped) << name;
     EXPECT_TRUE(result.round_stats[0].y_skipped) << name;
     EXPECT_EQ(result.boxes, both) << name;
+  }
+}
+
+TEST(Incremental, OracleSchedulesCheckpointLikeProduction) {
+  // The oracle's schedules run compact_flat_schedule's own round loop, so
+  // their checkpoint sinks see the production schedule's state round for
+  // round, and the scratch schedule resumed from a production checkpoint
+  // ends where production ends. The inputs: two seeded fields and the E10
+  // PLA, whose x pass is infeasible every round.
+  pla::TruthTable table = pla::TruthTable::parse(
+      "10 10\n"
+      "01 11\n"
+      "-1 01\n");
+  Generator generator;
+  const std::vector<LayerBox> pla = flatten_boxes(*pla::generate_pla(generator, table).top);
+  std::vector<SynthField> fields = {make_random_field(23, 25), make_random_field(41, 30)};
+  fields.push_back({pla, std::vector<bool>(pla.size(), false)});
+  XyScheduleOptions schedule;
+  schedule.max_rounds = 4;
+  schedule.stop_when_converged = false;
+  schedule.best_effort = true;
+  const CompactionRules rules = CompactionRules::mosis();
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    const SynthField& field = fields[f];
+    std::vector<XyCheckpoint> production;
+    std::vector<XyCheckpoint> scratch;
+    std::vector<XyCheckpoint> checked;
+    schedule.checkpoint_sink = [&](const XyCheckpoint& ck) { production.push_back(ck); };
+    const XyScheduleResult want =
+        compact_flat_schedule(field.boxes, rules, {}, schedule, field.stretchable);
+    schedule.checkpoint_sink = [&](const XyCheckpoint& ck) { scratch.push_back(ck); };
+    oracle::scratch_flat_schedule(field.boxes, rules, {}, schedule, field.stretchable);
+    schedule.checkpoint_sink = [&](const XyCheckpoint& ck) { checked.push_back(ck); };
+    oracle::checked_flat_schedule(field.boxes, rules, {}, schedule, field.stretchable);
+    ASSERT_EQ(production.size(), 4u) << "field " << f;
+    for (const std::vector<XyCheckpoint>* oracle_run : {&scratch, &checked}) {
+      ASSERT_EQ(oracle_run->size(), production.size()) << "field " << f;
+      for (std::size_t r = 0; r < production.size(); ++r) {
+        const XyCheckpoint& a = production[r];
+        const XyCheckpoint& b = (*oracle_run)[r];
+        const std::string at = "field " + std::to_string(f) + " round " + std::to_string(r + 1);
+        EXPECT_EQ(a.rounds_done, b.rounds_done) << at;
+        EXPECT_EQ(a.converged, b.converged) << at;
+        EXPECT_EQ(a.x_infeasible, b.x_infeasible) << at;
+        EXPECT_EQ(a.y_infeasible, b.y_infeasible) << at;
+        EXPECT_EQ(a.width_before, b.width_before) << at;
+        EXPECT_EQ(a.height_before, b.height_before) << at;
+        EXPECT_EQ(a.boxes, b.boxes) << at;
+        EXPECT_EQ(a.stretchable, b.stretchable) << at;
+      }
+    }
+    EXPECT_EQ(production.back().x_infeasible, f == 2) << "field " << f;
+
+    schedule.checkpoint_sink = nullptr;
+    schedule.resume = &production[1];
+    const XyScheduleResult resumed =
+        oracle::scratch_flat_schedule(field.boxes, rules, {}, schedule, field.stretchable);
+    schedule.resume = nullptr;
+    EXPECT_EQ(resumed.boxes, want.boxes) << "field " << f;
+    EXPECT_EQ(resumed.rounds, want.rounds) << "field " << f;
+    EXPECT_EQ(resumed.converged, want.converged) << "field " << f;
   }
 }
 

@@ -1,8 +1,8 @@
 #include "oracle/scratch_schedule.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <optional>
+#include <array>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -15,24 +15,15 @@ namespace rsg::compact::oracle {
 
 namespace {
 
-struct Extents {
-  Coord width = 0;
-  Coord height = 0;
-};
-
-Extents extents_of(const std::vector<LayerBox>& boxes) {
-  if (boxes.empty()) return {};
-  Coord min_x = boxes.front().box.lo.x;
-  Coord max_x = boxes.front().box.hi.x;
-  Coord min_y = boxes.front().box.lo.y;
-  Coord max_y = boxes.front().box.hi.y;
+// The geometry's extent on one axis (0 for no boxes).
+Coord extent(const std::vector<LayerBox>& boxes, bool y_axis) {
+  Coord lo = std::numeric_limits<Coord>::max();
+  Coord hi = std::numeric_limits<Coord>::lowest();
   for (const LayerBox& lb : boxes) {
-    min_x = std::min(min_x, lb.box.lo.x);
-    max_x = std::max(max_x, lb.box.hi.x);
-    min_y = std::min(min_y, lb.box.lo.y);
-    max_y = std::max(max_y, lb.box.hi.y);
+    lo = std::min(lo, y_axis ? lb.box.lo.y : lb.box.lo.x);
+    hi = std::max(hi, y_axis ? lb.box.hi.y : lb.box.hi.x);
   }
-  return {max_x - min_x, max_y - min_y};
+  return boxes.empty() ? 0 : hi - lo;
 }
 
 std::string describe(const Constraint& c) {
@@ -40,98 +31,79 @@ std::string describe(const Constraint& c) {
          std::to_string(c.weight) + " kind " + std::to_string(static_cast<int>(c.kind));
 }
 
-// compact_flat_schedule's loop without checkpoint, resume and cancel. A
-// null `engine` runs scratch passes; otherwise every pass runs through the
-// engine and its stream is checked.
-XyScheduleResult run_schedule(const std::vector<LayerBox>& boxes, const CompactionRules& rules,
-                              const FlatOptions& options, const XyScheduleOptions& schedule,
-                              const std::vector<bool>& stretchable,
-                              IncrementalCompactor* engine) {
-  XyScheduleResult result;
-  result.boxes = boxes;
-  const Extents before = extents_of(boxes);
-  result.width_before = before.width;
-  result.height_before = before.height;
+// Scratch passes: every pass rebuilt by compact_flat. What a pass did to
+// its input is read off the geometry, not reported by an engine.
+class ScratchPasses final : public FlatAxisPasses {
+ public:
+  ScratchPasses(const CompactionRules& rules, const FlatOptions& options,
+                const std::vector<bool>& stretchable)
+      : rules_(rules), options_(options), stretchable_(stretchable) {}
 
-  const auto run_pass = [&](bool y_axis, bool& infeasible,
-                            bool& skipped) -> std::optional<FlatResult> {
-    std::optional<FlatResult> pass;
-    try {
-      if (engine == nullptr) {
-        pass = y_axis ? compact_flat_y(result.boxes, rules, options, stretchable)
-                      : compact_flat(result.boxes, rules, options, stretchable);
-      } else {
-        pass = y_axis ? engine->compact_y(result.boxes) : engine->compact_x(result.boxes);
-      }
-    } catch (const Error&) {
-      if (!schedule.best_effort) throw;
-      infeasible = true;
-      skipped = true;
-    }
-    if (engine != nullptr) {
-      const std::string divergence =
-          y_axis ? stream_divergence(engine->y_system(), transposed_boxes(result.boxes), rules,
-                                     options, stretchable)
-                 : stream_divergence(engine->x_system(), result.boxes, rules, options,
-                                     stretchable);
-      if (!divergence.empty()) {
-        throw std::logic_error(std::string(y_axis ? "y" : "x") + " pass of round " +
-                               std::to_string(result.rounds + 1) +
-                               " diverged from scratch generation: " + divergence);
-      }
-    }
-    if (pass) result.boxes = std::move(pass->boxes);
+  FlatResult run(bool y_axis, std::vector<LayerBox>& boxes) override {
+    IncrementalPassStats& stats = stats_[y_axis];
+    stats = {};
+    FlatResult pass = y_axis ? compact_flat_y(boxes, rules_, options_, stretchable_)
+                             : compact_flat(boxes, rules_, options_, stretchable_);
+    stats.extent_after = extent(pass.boxes, y_axis);
+    stats.geometry_kept = pass.boxes == boxes;
+    boxes = std::move(pass.boxes);
     return pass;
-  };
+  }
+  const IncrementalPassStats& stats(bool y_axis) const override { return stats_[y_axis]; }
 
-  using Clock = std::chrono::steady_clock;
-  for (int round = 0; round < schedule.max_rounds; ++round) {
-    const std::vector<LayerBox> previous = result.boxes;
-    RoundStats stats;
-    stats.round = round + 1;
-    const auto t0 = Clock::now();
+ private:
+  const CompactionRules& rules_;
+  const FlatOptions& options_;
+  const std::vector<bool>& stretchable_;
+  std::array<IncrementalPassStats, 2> stats_;
+};
 
-    const Extents pre_x = extents_of(result.boxes);
-    const std::optional<FlatResult> x_pass =
-        run_pass(/*y_axis=*/false, result.x_infeasible, stats.x_skipped);
-    const Extents pre_y = extents_of(result.boxes);
-    stats.width_delta = pre_x.width - pre_y.width;
-    const std::optional<FlatResult> y_pass =
-        run_pass(/*y_axis=*/true, result.y_infeasible, stats.y_skipped);
-    stats.height_delta = pre_y.height - extents_of(result.boxes).height;
+// Engine passes whose every constraint system, a thrown pass's included,
+// is stream-checked against a scratch generation of the pass's input.
+class CheckedPasses final : public FlatAxisPasses {
+ public:
+  CheckedPasses(const CompactionRules& rules, const FlatOptions& options,
+                const std::vector<bool>& stretchable, int bands, int rounds_done)
+      : engine_(rules, options, stretchable, bands),
+        rules_(rules),
+        options_(options),
+        stretchable_(stretchable),
+        round_(rounds_done) {}
 
-    if (x_pass) {
-      stats.constraints_emitted += x_pass->constraint_count;
-      stats.solve_pops += x_pass->solve.pops;
-      stats.warm_x = x_pass->solve.warm_accepted;
+  FlatResult run(bool y_axis, std::vector<LayerBox>& boxes) override {
+    if (!y_axis) ++round_;
+    const std::vector<LayerBox> input = boxes;
+    FlatResult pass;
+    try {
+      pass = engine_.run(y_axis, boxes);
+    } catch (const Error&) {
+      check(y_axis, input);
+      throw;
     }
-    if (y_pass) {
-      stats.constraints_emitted += y_pass->constraint_count;
-      stats.solve_pops += y_pass->solve.pops;
-      stats.warm_y = y_pass->solve.warm_accepted;
-    }
-    if (engine != nullptr) {
-      stats.partners_reswept =
-          engine->x_stats().partners_reswept + engine->y_stats().partners_reswept;
-      stats.partners_reused =
-          engine->x_stats().partners_reused + engine->y_stats().partners_reused;
-    }
-    stats.wall_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-    result.round_stats.push_back(stats);
-    result.rounds = round + 1;
+    check(y_axis, input);
+    return pass;
+  }
+  const IncrementalPassStats& stats(bool y_axis) const override { return engine_.stats(y_axis); }
 
-    // Both axes infeasible: the geometry is frozen, so stop without
-    // claiming convergence.
-    if (stats.x_skipped && stats.y_skipped) break;
-    if (result.boxes == previous) result.converged = true;
-    if (result.converged && schedule.stop_when_converged) break;
+ private:
+  void check(bool y_axis, const std::vector<LayerBox>& input) const {
+    const std::string divergence =
+        y_axis ? stream_divergence(engine_.y_system(), transposed_boxes(input), rules_, options_,
+                                   stretchable_)
+               : stream_divergence(engine_.x_system(), input, rules_, options_, stretchable_);
+    if (!divergence.empty()) {
+      throw std::logic_error(std::string(y_axis ? "y" : "x") + " pass of round " +
+                             std::to_string(round_) +
+                             " diverged from scratch generation: " + divergence);
+    }
   }
 
-  const Extents after = extents_of(result.boxes);
-  result.width_after = after.width;
-  result.height_after = after.height;
-  return result;
-}
+  IncrementalCompactor engine_;
+  const CompactionRules& rules_;
+  const FlatOptions& options_;
+  const std::vector<bool>& stretchable_;
+  int round_;
+};
 
 }  // namespace
 
@@ -186,15 +158,17 @@ XyScheduleResult scratch_flat_schedule(const std::vector<LayerBox>& boxes,
                                        const CompactionRules& rules, const FlatOptions& options,
                                        const XyScheduleOptions& schedule,
                                        const std::vector<bool>& stretchable) {
-  return run_schedule(boxes, rules, options, schedule, stretchable, nullptr);
+  ScratchPasses passes(rules, options, stretchable);
+  return compact_flat_schedule(boxes, passes, schedule, stretchable);
 }
 
 XyScheduleResult checked_flat_schedule(const std::vector<LayerBox>& boxes,
                                        const CompactionRules& rules, const FlatOptions& options,
                                        const XyScheduleOptions& schedule,
                                        const std::vector<bool>& stretchable, int bands) {
-  IncrementalCompactor engine(rules, options, stretchable, bands);
-  return run_schedule(boxes, rules, options, schedule, stretchable, &engine);
+  CheckedPasses passes(rules, options, stretchable, bands,
+                       schedule.resume != nullptr ? schedule.resume->rounds_done : 0);
+  return compact_flat_schedule(boxes, passes, schedule, stretchable);
 }
 
 std::string round_stats_divergence(const XyScheduleResult& a, const XyScheduleResult& b) {

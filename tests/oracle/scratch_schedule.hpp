@@ -3,9 +3,12 @@
 // (compact/incremental.hpp); these are what it is checked and measured
 // against: the scratch schedule, every pass rebuilt by compact_flat on the
 // (for y, transposed) geometry, and the stream check, which compares an
-// engine pass's constraint system with a from-scratch generation. Test
-// code: built only with the suites or the benches, never linked into the
-// product libraries.
+// engine pass's constraint system with a from-scratch generation. Both
+// schedules are FlatAxisPasses run by compact_flat_schedule's own round
+// loop, so they share its skip, stop and convergence rules and honour
+// `checkpoint_sink`, `resume` and `cancel` exactly as it does. Test code:
+// built only with the suites or the benches, never linked into the product
+// libraries.
 #pragma once
 
 #include <string>
@@ -32,19 +35,19 @@ std::string stream_divergence(const ConstraintSystem& system, const std::vector<
                               const CompactionRules& rules, const FlatOptions& options = {},
                               const std::vector<bool>& stretchable = {});
 
-// The schedule loop of compact_flat_schedule over scratch passes
-// (compact_flat, compact_flat_y): the same best-effort skips, convergence
-// rule, both-axes-infeasible stop and per-round telemetry (no partner
-// counts). It has no checkpoint, resume or cancel: those fields of
-// `schedule` are ignored.
+// compact_flat_schedule over scratch passes (compact_flat,
+// compact_flat_y). Each pass reports whether it kept its input and the
+// output's extent from the geometry alone, so the production schedule's
+// deltas and convergence are checked against facts the engine did not
+// compute. It has no partner counts.
 XyScheduleResult scratch_flat_schedule(const std::vector<LayerBox>& boxes,
                                        const CompactionRules& rules,
                                        const FlatOptions& options = {},
                                        const XyScheduleOptions& schedule = {},
                                        const std::vector<bool>& stretchable = {});
 
-// The same loop over one IncrementalCompactor with `bands` bands per
-// layer, the engine compact_flat_schedule runs at one band. Every pass's
+// compact_flat_schedule over one IncrementalCompactor with `bands` bands
+// per layer, the engine it runs by default at one band. Every pass's
 // constraint system, a skipped infeasible pass's included, goes through
 // the stream check; the first divergence throws std::logic_error, which no
 // best-effort skip catches.

@@ -54,6 +54,20 @@ CellTable worked_example() {
   return cells;
 }
 
+TEST(SnapshotFormat, Crc32MatchesTheSpecCheckValue) {
+  // §7: CRC-32/ISO-HDLC, whose check value is the CRC of "123456789" —
+  // what any conforming reader (zlib's crc32, say) computes.
+  const std::string check = "123456789";
+  EXPECT_EQ(snapshot_crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(snapshot_crc32(check.data(), 0), 0u);
+  // Chained through `seed`, any split of the bytes gives the one-call CRC.
+  for (std::size_t split = 0; split <= check.size(); ++split) {
+    const std::uint32_t head = snapshot_crc32(check.data(), split);
+    EXPECT_EQ(snapshot_crc32(check.data() + split, check.size() - split, head), 0xCBF43926u)
+        << "split at " << split;
+  }
+}
+
 TEST(SnapshotFormat, WorkedExampleFieldByField) {
   const std::string bytes = snapshot_bytes(worked_example(), "top");
 
