@@ -22,8 +22,7 @@ void BM_RsgPla(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const pla::TruthTable table = pla::TruthTable::random(n, n, 2 * n, 7);
   for (auto _ : state) {
-    Generator generator;
-    const GeneratorResult result = pla::generate_pla(generator, table);
+    const GeneratorResult result = pla::generate_pla(table);
     benchmark::DoNotOptimize(result.top);
   }
   state.SetLabel("inputs=" + std::to_string(n));
@@ -52,9 +51,8 @@ void print_comparison() {
   CellTable cells;
   hpla::install_pla_library(cells);
   const hpla::Description d = hpla::compile_description(hpla::build_sample_pla(cells));
-  Generator generator;
   const pla::TruthTable table = pla::TruthTable::random(3, 2, 4, 3);
-  const GeneratorResult rsg_run = pla::generate_pla(generator, table);
+  const GeneratorResult rsg_run = pla::generate_pla(table);
   std::printf("sample the user draws:  RSG %zu example instances + %zu labels;"
               " HPLA %zu instances (full 2x2x2 PLA)\n",
               rsg_run.sample_stats.assembly_instances,
@@ -67,12 +65,10 @@ void print_comparison() {
               stats.relocated_cell_copies);
 
   // Architectures from one framework (Figure 1.2's generality axis).
-  Generator dec_gen;
-  const GeneratorResult dec = pla::generate_decoder(dec_gen, 3);
-  Generator fold_gen;
+  const GeneratorResult dec = pla::generate_decoder(3);
   const GeneratorResult folded = pla::generate_folded_pla(
-      fold_gen, pla::TruthTable::parse("10-- 1010\n01-- 0010\n--10 1000\n"
-                                       "--01 0101\n11-- 0001\n0011 0100\n"));
+      pla::TruthTable::parse("10-- 1010\n01-- 0010\n--10 1000\n"
+                             "--01 0101\n11-- 0001\n0011 0100\n"));
   std::printf("architectures from ONE RSG framework here: PLA, FOLDED-column PLA"
               " (%zu instances, §1.2.3), decoder (%zu instances), array multiplier"
               " (bench_t45) = 4;  HPLA: 1 (plain PLAs only)\n\n",

@@ -11,7 +11,8 @@
 #include <cstdio>
 
 #include "io/param_file.hpp"
-#include "rsg/generator.hpp"
+#include "rsg/compiled_design.hpp"
+#include "rsg/session.hpp"
 
 namespace {
 
@@ -25,8 +26,8 @@ void BM_InformationReduction(benchmark::State& state) {
   const std::string design = read_text_file(designs_path("mult.rsg"));
   double ratio = 0;
   for (auto _ : state) {
-    Generator generator;
-    const GeneratorResult result = generator.run(sample, design, params);
+    GenerationSession session(CompiledDesign::compile(sample, design));
+    const GeneratorResult result = session.generate(params);
     const double layout = static_cast<double>(result.top->flattened_instance_count());
     const double drawn = static_cast<double>(result.sample_stats.assembly_instances);
     ratio = layout / drawn;

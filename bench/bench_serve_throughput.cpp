@@ -18,7 +18,6 @@
 
 #include "io/param_file.hpp"
 #include "rsg/compiled_design.hpp"
-#include "rsg/generator.hpp"
 #include "rsg/serve_core.hpp"
 #include "rsg/session.hpp"
 
@@ -78,13 +77,13 @@ const char kLibraryDesign[] =
 const char kLibraryParams[] = "rows = 2\ncols = 2\n";
 constexpr int kLibraryCells = 96;
 
-// Compile-per-request: what a naive server pays — full Generator pipeline,
-// sample re-read and design re-parsed, on every request.
+// Compile-per-request: what a naive server pays — a fresh compile (sample
+// re-read, design re-parsed) plus a session on every request.
 void BM_ServeCompilePerRequest(benchmark::State& state) {
   const std::string sample = library_sample(kLibraryCells);
   for (auto _ : state) {
-    Generator generator;
-    const GeneratorResult result = generator.run(sample, kLibraryDesign, kLibraryParams);
+    GenerationSession session(CompiledDesign::compile(sample, kLibraryDesign));
+    const GeneratorResult result = session.generate(kLibraryParams);
     benchmark::DoNotOptimize(result.output.data());
   }
   state.SetItemsProcessed(state.iterations());

@@ -39,8 +39,9 @@
 #include "oracle/scratch_schedule.hpp"
 #include "pla/pla_builder.hpp"
 #include "pla/truth_table.hpp"
-#include "rsg/generator.hpp"
+#include "rsg/compiled_design.hpp"
 #include "rsg/pipeline.hpp"
+#include "rsg/session.hpp"
 
 namespace {
 
@@ -110,11 +111,12 @@ std::vector<rsg::LayerBox> design_geometry(const char* sample, const char* desig
                                            const std::string& top = "",
                                            const rsg::lang::Interpreter::EncodingTable* encoding =
                                                nullptr) {
-  rsg::Generator generator;
-  generator.set_encoding_table(encoding);
-  const rsg::GeneratorResult result = generator.run(
-      rsg::read_text_file(rsg::designs_path(sample)), rsg::read_text_file(rsg::designs_path(design)),
-      rsg::read_text_file(rsg::designs_path(params)) + "\n" + overrides, top);
+  rsg::GenerationSession session(
+      rsg::CompiledDesign::compile(rsg::read_text_file(rsg::designs_path(sample)),
+                                   rsg::read_text_file(rsg::designs_path(design))));
+  session.set_encoding_table(encoding);
+  const rsg::GeneratorResult result =
+      session.generate(rsg::read_text_file(rsg::designs_path(params)) + "\n" + overrides, top);
   return rsg::flatten_boxes(*result.top);
 }
 

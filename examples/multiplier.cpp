@@ -12,7 +12,8 @@
 #include "io/cif_writer.hpp"
 #include "io/param_file.hpp"
 #include "io/svg_writer.hpp"
-#include "rsg/generator.hpp"
+#include "rsg/compiled_design.hpp"
+#include "rsg/session.hpp"
 
 int main(int argc, char** argv) {
   const int size = argc > 1 ? std::atoi(argv[1]) : 16;
@@ -23,12 +24,12 @@ int main(int argc, char** argv) {
 
   try {
     // --- Layout generation -------------------------------------------------
-    rsg::Generator generator;
     std::string params = rsg::read_text_file(rsg::designs_path("mult.par"));
     params += "\nasize = " + std::to_string(size) + "\n";
-    const rsg::GeneratorResult result =
-        generator.run(rsg::read_text_file(rsg::designs_path("mult.sample")),
-                      rsg::read_text_file(rsg::designs_path("mult.rsg")), params);
+    rsg::GenerationSession session(
+        rsg::CompiledDesign::compile(rsg::read_text_file(rsg::designs_path("mult.sample")),
+                                     rsg::read_text_file(rsg::designs_path("mult.rsg"))));
+    const rsg::GeneratorResult result = session.generate(params);
 
     std::cout << "=== " << size << "x" << size << " bit-systolic multiplier ===\n";
     std::cout << "top cell:          " << result.top->name() << "\n";
@@ -36,9 +37,8 @@ int main(int argc, char** argv) {
     std::cout << "flat boxes:        " << result.top->flattened_box_count() << "\n";
     std::cout << "bounding box:      " << result.top->bounding_box() << "\n";
     std::cout << std::fixed << std::setprecision(3);
-    std::cout << "phase times (s):   read sample " << result.times.read_sample.count()
-              << ", execute design " << result.times.execute_design.count() << ", compact "
-              << result.times.compact.count() << ", write output "
+    std::cout << "phase times (s):   execute design " << result.times.execute_design.count()
+              << ", compact " << result.times.compact.count() << ", write output "
               << result.times.write_output.count() << "\n";
     std::cout << "total:             " << result.times.total().count()
               << "  (the thesis reports 5 s for 32x32 on a DEC-2060)\n";

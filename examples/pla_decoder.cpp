@@ -20,15 +20,13 @@ int main() {
         "0--- 100\n");
 
     // --- RSG PLA ------------------------------------------------------------
-    rsg::Generator pla_generator;
-    const rsg::GeneratorResult pla = rsg::pla::generate_pla(pla_generator, table);
+    const rsg::GeneratorResult pla = rsg::pla::generate_pla(table);
     std::cout << "RSG PLA:      " << pla.top->flattened_instance_count()
               << " instances, bbox " << pla.top->bounding_box() << "\n";
     rsg::write_svg_file("pla.svg", *pla.top);
 
     // --- RSG decoder from the same sample ------------------------------------
-    rsg::Generator dec_generator;
-    const rsg::GeneratorResult dec = rsg::pla::generate_decoder(dec_generator, 3);
+    const rsg::GeneratorResult dec = rsg::pla::generate_decoder(3);
     std::cout << "RSG decoder:  " << dec.top->flattened_instance_count()
               << " instances, bbox " << dec.top->bounding_box() << "\n";
     rsg::write_svg_file("decoder.svg", *dec.top);

@@ -8,7 +8,8 @@
 #include <iostream>
 
 #include "io/svg_writer.hpp"
-#include "rsg/generator.hpp"
+#include "rsg/compiled_design.hpp"
+#include "rsg/session.hpp"
 
 int main() {
   // The graphical domain: two cells assembled once to define interface #1
@@ -64,8 +65,10 @@ trimnum = 1
 )";
 
   try {
-    rsg::Generator generator;
-    const rsg::GeneratorResult result = generator.run(sample, design, params);
+    // Compile the sample and the design once; each parameter file is then
+    // one generation session over them.
+    rsg::GenerationSession session(rsg::CompiledDesign::compile(sample, design));
+    const rsg::GeneratorResult result = session.generate(params);
 
     std::cout << "generated cell: " << result.top->name() << "\n";
     std::cout << "instances (flat): " << result.top->flattened_instance_count() << "\n";

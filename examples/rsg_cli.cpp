@@ -3,23 +3,25 @@
 // skips generation entirely and re-emits a previously saved RSGB binary
 // snapshot (docs/formats/RSGB.md) in any of the text formats.
 //
-// The sample may be the text format (.sample) or CIF (detected by content).
+// Generation compiles the sample (text or CIF) and the design once, then
+// runs one rsg::GenerationSession per run (per line with --params-sweep).
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "io/cif_reader.hpp"
 #include "io/cif_writer.hpp"
 #include "io/def_writer.hpp"
 #include "io/param_file.hpp"
 #include "io/snapshot.hpp"
 #include "io/svg_writer.hpp"
-#include "lang/parser.hpp"
 #include "rsg/compiled_design.hpp"
-#include "rsg/generator.hpp"
 #include "rsg/session.hpp"
 
 namespace {
@@ -31,15 +33,15 @@ const char kUsage[] =
     "inputs (generation mode):\n"
     "  <sample>            sample layout: text format or CIF, detected by content\n"
     "  <design>            design file (procedural description)\n"
-    "  <params>            parameter file; notable directives:\n"
+    "  <params>            parameter file; directives:\n"
     "                        .top_cell:<name>      pick the output cell\n"
     "                        .compact:xy           post-generation x/y compaction\n"
     "                                              (flat alternating-axis schedule: scanline\n"
     "                                              constraints, worklist longest path)\n"
-    "                        .snapshot_file:<f>    also write an RSGB snapshot (run_files)\n"
     "\n"
     "inputs (snapshot mode):\n"
-    "  --snapshot-in <f>   skip generation; load an RSGB binary snapshot instead\n"
+    "  --snapshot-in <f>   skip generation; load an RSGB binary snapshot instead.\n"
+    "                      Takes no --params-sweep, --checkpoint-* or --compact-stats\n"
     "\n"
     "outputs:\n"
     "  -o <file.cif>       write CIF to a file (default: CIF on stdout); streamed\n"
@@ -56,7 +58,8 @@ const char kUsage[] =
     "                      (later assignments win). The design is compiled ONCE and\n"
     "                      each run is a fresh generation session over the shared\n"
     "                      compiled base. With -o out.cif, run k writes out.k.cif;\n"
-    "                      without -o, a per-run summary is printed instead of CIF\n"
+    "                      without -o, a per-run summary is printed instead of CIF.\n"
+    "                      Takes no --svg, --def, --snapshot-out or --checkpoint-*\n"
     "  --stats             print pipeline statistics to stderr\n"
     "  --compact-stats     print per-round compaction telemetry to stderr: extent\n"
     "                      deltas, constraint reuse, solver pops, x/y warm starts\n"
@@ -65,6 +68,21 @@ const char kUsage[] =
     "  --checkpoint-in <f>   resume the compaction schedule from an RSGC checkpoint;\n"
     "                      the result is bit-for-bit the uninterrupted run's\n"
     "  -h, --help          show this help\n";
+
+struct Options {
+  std::vector<std::string> inputs;
+  std::string snapshot_in;
+  std::string snapshot_out;
+  std::string out_cif;
+  std::string out_svg;
+  std::string out_def;
+  std::string top;
+  std::string params_sweep;
+  std::string checkpoint_in;
+  std::string checkpoint_out;
+  bool stats = false;
+  bool compact_stats = false;
+};
 
 // `max_rounds` is the round cap of the schedule options the run passed.
 void print_compact_stats(const rsg::GeneratorResult& result, int max_rounds) {
@@ -111,202 +129,183 @@ int usage() {
   return 2;
 }
 
-bool looks_like_cif(const std::string& text) {
-  // CIF files start with comments '(' or a DS command.
-  for (const char c : text) {
-    if (std::isspace(static_cast<unsigned char>(c))) continue;
-    return c == '(' || c == 'D';
+// Writes the requested outputs of `top`; --snapshot-out saves all of
+// `cells`. File outputs stream through the bounded writers; only the
+// stdout path materializes the CIF text.
+void write_outputs(const Options& o, const rsg::Cell& top, const rsg::CellTable& cells) {
+  if (!o.out_cif.empty()) {
+    rsg::write_cif_file(o.out_cif, top);
+    std::cout << "wrote " << o.out_cif << "\n";
+  } else if (o.out_svg.empty() && o.out_def.empty() && o.snapshot_out.empty()) {
+    rsg::write_cif(std::cout, top);
   }
-  return false;
+  if (!o.out_svg.empty()) {
+    rsg::write_svg_file(o.out_svg, top);
+    std::cout << "wrote " << o.out_svg << "\n";
+  }
+  if (!o.out_def.empty()) {
+    rsg::write_def_file(o.out_def, top);
+    std::cout << "wrote " << o.out_def << "\n";
+  }
+  if (!o.snapshot_out.empty()) {
+    const rsg::SnapshotWriteStats written =
+        rsg::write_snapshot_file(o.snapshot_out, cells, top.name());
+    std::cout << "wrote " << o.snapshot_out << " (" << written.file_bytes << " bytes)\n";
+  }
+}
+
+void print_layout_stats(const rsg::Cell& top) {
+  std::cerr << "top cell:       " << top.name() << "\n";
+  std::cerr << "flat instances: " << top.flattened_instance_count() << "\n";
+  std::cerr << "flat boxes:     " << top.flattened_box_count() << "\n";
+  std::cerr << "bounding box:   " << top.bounding_box() << "\n";
+}
+
+void run_snapshot(const Options& o) {
+  rsg::CellTable cells;
+  const rsg::SnapshotReadResult loaded = rsg::read_snapshot_file(o.snapshot_in, cells);
+  std::string top_name = o.top.empty() ? loaded.root : o.top;
+  if (top_name.empty()) {
+    if (cells.names_in_order().empty()) throw rsg::Error("snapshot contains no cells");
+    top_name = cells.names_in_order().back();
+  }
+  const rsg::Cell& top = cells.get(top_name);
+  write_outputs(o, top, cells);
+  if (o.stats) {
+    std::cerr << "snapshot:       " << loaded.cells << " cells, " << loaded.boxes << " boxes, "
+              << loaded.instances << " instances\n";
+    print_layout_stats(top);
+  }
+}
+
+void run_generation(const Options& o) {
+  const std::string sample = rsg::read_text_file(o.inputs[0]);
+  const std::string design = rsg::read_text_file(o.inputs[1]);
+  const std::string params = rsg::read_text_file(o.inputs[2]);
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto compiled = rsg::CompiledDesign::compile(sample, design);
+  const std::chrono::duration<double> compile_time = std::chrono::steady_clock::now() - t0;
+  // Compaction options ride along even while enabled stays false — the
+  // `.compact:xy` directive flips the switch inside the pipeline.
+  rsg::CompactionRequest compaction;
+  compaction.checkpoint_in = o.checkpoint_in;
+  compaction.checkpoint_out = o.checkpoint_out;
+
+  if (o.params_sweep.empty()) {
+    rsg::GenerationSession session(compiled);
+    session.set_compaction(compaction);
+    const rsg::GeneratorResult result = session.generate(params, o.top);
+    // The session's table: the compiled sample cells, then the generated ones.
+    write_outputs(o, *result.top, session.cells());
+    if (o.compact_stats) print_compact_stats(result, compaction.schedule.max_rounds);
+    if (o.stats) {
+      print_layout_stats(*result.top);
+      std::cerr << "phases (s):     compile " << compile_time.count() << " / execute design "
+                << result.times.execute_design.count() << " / compact "
+                << result.times.compact.count() << " / write output "
+                << result.times.write_output.count() << "\n";
+    }
+    return;
+  }
+
+  // Sweep: one fresh session per non-comment line of the sweep file.
+  std::ifstream sweep(o.params_sweep);
+  if (!sweep) throw rsg::Error("cannot read sweep file '" + o.params_sweep + "'");
+  std::string line;
+  int run = 0;
+  while (std::getline(sweep, line)) {
+    const std::size_t first = line.find_first_not_of(" \t\r");
+    if (first == std::string::npos || line[first] == ';' || line[first] == '#') continue;
+    ++run;
+    rsg::GenerationSession session(compiled);
+    session.set_compaction(compaction);
+    const rsg::GeneratorResult result = session.generate(params + "\n" + line + "\n", o.top);
+    if (!o.out_cif.empty()) {
+      // out.cif -> out.<run>.cif
+      std::string path = o.out_cif;
+      const std::size_t dot = path.rfind('.');
+      path.insert(dot == std::string::npos ? path.size() : dot, "." + std::to_string(run));
+      rsg::write_cif_file(path, *result.top);
+      std::cout << "wrote " << path << "\n";
+    } else {
+      std::cout << "run " << run << ": " << line.substr(first) << " -> " << result.top->name()
+                << ", " << result.top->flattened_box_count() << " boxes, bbox "
+                << result.top->bounding_box() << "\n";
+    }
+    if (o.compact_stats) print_compact_stats(result, compaction.schedule.max_rounds);
+  }
+  if (run == 0) throw rsg::Error("sweep file '" + o.params_sweep + "' has no runs");
+  if (o.stats) std::cerr << "sweep:          " << run << " runs, compiled once\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> inputs;
-  std::string snapshot_in;
-  std::string snapshot_out;
-  std::string out_cif;
-  std::string out_svg;
-  std::string out_def;
-  std::string top;
-  std::string params_sweep;
-  std::string checkpoint_in;
-  std::string checkpoint_out;
-  bool stats = false;
-  bool compact_stats = false;
+  Options o;
+  const std::pair<const char*, std::string*> valued[] = {
+      {"-o", &o.out_cif},
+      {"--svg", &o.out_svg},
+      {"--def", &o.out_def},
+      {"--snapshot-in", &o.snapshot_in},
+      {"--snapshot-out", &o.snapshot_out},
+      {"--top", &o.top},
+      {"--params-sweep", &o.params_sweep},
+      {"--checkpoint-in", &o.checkpoint_in},
+      {"--checkpoint-out", &o.checkpoint_out},
+  };
+  std::set<std::string> given;  // every flag on the command line
   for (int i = 1; i < argc; ++i) {
-    auto value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "rsg_cli: " << flag << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
       std::cout << kUsage;
       return 0;
-    } else if (std::strcmp(argv[i], "-o") == 0) {
-      out_cif = value("-o");
-    } else if (std::strcmp(argv[i], "--svg") == 0) {
-      out_svg = value("--svg");
-    } else if (std::strcmp(argv[i], "--def") == 0) {
-      out_def = value("--def");
-    } else if (std::strcmp(argv[i], "--snapshot-in") == 0) {
-      snapshot_in = value("--snapshot-in");
-    } else if (std::strcmp(argv[i], "--snapshot-out") == 0) {
-      snapshot_out = value("--snapshot-out");
-    } else if (std::strcmp(argv[i], "--top") == 0) {
-      top = value("--top");
-    } else if (std::strcmp(argv[i], "--params-sweep") == 0) {
-      params_sweep = value("--params-sweep");
-    } else if (std::strcmp(argv[i], "--checkpoint-in") == 0) {
-      checkpoint_in = value("--checkpoint-in");
-    } else if (std::strcmp(argv[i], "--checkpoint-out") == 0) {
-      checkpoint_out = value("--checkpoint-out");
-    } else if (std::strcmp(argv[i], "--stats") == 0) {
-      stats = true;
-    } else if (std::strcmp(argv[i], "--compact-stats") == 0) {
-      compact_stats = true;
-    } else if (argv[i][0] == '-' && argv[i][1] != '\0') {
+    }
+    const auto flag = std::find_if(std::begin(valued), std::end(valued),
+                                   [&](const auto& v) { return arg == v.first; });
+    if (flag != std::end(valued)) {
+      if (i + 1 >= argc) {
+        std::cerr << "rsg_cli: " << arg << " needs a value\n";
+        return 2;
+      }
+      *flag->second = argv[++i];
+    } else if (arg == "--stats") {
+      o.stats = true;
+    } else if (arg == "--compact-stats") {
+      o.compact_stats = true;
+    } else if (arg.size() > 1 && arg[0] == '-') {
       return usage();
     } else {
-      inputs.emplace_back(argv[i]);
+      o.inputs.push_back(arg);
+      continue;
     }
+    given.insert(arg);
   }
-  const bool snapshot_mode = !snapshot_in.empty();
-  if (snapshot_mode ? !inputs.empty() : inputs.size() != 3) return usage();
-  if (!params_sweep.empty() && snapshot_mode) {
-    std::cerr << "rsg_cli: --params-sweep needs generation mode, not --snapshot-in\n";
+  const bool snapshot_mode = !o.snapshot_in.empty();
+  if (snapshot_mode ? !o.inputs.empty() : o.inputs.size() != 3) return usage();
+  // Each mode refuses the flags it would otherwise drop without a word.
+  const auto refuses = [&](const char* mode, std::initializer_list<const char*> ignored) {
+    for (const char* flag : ignored) {
+      if (given.count(flag) == 0) continue;
+      std::cerr << "rsg_cli: " << mode << " does not take " << flag << "\n";
+      return true;
+    }
+    return false;
+  };
+  if (snapshot_mode && refuses("--snapshot-in", {"--params-sweep", "--checkpoint-in",
+                                                 "--checkpoint-out", "--compact-stats"})) {
+    return 2;
+  }
+  if (!o.params_sweep.empty() &&
+      refuses("--params-sweep",
+              {"--svg", "--def", "--snapshot-out", "--checkpoint-in", "--checkpoint-out"})) {
     return 2;
   }
 
-  if (!params_sweep.empty()) {
-    // Sweep mode: compile the design once, then one generation session per
-    // sweep line over the shared compiled base.
-    try {
-      const std::string base_params = rsg::read_text_file(inputs[2]);
-      const auto compiled = rsg::CompiledDesign::compile(rsg::read_text_file(inputs[0]),
-                                                         rsg::read_text_file(inputs[1]));
-      std::ifstream sweep(params_sweep);
-      if (!sweep) throw rsg::Error("cannot read sweep file '" + params_sweep + "'");
-      std::string line;
-      int run = 0;
-      while (std::getline(sweep, line)) {
-        const std::size_t first = line.find_first_not_of(" \t\r");
-        if (first == std::string::npos || line[first] == ';' || line[first] == '#') continue;
-        ++run;
-        rsg::GenerationSession session(compiled);
-        const rsg::GeneratorResult result =
-            session.generate(base_params + "\n" + line + "\n", top);
-        if (!out_cif.empty()) {
-          // out.cif -> out.<run>.cif
-          std::string path = out_cif;
-          const std::size_t dot = path.rfind('.');
-          path.insert(dot == std::string::npos ? path.size() : dot,
-                      "." + std::to_string(run));
-          rsg::write_cif_file(path, *result.top);
-          std::cout << "wrote " << path << "\n";
-        } else {
-          std::cout << "run " << run << ": " << line.substr(first) << " -> "
-                    << result.top->name() << ", " << result.top->flattened_box_count()
-                    << " boxes, bbox " << result.top->bounding_box() << "\n";
-        }
-        // Sweep sessions run the default compaction request.
-        if (compact_stats) {
-          print_compact_stats(result, rsg::CompactionRequest::default_schedule().max_rounds);
-        }
-      }
-      if (run == 0) throw rsg::Error("sweep file '" + params_sweep + "' has no runs");
-      if (stats) std::cerr << "sweep:          " << run << " runs, compiled once\n";
-    } catch (const std::exception& e) {
-      std::cerr << "rsg_cli: " << e.what() << "\n";
-      return 1;
-    }
-    return 0;
-  }
-
   try {
-    rsg::Generator generator;
-    rsg::GeneratorResult result;
-    // Compaction options ride along even while enabled stays false —
-    // the `.compact:xy` directive flips the switch inside the pipeline.
-    rsg::CompactionRequest compaction;
-    compaction.checkpoint_in = checkpoint_in;
-    compaction.checkpoint_out = checkpoint_out;
-    generator.set_compaction(compaction);
-
     if (snapshot_mode) {
-      const rsg::SnapshotReadResult loaded = generator.import_snapshot(snapshot_in);
-      std::string top_name = top.empty() ? loaded.root : top;
-      if (top_name.empty()) {
-        if (generator.cells().names_in_order().empty()) {
-          throw rsg::Error("snapshot contains no cells");
-        }
-        top_name = generator.cells().names_in_order().back();
-      }
-      result.top = &generator.cells().get(top_name);
-      if (stats) {
-        std::cerr << "snapshot:       " << loaded.cells << " cells, " << loaded.boxes
-                  << " boxes, " << loaded.instances << " instances\n";
-      }
-    } else if (const std::string sample_text = rsg::read_text_file(inputs[0]);
-               looks_like_cif(sample_text)) {
-      // Route the sample through the CIF front end, then run the rest of
-      // the pipeline manually (Generator::run assumes the text format).
-      const std::string design_text = rsg::read_text_file(inputs[1]);
-      const std::string param_text = rsg::read_text_file(inputs[2]);
-      rsg::load_sample_layout_cif(sample_text, generator.cells(), generator.interfaces());
-      const rsg::ParameterFile params = rsg::ParameterFile::parse(param_text);
-      rsg::lang::Interpreter interp(generator.cells(), generator.interfaces(),
-                                    generator.graph());
-      params.apply(interp);
-      interp.run(rsg::lang::parse_program(design_text));
-      std::string top_name = top;
-      if (top_name.empty()) {
-        if (const std::string* directive = params.directive("top_cell")) top_name = *directive;
-      }
-      if (top_name.empty()) top_name = generator.cells().names_in_order().back();
-      result.top = &generator.cells().get(top_name);
+      run_snapshot(o);
     } else {
-      const std::string design_text = rsg::read_text_file(inputs[1]);
-      const std::string param_text = rsg::read_text_file(inputs[2]);
-      result = generator.run(sample_text, design_text, param_text, top);
-    }
-
-    // Outputs. File outputs stream through the bounded writers; only the
-    // stdout path materializes the CIF text.
-    if (!out_cif.empty()) {
-      rsg::write_cif_file(out_cif, *result.top);
-      std::cout << "wrote " << out_cif << "\n";
-    } else if (out_svg.empty() && out_def.empty() && snapshot_out.empty()) {
-      rsg::write_cif(std::cout, *result.top);
-    }
-    if (!out_svg.empty()) {
-      rsg::write_svg_file(out_svg, *result.top);
-      std::cout << "wrote " << out_svg << "\n";
-    }
-    if (!out_def.empty()) {
-      rsg::write_def_file(out_def, *result.top);
-      std::cout << "wrote " << out_def << "\n";
-    }
-    if (!snapshot_out.empty()) {
-      const rsg::SnapshotWriteStats written =
-          generator.export_snapshot(snapshot_out, result.top->name());
-      std::cout << "wrote " << snapshot_out << " (" << written.file_bytes << " bytes)\n";
-    }
-    if (compact_stats) print_compact_stats(result, compaction.schedule.max_rounds);
-    if (stats) {
-      std::cerr << "top cell:       " << result.top->name() << "\n";
-      std::cerr << "flat instances: " << result.top->flattened_instance_count() << "\n";
-      std::cerr << "flat boxes:     " << result.top->flattened_box_count() << "\n";
-      std::cerr << "bounding box:   " << result.top->bounding_box() << "\n";
-      if (!snapshot_mode) {
-        std::cerr << "phases (s):     read sample " << result.times.read_sample.count()
-                  << " / execute design " << result.times.execute_design.count()
-                  << " / compact " << result.times.compact.count() << " / write output "
-                  << result.times.write_output.count() << "\n";
-      }
+      run_generation(o);
     }
   } catch (const std::exception& e) {
     std::cerr << "rsg_cli: " << e.what() << "\n";

@@ -14,7 +14,8 @@
 //           rsg_serve --socket /tmp/rsg.sock --shutdown
 //
 // The five seed designs (designs/README.md) register by default: mult, pla,
-// pla_folded, decoder, ram. --design name=sample.rsg:design.rsg adds more.
+// pla_folded, decoder, ram. --design name=sample:design.rsg adds more; the
+// sample may be the text format or CIF.
 //
 // Shutdown contract: SIGTERM (or a --shutdown frame) DRAINS — the server
 // stops accepting connections, finishes every request already accepted,
@@ -53,8 +54,9 @@ Server mode (default):
     --checkpoint-dir DIR checkpoint in-flight compactions here (RSGC, one
                          file per request); interrupted runs resume on retry
     --design NAME=SAMPLE:DESIGN
-                         register an extra design from two files
-                         (repeatable; seed designs register automatically)
+                         register an extra design from two files; the
+                         sample may be text or CIF (repeatable; seed
+                         designs register automatically)
   SIGTERM drains: stop accepting, finish accepted work, flush checkpoints,
   exit 0.
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checks run by the CI `docs` job (and usable locally).
 
-Seven checks, all dependency-free:
+Eight checks, all dependency-free:
 
  1. Markdown link integrity: every relative link target in every tracked
     *.md file must resolve to an existing file or directory (anchors are
@@ -37,6 +37,11 @@ Seven checks, all dependency-free:
     (fault::arm, ScopedFault or arm_from_spec), and every literal passed
     to fault::fired in src/ must be registered, so the list can neither
     keep a dead point nor miss a live one.
+ 8. Parameter-file directives: every directive named as `.name:...` in
+    README.md, docs/**/*.md or .claude/skills/**/*.md, or as .name:... in
+    rsg_cli's usage text (kUsage in examples/rsg_cli.cpp), must be read by
+    a directive("name") call in src/, so a doc cannot advertise a
+    directive the pipeline ignores.
 
 Exits non-zero with one line per violation.
 """
@@ -277,6 +282,40 @@ def check_fault_points(errors):
                 errors.append(f"{path}: fault::fired(\"{name}\") is not in the registry")
 
 
+DOC_DIRECTIVE_RE = re.compile(r"`\.([a-z_]+):[^`]*`")
+USAGE_DIRECTIVE_RE = re.compile(r"(?<![\w./])\.([a-z_]+):")
+DIRECTIVE_READ_RE = re.compile(r'\bdirective\(\s*"([a-z_]+)"\s*\)')
+CLI_SOURCE = os.path.join("examples", "rsg_cli.cpp")
+
+
+def check_directives(errors):
+    """Every directive the docs and rsg_cli's usage name is read in src/."""
+    read = set()
+    for text in source_texts("src").values():
+        read.update(DIRECTIVE_READ_RE.findall(text))
+    if not read:
+        errors.append('src/: no directive("...") reads found (check the regex)')
+        return
+    named = []  # (where, directive)
+    sources = [os.path.join(REPO, "README.md")]
+    sources += glob.glob(os.path.join(REPO, "docs", "**", "*.md"), recursive=True)
+    sources += glob.glob(os.path.join(REPO, ".claude", "skills", "**", "*.md"), recursive=True)
+    for path in sorted(sources):
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        named += [(os.path.relpath(path, REPO), d) for d in DOC_DIRECTIVE_RE.findall(text)]
+    with open(os.path.join(REPO, CLI_SOURCE), encoding="utf-8") as f:
+        usage = re.search(r"kUsage\[\]\s*=(.*?);\n", f.read(), flags=re.S)
+    if usage is None:
+        errors.append(f"{CLI_SOURCE}: kUsage not found (check the regex)")
+    else:
+        named += [(f"{CLI_SOURCE} usage", d) for d in USAGE_DIRECTIVE_RE.findall(usage.group(1))]
+    for where, directive in sorted(set(named)):
+        if directive not in read:
+            errors.append(f"{where}: directive '.{directive}:' is read by no "
+                          f'directive("{directive}") call in src/')
+
+
 def main():
     errors = []
     check_links(errors)
@@ -286,6 +325,7 @@ def main():
     check_test_labels(errors)
     check_code_names(errors)
     check_fault_points(errors)
+    check_directives(errors)
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     if errors:
@@ -293,8 +333,8 @@ def main():
     count = len(tracked_markdown())
     print(
         f"docs check passed: {count} markdown files, "
-        "links, artifact schemas, status codes, benchmark names, test labels, code names and "
-        "fault points OK"
+        "links, artifact schemas, status codes, benchmark names, test labels, code names, "
+        "fault points and directives OK"
     )
     return 0
 

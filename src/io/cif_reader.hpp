@@ -15,14 +15,16 @@
 //    chunk in memory, and delivers one semantic event per next() call with
 //    scale factors and the current layer already applied. This is the
 //    memory-bounded path for multi-GB files.
-//  * read_cif / load_sample_layout_cif — the legacy whole-layout entry
-//    points, reimplemented on the pull parser with identical results and
-//    diagnostics. These materialize cells (the cell table owns its boxes),
-//    but the parse itself stays single-pass and windowed.
+//  * read_cif / load_sample_layout_cif — the whole-layout entry points,
+//    built on the pull parser. These materialize cells (the cell table
+//    owns its boxes), but the parse itself stays single-pass and windowed.
 //
 // load_sample_layout_cif treats cells whose name begins with "assembly" as
 // interface-definition scaffolding: their instances plus numeric 94 labels
-// define interfaces by example exactly like the text sample format.
+// define interfaces by example exactly like the text sample format. It is
+// the CIF branch of load_sample_layout (io/sample_layout.hpp), which picks
+// it by content, so CompiledDesign::compile — and with it rsg_cli,
+// rsg_serve and every GenerationSession — accepts a CIF sample.
 #pragma once
 
 #include <cstddef>

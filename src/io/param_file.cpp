@@ -86,10 +86,6 @@ ParameterFile ParameterFile::parse(const std::string& text) {
   return result;
 }
 
-ParameterFile ParameterFile::load(const std::string& path) {
-  return parse(read_text_file(path));
-}
-
 void ParameterFile::apply(lang::Interpreter& interp) const {
   for (const auto& [name, value] : assignments) interp.set_global(name, value);
 }

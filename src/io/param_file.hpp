@@ -5,8 +5,10 @@
 // GLOBAL environment; design files see them through the §4.1 scoping rules.
 //
 // Syntax (one entry per line):
-//   .directive:value        driver directives (.example_file, .output_file,
-//                           .concept_file, .top_cell, ...)
+//   .directive:value        driver directive; the pipeline reads .top_cell
+//                           (output cell) and .compact (`xy` compacts the
+//                           output). Any other directive is parsed and
+//                           ignored.
 //   name = 17               integer parameter
 //   name = "some string"    string parameter (e.g. new cell names)
 //   name = othername        SYMBOL parameter — re-resolved at use time, the
@@ -31,7 +33,6 @@ struct ParameterFile {
   std::vector<std::pair<std::string, lang::Value>> assignments;
 
   static ParameterFile parse(const std::string& text);
-  static ParameterFile load(const std::string& path);
 
   // Installs every assignment into the interpreter's global environment.
   void apply(lang::Interpreter& interp) const;

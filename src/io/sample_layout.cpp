@@ -1,10 +1,12 @@
 #include "io/sample_layout.hpp"
 
+#include <cctype>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "iface/interface.hpp"
+#include "io/cif_reader.hpp"
 #include "support/error.hpp"
 
 namespace rsg {
@@ -208,6 +210,13 @@ class SampleParser {
 
 SampleLayoutStats load_sample_layout(const std::string& text, CellTable& cells,
                                      InterfaceTable& interfaces) {
+  // CIF starts with a comment '(' or a DS command; the text format with a
+  // keyword or a ';'/'#' comment.
+  for (const char c : text) {
+    if (std::isspace(static_cast<unsigned char>(c))) continue;
+    if (c == '(' || c == 'D') return load_sample_layout_cif(text, cells, interfaces);
+    break;
+  }
   return SampleParser(cells, interfaces).parse(text);
 }
 

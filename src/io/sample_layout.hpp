@@ -29,6 +29,12 @@
 //
 // Several assembly blocks may appear; each is an independent coordinate
 // system.
+//
+// A sample may also be CIF (§4.5: any format, given a parser): text whose
+// first non-space character is '(' or 'D' goes to load_sample_layout_cif
+// (io/cif_reader.hpp), where "assembly*" cells carry the by-example labels.
+// Every way into generation loads its sample here, so both formats work
+// wherever a sample is accepted.
 #pragma once
 
 #include <string>
@@ -46,6 +52,8 @@ struct SampleLayoutStats {
   std::size_t interfaces_declared = 0;
 };
 
+// Loads a sample in either format into `cells` and `interfaces`. Throws
+// rsg::Error on malformed input.
 SampleLayoutStats load_sample_layout(const std::string& text, CellTable& cells,
                                      InterfaceTable& interfaces);
 

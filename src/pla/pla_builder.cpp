@@ -2,6 +2,8 @@
 
 #include "io/param_file.hpp"
 #include "layout/flatten.hpp"
+#include "rsg/compiled_design.hpp"
+#include "rsg/session.hpp"
 #include "support/error.hpp"
 
 namespace rsg::pla {
@@ -23,15 +25,12 @@ lang::Interpreter::EncodingTable to_encoding_table(const TruthTable& table) {
   return result;
 }
 
-GeneratorResult generate_pla(Generator& generator, const TruthTable& table) {
+GeneratorResult generate_pla(const TruthTable& table) {
   const lang::Interpreter::EncodingTable encoding = to_encoding_table(table);
-  generator.set_encoding_table(&encoding);
-  GeneratorResult result =
-      generator.run(read_text_file(designs_path("pla.sample")),
-                    read_text_file(designs_path("pla.rsg")),
-                    read_text_file(designs_path("pla.par")), "pla");
-  generator.set_encoding_table(nullptr);
-  return result;
+  GenerationSession session(CompiledDesign::compile(read_text_file(designs_path("pla.sample")),
+                                                    read_text_file(designs_path("pla.rsg"))));
+  session.set_encoding_table(&encoding);
+  return session.generate(read_text_file(designs_path("pla.par")), "pla");
 }
 
 bool is_foldable(const TruthTable& table) {
@@ -52,25 +51,25 @@ bool is_foldable(const TruthTable& table) {
   return true;
 }
 
-GeneratorResult generate_folded_pla(Generator& generator, const TruthTable& table) {
+GeneratorResult generate_folded_pla(const TruthTable& table) {
   if (!is_foldable(table)) {
     throw Error("generate_folded_pla: personality is not fold-compatible "
                 "(crosspoints cross the segment boundary)");
   }
   const lang::Interpreter::EncodingTable encoding = to_encoding_table(table);
-  generator.set_encoding_table(&encoding);
-  GeneratorResult result = generator.run(read_text_file(designs_path("pla.sample")),
-                                         read_text_file(designs_path("pla_folded.rsg")),
-                                         read_text_file(designs_path("pla.par")), "foldedpla");
-  generator.set_encoding_table(nullptr);
-  return result;
+  GenerationSession session(
+      CompiledDesign::compile(read_text_file(designs_path("pla.sample")),
+                              read_text_file(designs_path("pla_folded.rsg"))));
+  session.set_encoding_table(&encoding);
+  return session.generate(read_text_file(designs_path("pla.par")), "foldedpla");
 }
 
-GeneratorResult generate_decoder(Generator& generator, int num_inputs) {
+GeneratorResult generate_decoder(int num_inputs) {
   std::string params = read_text_file(designs_path("pla.par"));
   params += "\ndecbits = " + std::to_string(num_inputs) + "\n";
-  return generator.run(read_text_file(designs_path("pla.sample")),
-                       read_text_file(designs_path("decoder.rsg")), params, "decoder");
+  GenerationSession session(CompiledDesign::compile(read_text_file(designs_path("pla.sample")),
+                                                    read_text_file(designs_path("decoder.rsg"))));
+  return session.generate(params, "decoder");
 }
 
 TruthTable recover_truth_table(const Cell& layout, int num_inputs, int num_outputs,

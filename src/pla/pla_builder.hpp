@@ -21,7 +21,7 @@
 
 #include "lang/interp.hpp"
 #include "pla/truth_table.hpp"
-#include "rsg/generator.hpp"
+#include "rsg/pipeline.hpp"
 
 namespace rsg::pla {
 
@@ -36,18 +36,19 @@ inline constexpr Coord kConnectW = 8;  // width of the connect-ao cell
 // Converts a truth table to the interpreter's encoding-table form.
 lang::Interpreter::EncodingTable to_encoding_table(const TruthTable& table);
 
-// Generates a PLA layout for `table` through the full RSG pipeline (sample
-// + design + synthesized parameter file). The returned result's `top` is
-// the PLA cell; `generator` keeps ownership of all cells.
-GeneratorResult generate_pla(Generator& generator, const TruthTable& table);
+// Generates a PLA layout for `table` through the full RSG pipeline: the
+// bundled sample and design compiled, then one GenerationSession run with
+// the table attached. The returned result's `top` is the PLA cell; its
+// `keepalive` owns the session, and with it every cell.
+GeneratorResult generate_pla(const TruthTable& table);
 
 // Generates an n-input decoder from the SAME sample layout.
-GeneratorResult generate_decoder(Generator& generator, int num_inputs);
+GeneratorResult generate_decoder(int num_inputs);
 
 // Generates a column-folded PLA (§1.2.3): output pair (2c-1, 2c) shares OR
 // column c, split between upper and lower term segments. Requires a
 // fold-compatible personality; throws otherwise.
-GeneratorResult generate_folded_pla(Generator& generator, const TruthTable& table);
+GeneratorResult generate_folded_pla(const TruthTable& table);
 
 // True when outputs 2c-1 restrict their crosspoints to terms 1..p/2 and
 // outputs 2c to terms p/2+1..p, for every column pair c.

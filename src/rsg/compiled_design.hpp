@@ -37,10 +37,11 @@ struct CompileOptions {
 
 class CompiledDesign {
  public:
-  // Parses `sample_text` into the immutable cell/interface tables and
-  // `design_text` into the immutable program (lang::parse_program). Throws
-  // (LayoutError / LangError / SnapshotError) on malformed input, so a
-  // returned design is always runnable.
+  // Parses `sample_text` (text format or CIF, see load_sample_layout) into
+  // the immutable cell/interface tables and `design_text` into the
+  // immutable program (lang::parse_program). Throws (rsg::Error and its
+  // LayoutError / LangError kinds) on malformed input, so a returned design
+  // is always runnable.
   static std::shared_ptr<const CompiledDesign> compile(const std::string& sample_text,
                                                        const std::string& design_text,
                                                        const CompileOptions& options = {});

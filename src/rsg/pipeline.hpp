@@ -1,15 +1,14 @@
-// Shared run-phase core of the RSG pipeline (Figure 1.1 / Figure 3.1).
+// Run-phase core of the RSG pipeline (Figure 1.1 / Figure 3.1).
 //
-// Both front doors — the legacy one-shot rsg::Generator and the
-// compile-once/run-many rsg::GenerationSession — funnel into
-// detail::execute_generation, so a session run is byte-identical to a
-// legacy run by construction: same interpreter, same top-cell selection,
-// same compaction hand-off, same CIF writer, in the same order.
+// Generation has one front door: CompiledDesign::compile loads the sample
+// layout (text or CIF) and parses the design file once; each
+// GenerationSession::generate then runs detail::execute_generation — the
+// interpreter, the top-cell choice, the compaction hand-off and the CIF
+// render, in that order. rsg_cli, rsg_serve, src/pla, the examples, the
+// benches and perfbench all go through it.
 //
-// The request/result structs live here (not generator.hpp) so session and
-// serve layers can use them without pulling in the legacy driver;
-// generator.hpp includes this header, which keeps every existing
-// `#include "rsg/generator.hpp"` user source-compatible.
+// This header holds the request/result structs that sessions and the
+// serving layer share.
 #pragma once
 
 #include <chrono>
@@ -33,8 +32,8 @@ namespace rsg {
 // Post-generation compaction (§6.4 wired into the Figure 1.1 driver): after
 // the design file has assembled the top cell, flatten it, run the
 // alternating x/y schedule, and emit the compacted geometry as the output
-// layout. Requested programmatically via set_compaction or from the
-// parameter file with the directive `.compact:xy`.
+// layout. Requested programmatically via GenerationSession::set_compaction
+// or from the parameter file with the directive `.compact:xy`.
 struct CompactionRequest {
   // Best effort by default: a generated layout that violates the rule
   // table on one axis still compacts on the other (the skip is recorded in
@@ -61,22 +60,20 @@ struct CompactionRequest {
   std::string checkpoint_out;
 };
 
-// Wall time per pipeline phase. The phases are timed separately and do
-// not overlap; total() is their sum.
+// Wall time per run phase. The phases are timed separately and do not
+// overlap; total() is their sum. Loading the sample and parsing the design
+// file happen once, in CompiledDesign::compile, and are not a run phase.
 struct PhaseTimes {
-  std::chrono::duration<double> read_sample{};     // sample layout + interface table
-  std::chrono::duration<double> execute_design{};  // parse + run parameter and design files
+  std::chrono::duration<double> execute_design{};  // parse parameter file + run design
   std::chrono::duration<double> compact{};         // flatten + x/y schedule; 0 when off
   std::chrono::duration<double> write_output{};    // CIF render
-  std::chrono::duration<double> total() const {
-    return read_sample + execute_design + compact + write_output;
-  }
+  std::chrono::duration<double> total() const { return execute_design + compact + write_output; }
 };
 
 struct GeneratorResult {
   // The generated layout. The pointer targets a cell table retained by
-  // `keepalive`, so the result stays valid after the Generator or
-  // GenerationSession that produced it is destroyed.
+  // `keepalive`, so the result stays valid after the GenerationSession that
+  // produced it is destroyed.
   const Cell* top = nullptr;
   std::string output;                  // CIF text (also written to file if requested)
   PhaseTimes times;
@@ -87,9 +84,9 @@ struct GeneratorResult {
   // `top` then points at the compacted flat cell.
   bool compacted = false;
   compact::XyScheduleResult compaction;
-  // Owns the state `top` points into (the producer's cell table and, for
-  // sessions, the compiled design underneath it). Opaque on purpose:
-  // holders only need the lifetime, not the type.
+  // Owns the state `top` points into (the session's overlay tables and the
+  // compiled design underneath them). Opaque on purpose: holders only need
+  // the lifetime, not the type.
   std::shared_ptr<const void> keepalive;
 };
 
@@ -97,10 +94,10 @@ namespace detail {
 
 // Phases 2–4 of the pipeline: run the parameter-file environment + design
 // program against the given tables, pick the top cell, optionally compact,
-// and render CIF. Phase 1 (sample loading) is the caller's job — the legacy
-// Generator does it per run, CompiledDesign once at compile time. The
-// caller also stamps result.sample_stats / times.read_sample / keepalive,
-// and adds the time it spent parsing the inputs to times.execute_design.
+// and render CIF. Phase 1 (sample loading) happened in
+// CompiledDesign::compile. The caller (GenerationSession::generate) stamps
+// result.sample_stats and keepalive, and adds the time it spent parsing the
+// parameter file to times.execute_design.
 //
 // `cancel` (optional) is polled at every phase boundary — before the design
 // program runs, before compaction, between compaction rounds (via

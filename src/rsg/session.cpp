@@ -21,9 +21,8 @@ GeneratorResult GenerationSession::generate(const std::string& param_text,
                                  state_->design->program(), params, top_cell, encoding_,
                                  compaction_, &cancel_);
   result.times.execute_design += parse_time;
-  // Sample loading happened once at compile time; surface its stats so
-  // callers see the same fields a legacy run reports. read_sample stays
-  // zero — the session didn't pay it.
+  // Sample loading happened once at compile time; surface its stats with
+  // the run's.
   result.sample_stats = state_->design->sample_stats();
   result.keepalive = state_;
   return result;

@@ -11,6 +11,10 @@
 // A session is single-threaded: one generate() at a time per session.
 // Results outlive the session — GeneratorResult::keepalive retains the
 // session state (and through it the compiled design).
+//
+// This is the only way the pipeline runs: one-shot callers (rsg_cli,
+// src/pla, the examples) compile and open one session per run; rsg_serve
+// and `rsg_cli --params-sweep` compile once and open a session per request.
 #pragma once
 
 #include <memory>
@@ -27,9 +31,11 @@ class GenerationSession {
   explicit GenerationSession(std::shared_ptr<const CompiledDesign> design);
 
   // Runs the compiled program under the given parameter file. `top_cell`
-  // overrides the default top choice exactly as Generator::run does.
-  // Calling generate() again continues in the same session state (cells
-  // accumulate), mirroring repeated Generator::run calls.
+  // overrides the default top choice (the `.top_cell` directive, else the
+  // last cell created). Calling generate() again continues in the same
+  // session state: the cells of the first run stay, so a design that names
+  // its cells with mk_cell fails the second run on the duplicate name. Open
+  // a fresh session per run instead.
   GeneratorResult generate(const std::string& param_text, const std::string& top_cell = {});
 
   // Attaches a PLA-style encoding table, exposed to the design file through

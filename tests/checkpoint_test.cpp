@@ -1,7 +1,7 @@
 // Checkpoint/restart for long compaction runs: the schedule's per-round
 // checkpoint sink, bit-for-bit resume from every round boundary, the RSGC
 // file format's round trip, its corruption/truncation/version defenses,
-// and the generator-level --checkpoint-out → --checkpoint-in loop.
+// and the session-level --checkpoint-out → --checkpoint-in loop.
 #include "io/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,8 @@
 
 #include "compact/synth_design.hpp"
 #include "compact/xy_schedule.hpp"
-#include "rsg/generator.hpp"
+#include "rsg/compiled_design.hpp"
+#include "rsg/session.hpp"
 #include "support/error.hpp"
 
 namespace rsg {
@@ -348,7 +349,7 @@ TEST(Checkpoint, ReadsAnImageAtAnOddAddress) {
   expect_checkpoints_equal(last, read_compaction_checkpoint(buffer.data() + 1, good.size()));
 }
 
-TEST(Checkpoint, GeneratorCheckpointOutThenInReproducesTheRun) {
+TEST(Checkpoint, SessionCheckpointOutThenInReproducesTheRun) {
   // The pipeline-level loop rsg_cli exposes as --checkpoint-out /
   // --checkpoint-in: a run that wrote checkpoints, restarted from the file,
   // must emit the identical CIF.
@@ -372,13 +373,14 @@ end
 (mk_cell "row" (subcell r b.1))
 )";
   const std::string path = testing::TempDir() + "rsg_checkpoint_generator.rsgc";
+  const auto compiled = CompiledDesign::compile(kSample, kDesign);
 
-  Generator writer;
+  GenerationSession writer(compiled);
   CompactionRequest writing;
   writing.enabled = true;
   writing.checkpoint_out = path;
   writer.set_compaction(writing);
-  const GeneratorResult original = writer.run(kSample, kDesign, "n = 6");
+  const GeneratorResult original = writer.generate("n = 6");
   ASSERT_TRUE(original.compacted);
 
   // The file holds the final completed round; resuming from it must not
@@ -386,12 +388,12 @@ end
   const XyCheckpoint final_round = read_compaction_checkpoint_file(path);
   EXPECT_EQ(final_round.rounds_done, original.compaction.rounds);
 
-  Generator resumer;
+  GenerationSession resumer(compiled);
   CompactionRequest resuming;
   resuming.enabled = true;
   resuming.checkpoint_in = path;
   resumer.set_compaction(resuming);
-  const GeneratorResult resumed = resumer.run(kSample, kDesign, "n = 6");
+  const GeneratorResult resumed = resumer.generate("n = 6");
   ASSERT_TRUE(resumed.compacted);
   EXPECT_EQ(resumed.output, original.output);
   EXPECT_EQ(resumed.compaction.boxes, original.compaction.boxes);
@@ -423,22 +425,23 @@ end
 (mk_cell "row" (subcell r b.1))
 )";
   const std::string path = testing::TempDir() + "rsg_checkpoint_mask.rsgc";
+  const auto compiled = CompiledDesign::compile(kSample, kDesign);
 
-  Generator writer;
+  GenerationSession writer(compiled);
   CompactionRequest writing;
   writing.enabled = true;
   writing.checkpoint_out = path;
   writer.set_compaction(writing);
-  ASSERT_TRUE(writer.run(kSample, kDesign, "n = 6").compacted);
+  ASSERT_TRUE(writer.generate("n = 6").compacted);
 
-  Generator resumer;
+  GenerationSession resumer(compiled);
   CompactionRequest resuming;
   resuming.enabled = true;
   resuming.checkpoint_in = path;
   resuming.stretchable_layers = {Layer::kMetal1};
   resumer.set_compaction(resuming);
   try {
-    resumer.run(kSample, kDesign, "n = 4");
+    resumer.generate("n = 4");
     ADD_FAILURE() << "a 6-brick checkpoint resumed under a 4-brick mask";
   } catch (const Error& e) {
     EXPECT_STREQ(e.what(), "compact_flat: stretchable mask size mismatch");

@@ -7,8 +7,8 @@
 
 #include "io/cif_writer.hpp"
 #include "io/def_writer.hpp"
-#include "lang/parser.hpp"
-#include "rsg/generator.hpp"
+#include "rsg/compiled_design.hpp"
+#include "rsg/session.hpp"
 #include "support/error.hpp"
 
 namespace rsg {
@@ -106,7 +106,7 @@ TEST(CifReader, ErrorPaths) {
 
 TEST(CifReader, CifSampleLayoutDrivesTheGenerator) {
   // The §4.5 claim: a different file format, the same pipeline. Express the
-  // quickstart sample as CIF (assembly cell carries the 94 labels), load
+  // quickstart sample as CIF (assembly cell carries the 94 labels), compile
   // it, and run a design file against it.
   const char* cif_sample = R"(
 DS 1 1 1;
@@ -121,22 +121,22 @@ C 1 T 16 0;
 DF;
 E
 )";
-  Generator generator;
-  const SampleLayoutStats stats =
-      load_sample_layout_cif(cif_sample, generator.cells(), generator.interfaces());
+  const auto compiled = CompiledDesign::compile(
+      cif_sample,
+      "(mk_instance a brick) (mk_instance b brick) (connect a b 1)"
+      "(mk_cell \"row\" a)");
+  const SampleLayoutStats& stats = compiled->sample_stats();
   EXPECT_EQ(stats.cells, 1u);
   EXPECT_EQ(stats.interfaces_declared, 1u);
-  EXPECT_EQ(generator.interfaces().get("brick", "brick", 1),
+  EXPECT_EQ(compiled->interfaces().get("brick", "brick", 1),
             (Interface{{16, 0}, Orientation::kNorth}));
 
-  // Drive the language directly against the loaded tables.
-  lang::Interpreter interp(generator.cells(), generator.interfaces(), generator.graph());
-  const lang::Value cell = interp.run(lang::parse_program(
-      "(mk_instance a brick) (mk_instance b brick) (connect a b 1)"
-      "(mk_cell \"row\" a)"));
-  ASSERT_TRUE(cell.is_cell());
-  EXPECT_EQ(cell.as_cell()->instances().size(), 2u);
-  EXPECT_EQ(cell.as_cell()->instances()[1].placement.location, (Point{16, 0}));
+  // Run the design file against the compiled tables.
+  GenerationSession session(compiled);
+  const Cell* cell = session.generate("").top;
+  ASSERT_EQ(cell->name(), "row");
+  EXPECT_EQ(cell->instances().size(), 2u);
+  EXPECT_EQ(cell->instances()[1].placement.location, (Point{16, 0}));
 }
 
 }  // namespace

@@ -33,7 +33,8 @@
 #include "oracle/scratch_schedule.hpp"
 #include "pla/pla_builder.hpp"
 #include "pla/truth_table.hpp"
-#include "rsg/generator.hpp"
+#include "rsg/compiled_design.hpp"
+#include "rsg/session.hpp"
 #include "support/error.hpp"
 
 namespace rsg::compact {
@@ -124,11 +125,11 @@ std::vector<LayerBox> design_geometry(
     const std::string& sample, const std::string& design, const std::string& params,
     const std::string& overrides, const std::string& top = "",
     const lang::Interpreter::EncodingTable* encoding = nullptr) {
-  Generator generator;
-  generator.set_encoding_table(encoding);
+  GenerationSession session(CompiledDesign::compile(read_text_file(designs_path(sample)),
+                                                    read_text_file(designs_path(design))));
+  session.set_encoding_table(encoding);
   const GeneratorResult result =
-      generator.run(read_text_file(designs_path(sample)), read_text_file(designs_path(design)),
-                    read_text_file(designs_path(params)) + "\n" + overrides, top);
+      session.generate(read_text_file(designs_path(params)) + "\n" + overrides, top);
   return flatten_boxes(*result.top);
 }
 
@@ -502,7 +503,6 @@ TEST(CompactScaling, RamRoundThreeXPassIsCertifiedInfeasible) {
 // decbits=6, ram 16x16, mult asize=8 and a 3-term PLA.
 const std::vector<std::vector<LayerBox>>& schedule_designs() {
   static const std::vector<std::vector<LayerBox>> designs = [] {
-    Generator pla_generator;
     const pla::TruthTable table = pla::TruthTable::parse(
         "10 10\n"
         "01 11\n"
@@ -510,7 +510,7 @@ const std::vector<std::vector<LayerBox>>& schedule_designs() {
     return std::vector<std::vector<LayerBox>>{
         decoder_geometry(6), ram_geometry(16, 16),
         design_geometry("mult.sample", "mult.rsg", "mult.par", "asize = 8\n"),
-        flatten_boxes(*pla::generate_pla(pla_generator, table).top)};
+        flatten_boxes(*pla::generate_pla(table).top)};
   }();
   return designs;
 }

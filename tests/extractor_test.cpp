@@ -8,7 +8,8 @@
 #include "compact/layer_expand.hpp"
 #include "io/param_file.hpp"
 #include "layout/flatten.hpp"
-#include "rsg/generator.hpp"
+#include "rsg/compiled_design.hpp"
+#include "rsg/session.hpp"
 
 namespace rsg::extract {
 namespace {
@@ -84,12 +85,11 @@ TEST(Extractor, MultiplierDeviceCountMatchesArchitecture) {
   // Generate the 6x6 multiplier and extract it. Each core cell contributes
   // two transistors (two poly input lines over one diffusion area); each
   // register cell one. Masks contribute none (implant/cut only).
-  Generator generator;
   std::string params = read_text_file(designs_path("mult.par"));
   params += "\nasize = 6\n";
-  const GeneratorResult result =
-      generator.run(read_text_file(designs_path("mult.sample")),
-                    read_text_file(designs_path("mult.rsg")), params);
+  GenerationSession session(CompiledDesign::compile(read_text_file(designs_path("mult.sample")),
+                                                    read_text_file(designs_path("mult.rsg"))));
+  const GeneratorResult result = session.generate(params);
 
   const Netlist netlist = extract(flatten_boxes(*result.top));
   std::size_t cores = 0;

@@ -34,20 +34,17 @@ TEST(FoldedPla, FoldabilityPredicate) {
 }
 
 TEST(FoldedPla, RejectsUnfoldablePersonality) {
-  Generator generator;
   const TruthTable bad = TruthTable::parse(
       "1- 10\n"
       "01 10\n");
-  EXPECT_THROW(generate_folded_pla(generator, bad), Error);
+  EXPECT_THROW(generate_folded_pla(bad), Error);
 }
 
 TEST(FoldedPla, HalvesTheOrColumns) {
   const TruthTable table = foldable_table();
 
-  Generator folded_gen;
-  const GeneratorResult folded = generate_folded_pla(folded_gen, table);
-  Generator plain_gen;
-  const GeneratorResult plain = generate_pla(plain_gen, table);
+  const GeneratorResult folded = generate_folded_pla(table);
+  const GeneratorResult plain = generate_pla(table);
 
   std::map<std::string, int> folded_counts;
   for (const FlatInstance& fi : flatten_instances(*folded.top)) {
@@ -72,17 +69,14 @@ TEST(FoldedPla, HalvesTheOrColumns) {
 
 TEST(FoldedPla, FoldedLayoutIsNarrower) {
   const TruthTable table = foldable_table();
-  Generator folded_gen;
-  const GeneratorResult folded = generate_folded_pla(folded_gen, table);
-  Generator plain_gen;
-  const GeneratorResult plain = generate_pla(plain_gen, table);
+  const GeneratorResult folded = generate_folded_pla(table);
+  const GeneratorResult plain = generate_pla(table);
   EXPECT_LT(folded.top->bounding_box().width(), plain.top->bounding_box().width());
 }
 
 TEST(FoldedPla, CrosspointsLandInTheRightSegments) {
   const TruthTable table = foldable_table();
-  Generator generator;
-  const GeneratorResult folded = generate_folded_pla(generator, table);
+  const GeneratorResult folded = generate_folded_pla(table);
 
   // Recover crosspoint rows per folded column from instance placements.
   // OR columns start after 4 AND columns + connect-ao.
@@ -103,8 +97,7 @@ TEST(FoldedPla, CrosspointsLandInTheRightSegments) {
 }
 
 TEST(FoldedPla, BuffersSitOnBothSidesOfThePlane) {
-  Generator generator;
-  const GeneratorResult folded = generate_folded_pla(generator, foldable_table());
+  const GeneratorResult folded = generate_folded_pla(foldable_table());
   int above = 0;
   int below = 0;
   for (const FlatInstance& fi : flatten_instances(*folded.top)) {

@@ -63,8 +63,7 @@ TEST_F(HplaTest, RsgAndHplaOutputsAreCrosspointEquivalent) {
   const Cell& hpla_out = generate(cells_, d, table, "hpla-out");
   const pla::TruthTable from_hpla = pla::recover_truth_table(hpla_out, 4, 3, 5);
 
-  rsg::Generator generator;
-  const rsg::GeneratorResult rsg_out = pla::generate_pla(generator, table);
+  const rsg::GeneratorResult rsg_out = pla::generate_pla(table);
   const pla::TruthTable from_rsg = pla::recover_truth_table(*rsg_out.top, 4, 3, 5);
 
   EXPECT_EQ(from_hpla, table);
@@ -78,9 +77,7 @@ TEST_F(HplaTest, RsgSampleIsSmallerThanHplaSample) {
   // draw: HPLA a full 2x2x2 PLA; the RSG a couple of interface examples.
   const Description d = compile_description(*sample_);
 
-  rsg::Generator generator;
-  const rsg::GeneratorResult rsg_out =
-      pla::generate_pla(generator, pla::TruthTable::random(2, 2, 2, 1));
+  const rsg::GeneratorResult rsg_out = pla::generate_pla(pla::TruthTable::random(2, 2, 2, 1));
   EXPECT_LT(rsg_out.sample_stats.assembly_instances + 0u, d.sample_instance_count + 1u);
   EXPECT_GT(d.sample_instance_count, 19u);
 }

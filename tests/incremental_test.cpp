@@ -24,7 +24,6 @@
 #include "oracle/scratch_schedule.hpp"
 #include "pla/pla_builder.hpp"
 #include "pla/truth_table.hpp"
-#include "rsg/generator.hpp"
 #include "support/error.hpp"
 
 namespace rsg::compact {
@@ -422,8 +421,7 @@ TEST(Incremental, BothAxesInfeasibleTerminatesScheduleEarly) {
       "10 10\n"
       "01 11\n"
       "-1 01\n");
-  Generator generator;
-  const GeneratorResult pla = pla::generate_pla(generator, table);
+  const GeneratorResult pla = pla::generate_pla(table);
   const std::vector<LayerBox> flat = flatten_boxes(*pla.top);
   std::vector<LayerBox> both = flat;
   for (const LayerBox& lb : flat) {
@@ -463,8 +461,7 @@ TEST(Incremental, OracleSchedulesCheckpointLikeProduction) {
       "10 10\n"
       "01 11\n"
       "-1 01\n");
-  Generator generator;
-  const std::vector<LayerBox> pla = flatten_boxes(*pla::generate_pla(generator, table).top);
+  const std::vector<LayerBox> pla = flatten_boxes(*pla::generate_pla(table).top);
   std::vector<SynthField> fields = {make_random_field(23, 25), make_random_field(41, 30)};
   fields.push_back({pla, std::vector<bool>(pla.size(), false)});
   XyScheduleOptions schedule;

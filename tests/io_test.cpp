@@ -14,11 +14,13 @@
 #include "io/cif_reader.hpp"
 #include "io/cif_writer.hpp"
 #include "io/def_writer.hpp"
+#include "io/param_file.hpp"
 #include "io/sample_layout.hpp"
 #include "io/svg_writer.hpp"
 #include "layout/flatten.hpp"
 #include "pla/pla_builder.hpp"
-#include "rsg/generator.hpp"
+#include "rsg/compiled_design.hpp"
+#include "rsg/session.hpp"
 #include "support/error.hpp"
 
 namespace rsg {
@@ -311,42 +313,35 @@ void expect_stream_writers_match_legacy(const Cell& top) {
 // For each, the streamed CIF re-emission and the hand-driven DEF/SVG
 // stream writers must be byte-identical to the legacy entry points.
 TEST(StreamingIdentity, FiveSeedDesigns) {
-  std::vector<std::pair<std::string, const Cell*>> designs;
+  // The bundled <name>.sample, .rsg and .par, run as shipped.
+  const auto generate = [](const std::string& name) {
+    GenerationSession session(
+        CompiledDesign::compile(read_text_file(designs_path(name + ".sample")),
+                                read_text_file(designs_path(name + ".rsg"))));
+    return session.generate(read_text_file(designs_path(name + ".par")));
+  };
+  std::vector<std::pair<std::string, GeneratorResult>> designs;
+  designs.emplace_back("mult", generate("mult"));
+  designs.emplace_back("ram", generate("ram"));
+  designs.emplace_back("pla", pla::generate_pla(pla::TruthTable::parse(
+                                  "10-1 101\n"
+                                  "01-0 110\n"
+                                  "--11 011\n"
+                                  "0--- 100\n")));
+  designs.emplace_back("folded", pla::generate_folded_pla(pla::TruthTable::parse(
+                                     "10-- 1010\n"
+                                     "01-- 0010\n"
+                                     "--10 1000\n"
+                                     "--01 0101\n"
+                                     "11-- 0001\n"
+                                     "0011 0100\n")));
+  designs.emplace_back("decoder", pla::generate_decoder(3));
 
-  Generator mult;
-  designs.emplace_back("mult", mult.run_files(designs_path("mult.sample"),
-                                              designs_path("mult.rsg"),
-                                              designs_path("mult.par"))
-                                   .top);
-  Generator ram;
-  designs.emplace_back("ram", ram.run_files(designs_path("ram.sample"), designs_path("ram.rsg"),
-                                            designs_path("ram.par"))
-                                  .top);
-  Generator pla_gen;
-  designs.emplace_back("pla", pla::generate_pla(pla_gen, pla::TruthTable::parse(
-                                                             "10-1 101\n"
-                                                             "01-0 110\n"
-                                                             "--11 011\n"
-                                                             "0--- 100\n"))
-                                  .top);
-  Generator folded_gen;
-  designs.emplace_back("folded",
-                       pla::generate_folded_pla(folded_gen, pla::TruthTable::parse(
-                                                                "10-- 1010\n"
-                                                                "01-- 0010\n"
-                                                                "--10 1000\n"
-                                                                "--01 0101\n"
-                                                                "11-- 0001\n"
-                                                                "0011 0100\n"))
-                           .top);
-  Generator decoder_gen;
-  designs.emplace_back("decoder", pla::generate_decoder(decoder_gen, 3).top);
-
-  for (const auto& [name, top] : designs) {
-    ASSERT_NE(top, nullptr) << name;
-    const std::string legacy_cif = cif_to_string(*top);
+  for (const auto& [name, result] : designs) {
+    ASSERT_NE(result.top, nullptr) << name;
+    const std::string legacy_cif = cif_to_string(*result.top);
     EXPECT_EQ(stream_reemit_cif(legacy_cif), legacy_cif) << name;
-    expect_stream_writers_match_legacy(*top);
+    expect_stream_writers_match_legacy(*result.top);
   }
 }
 

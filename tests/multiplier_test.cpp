@@ -10,7 +10,8 @@
 #include "arch/retiming.hpp"
 #include "io/param_file.hpp"
 #include "layout/flatten.hpp"
-#include "rsg/generator.hpp"
+#include "rsg/compiled_design.hpp"
+#include "rsg/session.hpp"
 #include "support/error.hpp"
 
 namespace rsg {
@@ -22,28 +23,30 @@ std::string mult_params(int size) {
   return params;
 }
 
-GeneratorResult generate_multiplier(Generator& generator, int size) {
-  return generator.run(read_text_file(designs_path("mult.sample")),
-                       read_text_file(designs_path("mult.rsg")), mult_params(size));
+// A session over a fresh compile of the Appendix B/C sample and design.
+GenerationSession mult_session() {
+  return GenerationSession(CompiledDesign::compile(read_text_file(designs_path("mult.sample")),
+                                                   read_text_file(designs_path("mult.rsg"))));
 }
 
+GeneratorResult generate_multiplier(int size) { return mult_session().generate(mult_params(size)); }
+
 TEST(Multiplier, AppendixBDesignRunsEndToEnd) {
-  Generator generator;
-  const GeneratorResult result = generate_multiplier(generator, 6);
+  GenerationSession session = mult_session();
+  const GeneratorResult result = session.generate(mult_params(6));
   ASSERT_NE(result.top, nullptr);
   EXPECT_EQ(result.top->name(), "thewholething");
   EXPECT_FALSE(result.output.empty());
   // The hierarchy: inner array + three register files under the top cell.
   EXPECT_EQ(result.top->instances().size(), 4u);
-  EXPECT_TRUE(generator.cells().contains("array"));
-  EXPECT_TRUE(generator.cells().contains("topregs"));
-  EXPECT_TRUE(generator.cells().contains("bottomregs"));
-  EXPECT_TRUE(generator.cells().contains("rightregs"));
+  EXPECT_TRUE(session.cells().contains("array"));
+  EXPECT_TRUE(session.cells().contains("topregs"));
+  EXPECT_TRUE(session.cells().contains("bottomregs"));
+  EXPECT_TRUE(session.cells().contains("rightregs"));
 }
 
 TEST(Multiplier, CoreCellCountMatchesArraySize) {
-  Generator generator;
-  const GeneratorResult result = generate_multiplier(generator, 6);
+  const GeneratorResult result = generate_multiplier(6);
   std::map<std::string, int> counts;
   for (const FlatInstance& fi : flatten_instances(*result.top)) {
     ++counts[fi.cell->name()];
@@ -65,8 +68,7 @@ TEST(Multiplier, MaskPlacementMatchesArchitecturalPredicates) {
   // row start) maps to architecture x = xsize - xloc; row yloc to y =
   // yloc - 1.
   const int size = 6;
-  Generator generator;
-  const GeneratorResult result = generate_multiplier(generator, size);
+  const GeneratorResult result = generate_multiplier(size);
 
   // Find all core cells and index them by grid position. The array builds
   // rows downward and columns rightward from the root; normalize by the
@@ -116,18 +118,14 @@ TEST(Multiplier, MaskPlacementMatchesArchitecturalPredicates) {
 }
 
 TEST(Multiplier, GenerationIsDeterministic) {
-  Generator g1;
-  Generator g2;
-  const GeneratorResult r1 = generate_multiplier(g1, 4);
-  const GeneratorResult r2 = generate_multiplier(g2, 4);
+  const GeneratorResult r1 = generate_multiplier(4);
+  const GeneratorResult r2 = generate_multiplier(4);
   EXPECT_EQ(r1.output, r2.output);
 }
 
 TEST(Multiplier, SizesScaleQuadratically) {
-  Generator g4;
-  Generator g8;
-  const GeneratorResult r4 = generate_multiplier(g4, 4);
-  const GeneratorResult r8 = generate_multiplier(g8, 8);
+  const GeneratorResult r4 = generate_multiplier(4);
+  const GeneratorResult r8 = generate_multiplier(8);
   const std::size_t boxes4 = r4.top->flattened_box_count();
   const std::size_t boxes8 = r8.top->flattened_box_count();
   // 4x -> quadrupled core content (registers grow sub-quadratically).
@@ -137,17 +135,16 @@ TEST(Multiplier, SizesScaleQuadratically) {
 
 TEST(Multiplier, SampleIsRadicallySmallerThanLayout) {
   // E7 (Fig 5.5 vs 5.6): the information reduction of design-by-example.
-  Generator generator;
-  const GeneratorResult result = generate_multiplier(generator, 16);
+  const GeneratorResult result = generate_multiplier(16);
   const std::size_t layout_instances = result.top->flattened_instance_count();
   EXPECT_EQ(result.sample_stats.assembly_instances, 26u);
   EXPECT_GT(layout_instances, 40u * result.sample_stats.assembly_instances);
 }
 
 TEST(Multiplier, RegisterStacksArePlacedOutsideTheArray) {
-  Generator generator;
-  const GeneratorResult result = generate_multiplier(generator, 4);
-  const Cell& array = generator.cells().get("array");
+  GenerationSession session = mult_session();
+  const GeneratorResult result = session.generate(mult_params(4));
+  const Cell& array = session.cells().get("array");
   // Top registers strictly above the array rows, bottom strictly below,
   // right rows strictly to the right — derive the array bbox from an
   // array-only flatten and compare register positions in the top cell.
@@ -175,12 +172,9 @@ TEST(Multiplier, PipeliningDegreeShapesTheRegisterStacks) {
   // The design file's skewdepth = ceil(i/beta): beta=1 gives the triangular
   // bit-systolic stacks (Fig 5.2a), beta=2 halves them (Fig 5.2b) — and
   // matches the retiming engine's input_skew table.
-  Generator generator;
   std::string params = mult_params(6);
   params += "\nbeta = 2\n";
-  const GeneratorResult result =
-      generator.run(read_text_file(designs_path("mult.sample")),
-                    read_text_file(designs_path("mult.rsg")), params);
+  const GeneratorResult result = mult_session().generate(params);
   std::map<std::string, int> counts;
   for (const FlatInstance& fi : flatten_instances(*result.top)) ++counts[fi.cell->name()];
   // ceil(i/2) for i=1..6: 1+1+2+2+3+3 = 12 top registers (vs 21 at beta=1).
@@ -197,12 +191,10 @@ TEST(Multiplier, PipeliningDegreeShapesTheRegisterStacks) {
 }
 
 TEST(Multiplier, MissingInterfaceProducesActionableError) {
-  Generator generator;
   std::string params = mult_params(4);
   params += "\nhinum = 9\n";  // no such interface in the sample
   try {
-    generator.run(read_text_file(designs_path("mult.sample")),
-                  read_text_file(designs_path("mult.rsg")), params);
+    mult_session().generate(params);
     FAIL() << "expected LayoutError";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("#9"), std::string::npos);

@@ -62,8 +62,7 @@ TEST(PlaBuilder, GeneratesAndRecoversPersonality) {
       "01-0 110\n"
       "--11 011\n"
       "0--- 100\n");
-  rsg::Generator generator;
-  const rsg::GeneratorResult result = generate_pla(generator, table);
+  const rsg::GeneratorResult result = generate_pla(table);
   ASSERT_NE(result.top, nullptr);
   EXPECT_EQ(result.top->name(), "pla");
 
@@ -73,8 +72,7 @@ TEST(PlaBuilder, GeneratesAndRecoversPersonality) {
 
 TEST(PlaBuilder, StructuralCounts) {
   const TruthTable table = TruthTable::random(5, 4, 7, 7);
-  rsg::Generator generator;
-  const rsg::GeneratorResult result = generate_pla(generator, table);
+  const rsg::GeneratorResult result = generate_pla(table);
 
   std::map<std::string, int> counts;
   for (const rsg::FlatInstance& fi : rsg::flatten_instances(*result.top)) {
@@ -100,8 +98,7 @@ TEST(PlaBuilder, FunctionalEquivalenceThroughRecovery) {
   // Generate, recover, and check the recovered logic behaves identically on
   // every input assignment (n is small enough to sweep exhaustively).
   const TruthTable table = TruthTable::random(4, 3, 6, 123);
-  rsg::Generator generator;
-  const rsg::GeneratorResult result = generate_pla(generator, table);
+  const rsg::GeneratorResult result = generate_pla(table);
   const TruthTable recovered = recover_truth_table(*result.top, 4, 3, 6);
   for (int v = 0; v < 16; ++v) {
     std::vector<bool> in;
@@ -114,8 +111,7 @@ TEST(Decoder, SameSampleLayoutBuildsADecoder) {
   // §1.2.2: requiring the sample to look like the finished product would
   // "reduce the scope within which any given sample layout may be used" —
   // here the PLA sample builds a 3-to-8 decoder.
-  rsg::Generator generator;
-  const rsg::GeneratorResult result = generate_decoder(generator, 3);
+  const rsg::GeneratorResult result = generate_decoder(3);
   ASSERT_NE(result.top, nullptr);
   EXPECT_EQ(result.top->name(), "decoder");
 
@@ -131,8 +127,7 @@ TEST(Decoder, SameSampleLayoutBuildsADecoder) {
 }
 
 TEST(Decoder, MintermPatternIsCorrect) {
-  rsg::Generator generator;
-  const rsg::GeneratorResult result = generate_decoder(generator, 3);
+  const rsg::GeneratorResult result = generate_decoder(3);
   // Recover the AND plane only: 3 inputs, 8 terms, 0 outputs.
   const TruthTable recovered = recover_truth_table(*result.top, 3, 0, 8);
   const TruthTable expected_src = TruthTable::decoder(3);

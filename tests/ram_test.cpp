@@ -9,21 +9,22 @@
 #include "io/param_file.hpp"
 #include "layout/design_rules.hpp"
 #include "layout/flatten.hpp"
-#include "rsg/generator.hpp"
+#include "rsg/compiled_design.hpp"
+#include "rsg/session.hpp"
 
 namespace rsg {
 namespace {
 
-GeneratorResult generate_ram(Generator& generator, int words, int bits) {
+GeneratorResult generate_ram(int words, int bits) {
   std::string params = read_text_file(designs_path("ram.par"));
   params += "\nwords = " + std::to_string(words) + "\nbits = " + std::to_string(bits) + "\n";
-  return generator.run(read_text_file(designs_path("ram.sample")),
-                       read_text_file(designs_path("ram.rsg")), params);
+  GenerationSession session(CompiledDesign::compile(read_text_file(designs_path("ram.sample")),
+                                                    read_text_file(designs_path("ram.rsg"))));
+  return session.generate(params);
 }
 
 TEST(Ram, StructureMatchesParameters) {
-  Generator generator;
-  const GeneratorResult result = generate_ram(generator, 8, 16);
+  const GeneratorResult result = generate_ram(8, 16);
   ASSERT_EQ(result.top->name(), "ram");
   std::map<std::string, int> counts;
   for (const FlatInstance& fi : flatten_instances(*result.top)) ++counts[fi.cell->name()];
@@ -34,8 +35,7 @@ TEST(Ram, StructureMatchesParameters) {
 }
 
 TEST(Ram, PeripheryLandsOnTheRightSides) {
-  Generator generator;
-  const GeneratorResult result = generate_ram(generator, 4, 4);
+  const GeneratorResult result = generate_ram(4, 4);
   Box core;
   bool first = true;
   for (const FlatInstance& fi : flatten_instances(*result.top)) {
@@ -59,8 +59,7 @@ TEST(Ram, PeripheryLandsOnTheRightSides) {
 }
 
 TEST(Ram, GeneratedLayoutIsDesignRuleClean) {
-  Generator generator;
-  const GeneratorResult result = generate_ram(generator, 4, 6);
+  const GeneratorResult result = generate_ram(4, 6);
   const auto violations =
       check_design_rules(flatten_boxes(*result.top), DesignRules::mosis_lambda());
   EXPECT_TRUE(violations.empty()) << violations.size() << " violations, first: "
@@ -70,10 +69,9 @@ TEST(Ram, GeneratedLayoutIsDesignRuleClean) {
 TEST(Ram, ExtractionSeesRowsColumnsAndCells) {
   // One storage device per bit cell plus one per wordline driver; one
   // bitline net per column (bit metal + pre metal + sense metal fused).
-  Generator generator;
   const int words = 4;
   const int bits = 6;
-  const GeneratorResult result = generate_ram(generator, words, bits);
+  const GeneratorResult result = generate_ram(words, bits);
   const extract::Netlist netlist = extract::extract(flatten_boxes(*result.top));
   EXPECT_EQ(netlist.device_count(), static_cast<std::size_t>(words * bits + words));
 
@@ -93,8 +91,7 @@ TEST(Ram, ExtractionSeesRowsColumnsAndCells) {
 }
 
 TEST(Ram, ScalesToKilobitArrays) {
-  Generator generator;
-  const GeneratorResult result = generate_ram(generator, 32, 32);
+  const GeneratorResult result = generate_ram(32, 32);
   EXPECT_EQ(result.top->flattened_instance_count(), 32u * 32u + 32u + 32u + 32u);
   // 11 units of driver content left of the array + 32 16-wide columns.
   EXPECT_EQ(result.top->bounding_box().width(), 11 + 32 * 16);

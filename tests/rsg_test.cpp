@@ -1,16 +1,23 @@
-// Generator-level tests, centered on E5: the decoupling of procedural and
+// Pipeline-level tests, centered on E5: the decoupling of procedural and
 // graphical information (Fig 1.1 / §3.2) — one design file retargeted by
 // different sample layouts, one sample personalized by different parameter
 // files — plus driver behaviours (top-cell choice, phase timing, errors).
-#include "rsg/generator.hpp"
-
 #include <gtest/gtest.h>
 
 #include "lang/parser.hpp"
+#include "rsg/compiled_design.hpp"
+#include "rsg/session.hpp"
 #include "support/error.hpp"
 
 namespace rsg {
 namespace {
+
+// One run from scratch: compile the sample and design, then one session.
+GeneratorResult generate(const std::string& sample, const std::string& design,
+                         const std::string& params, const std::string& top = {}) {
+  GenerationSession session(CompiledDesign::compile(sample, design));
+  return session.generate(params, top);
+}
 
 constexpr const char* kRowDesign = R"(
 (macro mrow (n)
@@ -46,14 +53,12 @@ assembly
 end
 )";
 
-TEST(Generator, SameDesignDifferentSamplesGiveDifferentImplementations) {
+TEST(Pipeline, SameDesignDifferentSamplesGiveDifferentImplementations) {
   // §3.2: "The procedural information in the design file ... remains
   // constant over different implementations of the design as given by the
   // sample layout."
-  Generator loose;
-  const GeneratorResult a = loose.run(kLooseSample, kRowDesign, "n = 4");
-  Generator dense;
-  const GeneratorResult b = dense.run(kDenseMirroredSample, kRowDesign, "n = 4");
+  const GeneratorResult a = generate(kLooseSample, kRowDesign, "n = 4");
+  const GeneratorResult b = generate(kDenseMirroredSample, kRowDesign, "n = 4");
 
   ASSERT_EQ(a.top->instances().size(), 4u);
   ASSERT_EQ(b.top->instances().size(), 4u);
@@ -64,16 +69,14 @@ TEST(Generator, SameDesignDifferentSamplesGiveDifferentImplementations) {
   EXPECT_EQ(b.top->instances()[2].placement.orientation, Orientation::kNorth);
 }
 
-TEST(Generator, SameSampleDifferentParametersPersonalize) {
-  Generator g4;
-  Generator g9;
-  const GeneratorResult a = g4.run(kLooseSample, kRowDesign, "n = 4");
-  const GeneratorResult b = g9.run(kLooseSample, kRowDesign, "n = 9");
+TEST(Pipeline, SameSampleDifferentParametersPersonalize) {
+  const GeneratorResult a = generate(kLooseSample, kRowDesign, "n = 4");
+  const GeneratorResult b = generate(kLooseSample, kRowDesign, "n = 9");
   EXPECT_EQ(a.top->instances().size(), 4u);
   EXPECT_EQ(b.top->instances().size(), 9u);
 }
 
-TEST(Generator, TopCellSelection) {
+TEST(Pipeline, TopCellSelection) {
   const char* design = R"(
 (mk_instance x brick)
 (mk_cell "first" x)
@@ -81,54 +84,45 @@ TEST(Generator, TopCellSelection) {
 (mk_cell "second" y)
 )";
   // Default: the last created cell.
-  Generator g1;
-  EXPECT_EQ(g1.run(kLooseSample, design, "n = 1").top->name(), "second");
+  EXPECT_EQ(generate(kLooseSample, design, "n = 1").top->name(), "second");
   // The .top_cell directive wins.
-  Generator g2;
-  EXPECT_EQ(g2.run(kLooseSample, design, ".top_cell:first\nn = 1").top->name(), "first");
+  EXPECT_EQ(generate(kLooseSample, design, ".top_cell:first\nn = 1").top->name(), "first");
   // The explicit argument beats both.
-  Generator g3;
-  EXPECT_EQ(g3.run(kLooseSample, design, ".top_cell:first\nn = 1", "second").top->name(),
+  EXPECT_EQ(generate(kLooseSample, design, ".top_cell:first\nn = 1", "second").top->name(),
             "second");
 }
 
-TEST(Generator, NoCellsAnywhereFails) {
-  Generator generator;
-  EXPECT_THROW(generator.run("", "(+ 1 2)", ""), LayoutError);
+TEST(Pipeline, NoCellsAnywhereFails) {
+  EXPECT_THROW(generate("", "(+ 1 2)", ""), LayoutError);
 }
 
-TEST(Generator, DesignWithoutMkCellFallsBackToSampleCell) {
+TEST(Pipeline, DesignWithoutMkCellFallsBackToSampleCell) {
   // A design file that computes but never builds still has the sample's
   // cells to output; the driver picks the most recent one.
-  Generator generator;
-  const GeneratorResult result = generator.run(kLooseSample, "(+ 1 2)", "");
+  const GeneratorResult result = generate(kLooseSample, "(+ 1 2)", "");
   EXPECT_EQ(result.top->name(), "brick");
 }
 
-TEST(Generator, PhaseTimesAreRecorded) {
-  Generator generator;
-  const GeneratorResult result = generator.run(kLooseSample, kRowDesign, "n = 32");
+TEST(Pipeline, PhaseTimesAreRecorded) {
+  const GeneratorResult result = generate(kLooseSample, kRowDesign, "n = 32");
   EXPECT_GT(result.times.total().count(), 0.0);
-  EXPECT_GE(result.times.read_sample.count(), 0.0);
   EXPECT_GT(result.times.execute_design.count(), 0.0);
   EXPECT_EQ(result.times.compact.count(), 0.0);  // no compaction requested
   EXPECT_GT(result.times.write_output.count(), 0.0);
 }
 
-TEST(Generator, CompactionIsItsOwnPhase) {
+TEST(Pipeline, CompactionIsItsOwnPhase) {
   // Flatten and the x/y schedule are timed as `compact`, so write_output
   // is the CIF render alone.
-  Generator generator;
-  const GeneratorResult result = generator.run(kLooseSample, kRowDesign, "n = 32\n.compact:xy\n");
+  const GeneratorResult result = generate(kLooseSample, kRowDesign, "n = 32\n.compact:xy\n");
   ASSERT_TRUE(result.compacted);
   EXPECT_GT(result.times.compact.count(), 0.0);
   EXPECT_GT(result.times.execute_design.count(), 0.0);
   EXPECT_GT(result.times.write_output.count(), 0.0);
 }
 
-TEST(Generator, StatsArePlumbedThrough) {
-  Generator generator;
-  const GeneratorResult result = generator.run(kLooseSample, kRowDesign, "n = 8");
+TEST(Pipeline, StatsArePlumbedThrough) {
+  const GeneratorResult result = generate(kLooseSample, kRowDesign, "n = 8");
   EXPECT_EQ(result.sample_stats.cells, 1u);
   EXPECT_EQ(result.sample_stats.interfaces_declared, 1u);
   EXPECT_GT(result.interp_stats.procedure_calls, 0u);
@@ -136,22 +130,21 @@ TEST(Generator, StatsArePlumbedThrough) {
   EXPECT_NE(result.output.find("9 row;"), std::string::npos);
 }
 
-TEST(Generator, LanguageErrorsCarryDesignFileLocations) {
-  Generator generator;
+TEST(Pipeline, LanguageErrorsCarryDesignFileLocations) {
   try {
-    generator.run(kLooseSample, "(mk_instance x brick)\n(connect x)", "");
+    generate(kLooseSample, "(mk_instance x brick)\n(connect x)", "");
     FAIL() << "expected LangError";
   } catch (const LangError& e) {
     EXPECT_EQ(e.line(), 2);
   }
 }
 
-TEST(Generator, GeneratedCellsAreReusableAcrossRuns) {
-  // One Generator accumulates state: a second design file can use cells the
+TEST(Pipeline, GeneratedCellsAreReusableAcrossRuns) {
+  // One session accumulates state: a second design file can use cells the
   // first one built — the "delayed binding ... to any desired time" of the
   // macro abstraction story.
-  Generator generator;
-  generator.run(kLooseSample, kRowDesign, "n = 4");
+  GenerationSession session(CompiledDesign::compile(kLooseSample, kRowDesign));
+  session.generate("n = 4");
   const char* second = R"(
 (mk_instance a row)
 (mk_instance b row)
@@ -159,11 +152,11 @@ TEST(Generator, GeneratedCellsAreReusableAcrossRuns) {
 (mk_cell "tworows" a)
 )";
   // Declare a row/row interface first (rows were never in the sample).
-  generator.interfaces().declare("row", "row", 7, Interface{{0, 20}, Orientation::kNorth});
-  lang::Interpreter interp(generator.cells(), generator.interfaces(), generator.graph());
+  session.interfaces().declare("row", "row", 7, Interface{{0, 20}, Orientation::kNorth});
+  lang::Interpreter interp(session.cells(), session.interfaces(), session.graph());
   interp.run(lang::parse_program(second));
-  EXPECT_TRUE(generator.cells().contains("tworows"));
-  EXPECT_EQ(generator.cells().get("tworows").flattened_instance_count(), 2u + 8u);
+  EXPECT_TRUE(session.cells().contains("tworows"));
+  EXPECT_EQ(session.cells().get("tworows").flattened_instance_count(), 2u + 8u);
 }
 
 }  // namespace

@@ -11,10 +11,11 @@
 #include "io/param_file.hpp"
 #include "pla/pla_builder.hpp"
 #include "pla/truth_table.hpp"
-#include "rsg/generator.hpp"
+#include "rsg/compiled_design.hpp"
 #include "rsg/lru_cache.hpp"
 #include "rsg/serve_core.hpp"
 #include "rsg/serve_socket.hpp"
+#include "rsg/session.hpp"
 #include "support/error.hpp"
 #include "support/fault_injection.hpp"
 #include "support/status.hpp"
@@ -179,14 +180,11 @@ TEST(ServeCore, BadParameterTextIsInvalidArgument) {
 }
 
 TEST(ServeCore, GenerateMatchesLegacyAndCaches) {
-  // Reference: a legacy Generator run of the same design + params.
-  Generator generator;
+  // Reference: a fresh compile and one session of the same design + params.
+  GenerationSession session(CompiledDesign::compile(read_text_file(designs_path("mult.sample")),
+                                                    read_text_file(designs_path("mult.rsg"))));
   const std::string expected =
-      generator
-          .run(read_text_file(designs_path("mult.sample")),
-               read_text_file(designs_path("mult.rsg")),
-               read_text_file(designs_path("mult.par")) + kSmallMultParams)
-          .output;
+      session.generate(read_text_file(designs_path("mult.par")) + kSmallMultParams).output;
 
   ServeCore core(test_options(2, 8));
   add_mult(core);
@@ -279,9 +277,7 @@ TEST(ServeCore, TruthTableRequestsNeedParser) {
     const GenerateResponse response = core.handle(request);
     ASSERT_TRUE(response.ok) << response.error;
 
-    Generator generator;
-    const GeneratorResult expected =
-        pla::generate_pla(generator, pla::TruthTable::parse(tt));
+    const GeneratorResult expected = pla::generate_pla(pla::TruthTable::parse(tt));
     EXPECT_EQ(response.cif, expected.output);
   }
 }

@@ -1,11 +1,12 @@
 // Compile-once/run-many: CompiledDesign + GenerationSession.
 //
 // The load-bearing contracts: (1) GeneratorResult owns what it points at —
-// results stay valid after the Generator/session dies; (2) a session run is
-// BYTE-identical to a legacy Generator run of the same design; (3) N
-// concurrent sessions over one shared CompiledDesign neither race (TSan CI
-// job) nor perturb each other's output; (4) the base tables are immutable —
-// session mutations land in the overlay.
+// results stay valid after the session and the design die; (2) a session
+// over one shared design is BYTE-identical to a fresh compile per run; (3)
+// N concurrent sessions over one shared CompiledDesign neither race (TSan
+// CI job) nor perturb each other's output; (4) the base tables are
+// immutable — session mutations land in the overlay; (5) a CIF sample
+// compiles to the same design as its text twin.
 
 #include <cstdio>
 #include <memory>
@@ -16,10 +17,10 @@
 #include <gtest/gtest.h>
 
 #include "io/param_file.hpp"
+#include "io/snapshot.hpp"
 #include "pla/pla_builder.hpp"
 #include "pla/truth_table.hpp"
 #include "rsg/compiled_design.hpp"
-#include "rsg/generator.hpp"
 #include "rsg/session.hpp"
 #include "support/arena.hpp"
 #include "support/error.hpp"
@@ -87,16 +88,6 @@ std::vector<SeedDesign> seed_designs() {
   return designs;
 }
 
-std::string run_legacy(const SeedDesign& design) {
-  Generator generator;
-  lang::Interpreter::EncodingTable encoding;
-  if (!design.truth_table.empty()) {
-    encoding = pla::to_encoding_table(pla::TruthTable::parse(design.truth_table));
-    generator.set_encoding_table(&encoding);
-  }
-  return generator.run(design.sample, design.design, design.params, design.top).output;
-}
-
 std::string run_session(const std::shared_ptr<const CompiledDesign>& compiled,
                         const SeedDesign& design) {
   GenerationSession session(compiled);
@@ -106,20 +97,6 @@ std::string run_session(const std::shared_ptr<const CompiledDesign>& compiled,
     session.set_encoding_table(&encoding);
   }
   return session.generate(design.params, design.top).output;
-}
-
-TEST(GeneratorResult, OutlivesItsGenerator) {
-  GeneratorResult result;
-  {
-    Generator generator;
-    result = generator.run(read_text_file(designs_path("mult.sample")),
-                           read_text_file(designs_path("mult.rsg")),
-                           read_text_file(designs_path("mult.par")));
-  }  // generator destroyed; result.keepalive retains the cell table
-  ASSERT_NE(result.top, nullptr);
-  EXPECT_FALSE(result.top->name().empty());
-  EXPECT_FALSE(result.top->instances().empty());
-  EXPECT_FALSE(result.output.empty());
 }
 
 TEST(GeneratorResult, OutlivesItsSessionAndDesign) {
@@ -132,17 +109,81 @@ TEST(GeneratorResult, OutlivesItsSessionAndDesign) {
     result = session.generate(read_text_file(designs_path("mult.par")));
   }  // ...and the result keeps the session state alive
   ASSERT_NE(result.top, nullptr);
+  EXPECT_FALSE(result.top->name().empty());
   EXPECT_FALSE(result.top->instances().empty());
   EXPECT_FALSE(result.output.empty());
 }
 
+// A fresh compile per run: the one-shot path (rsg_cli, src/pla).
+std::string run_fresh(const SeedDesign& design) {
+  return run_session(CompiledDesign::compile(design.sample, design.design), design);
+}
+
 TEST(GenerationSession, ByteIdenticalToLegacyGenerator) {
+  // A session over a shared design matches a fresh compile per run.
   for (const SeedDesign& design : seed_designs()) {
     SCOPED_TRACE(design.name);
-    const std::string legacy = run_legacy(design);
+    const std::string fresh = run_fresh(design);
     auto compiled = CompiledDesign::compile(design.sample, design.design);
-    const std::string served = run_session(compiled, design);
-    EXPECT_EQ(legacy, served);
+    EXPECT_EQ(fresh, run_session(compiled, design));
+  }
+}
+
+TEST(CompiledDesign, CifSampleMatchesItsTextTwin) {
+  // §4.5: any layout format, given a parser. The brick sample as text and
+  // as CIF (the assembly cell carries the 94 label) compile to the same
+  // design, and their sessions render the same bytes, compacted or not.
+  const std::string text_sample = R"(
+cell brick
+  box metal1 0 0 20 8
+end
+assembly
+  inst a brick 0 0 N
+  inst b brick 16 0 N
+  label 1 at 18 4
+end
+)";
+  const std::string cif_sample = R"(
+DS 1 1 1;
+9 brick;
+L CM1; B 20 8 10 4;
+DF;
+DS 2 1 1;
+9 assembly1;
+C 1 T 0 0;
+C 1 T 16 0;
+94 1 18 4;
+DF;
+E
+)";
+  const std::string design = R"(
+(macro mrow (n)
+  (locals foo)
+  (do (i 1 (+ i 1) (> i n))
+      (mk_instance b.i brick)
+      (cond ((> i 1) (connect b.(- i 1) b.i 1)))))
+(assign r (mrow n))
+(mk_cell "row" (subcell r b.1))
+)";
+  const auto text = CompiledDesign::compile(text_sample, design);
+  const auto cif = CompiledDesign::compile(cif_sample, design);
+  const SampleLayoutStats& t = text->sample_stats();
+  const SampleLayoutStats& c = cif->sample_stats();
+  EXPECT_EQ(c.cells, t.cells);
+  EXPECT_EQ(c.boxes, t.boxes);
+  EXPECT_EQ(c.points, t.points);
+  EXPECT_EQ(c.assembly_instances, t.assembly_instances);
+  EXPECT_EQ(c.interfaces_declared, t.interfaces_declared);
+
+  for (const bool compact : {false, true}) {
+    SCOPED_TRACE(compact ? "compacted" : "plain");
+    const std::string params = compact ? "n = 4\n.compact:xy\n" : "n = 4\n";
+    GenerationSession from_text(text);
+    GenerationSession from_cif(cif);
+    const GeneratorResult expected = from_text.generate(params);
+    const GeneratorResult result = from_cif.generate(params);
+    EXPECT_EQ(result.compacted, compact);
+    EXPECT_EQ(result.output, expected.output);
   }
 }
 
@@ -185,7 +226,7 @@ TEST(GenerationSession, ConcurrentMixedSessionsAreByteIdentical) {
     compiled.push_back(CompiledDesign::compile(design.sample, design.design));
     symbols.push_back(compiled.back()->program().symbols().size());
     reference.push_back(run_session(compiled.back(), design));
-    EXPECT_EQ(reference.back(), run_legacy(design)) << design.name;
+    EXPECT_EQ(reference.back(), run_fresh(design)) << design.name;
   }
 
   // N threads, each running a rotating mix of designs off the SHARED
@@ -267,9 +308,9 @@ TEST(GenerationSession, SnapshotBackedCompile) {
   // Generate once, snapshot the library.
   const std::string path = testing::TempDir() + "session_test_lib.rsgb";
   {
-    Generator generator;
-    GeneratorResult result = generator.run(sample, design, params);
-    generator.export_snapshot(path, result.top->name());
+    GenerationSession session(CompiledDesign::compile(sample, design));
+    const GeneratorResult result = session.generate(params);
+    write_snapshot_file(path, session.cells(), result.top->name());
   }
 
   // A design compiled over the snapshot sees the snapshot cells as base

@@ -1,17 +1,19 @@
-// Tests for the alternating x/y compaction schedule and its wiring into the
-// rsg::Generator pipeline, plus the transpose property that pins the
-// engine's y compaction to x compaction on 100+ seeded synthetic fields.
+// Tests for the alternating x/y compaction schedule and its wiring into
+// GenerationSession, plus the transpose property that pins the engine's y
+// compaction to x compaction on 100+ seeded synthetic fields.
 #include "compact/xy_schedule.hpp"
 
 #include <gtest/gtest.h>
 
 #include "compact/incremental.hpp"
 #include "compact/synth_design.hpp"
+#include "io/param_file.hpp"
 #include "layout/design_rules.hpp"
 #include "layout/flatten.hpp"
 #include "pla/pla_builder.hpp"
 #include "pla/truth_table.hpp"
-#include "rsg/generator.hpp"
+#include "rsg/compiled_design.hpp"
+#include "rsg/session.hpp"
 #include "support/error.hpp"
 
 namespace rsg::compact {
@@ -287,15 +289,16 @@ end
 (assign r (mrow n))
 (mk_cell "row" (subcell r b.1))
 )";
-  Generator plain;
-  const GeneratorResult loose = plain.run(kSample, kDesign, "n = 6");
+  const auto compiled = CompiledDesign::compile(kSample, kDesign);
+  GenerationSession plain(compiled);
+  const GeneratorResult loose = plain.generate("n = 6");
   EXPECT_FALSE(loose.compacted);
 
-  Generator compacting;
+  GenerationSession compacting(compiled);
   CompactionRequest request;
   request.enabled = true;
   compacting.set_compaction(request);
-  const GeneratorResult tight = compacting.run(kSample, kDesign, "n = 6");
+  const GeneratorResult tight = compacting.generate("n = 6");
   ASSERT_TRUE(tight.compacted);
   EXPECT_EQ(tight.top->name(), "row_compacted");
   // The sample leaves 20 units of slack per interface; the schedule closes
@@ -324,29 +327,33 @@ end
 (connect x y 1)
 (mk_cell "pair" x)
 )";
-  Generator generator;
-  const GeneratorResult result = generator.run(kSample, kDesign, ".compact:xy\n");
+  const auto compiled = CompiledDesign::compile(kSample, kDesign);
+  GenerationSession session(compiled);
+  const GeneratorResult result = session.generate(".compact:xy\n");
   ASSERT_TRUE(result.compacted);
   EXPECT_LT(result.compaction.width_after, result.compaction.width_before);
 
-  Generator misspelled;
-  EXPECT_THROW(misspelled.run(kSample, kDesign, ".compact:x\n"), Error);
+  GenerationSession misspelled(compiled);
+  EXPECT_THROW(misspelled.generate(".compact:x\n"), Error);
 }
 
 TEST(XySchedule, GeneratedPlaCompactsBestEffort) {
-  // The PLA generator output (E10) through the same hook. Its sample cells
-  // sit closer than the MOSIS table allows in x (rigid overlaps make that
-  // axis's constraint system infeasible), so the best-effort schedule must
-  // skip x, still compact y, and record the skip.
+  // The PLA design (E10, run as pla::generate_pla runs it) through the
+  // same hook. Its sample cells sit closer than the MOSIS table allows in x
+  // (rigid overlaps make that axis's constraint system infeasible), so the
+  // best-effort schedule must skip x, still compact y, and record the skip.
   pla::TruthTable table = pla::TruthTable::parse(
       "10 10\n"
       "01 11\n"
       "-1 01\n");
-  Generator generator;
+  GenerationSession session(CompiledDesign::compile(read_text_file(designs_path("pla.sample")),
+                                                    read_text_file(designs_path("pla.rsg"))));
+  const lang::Interpreter::EncodingTable encoding = pla::to_encoding_table(table);
+  session.set_encoding_table(&encoding);
   CompactionRequest request;
   request.enabled = true;
-  generator.set_compaction(request);
-  const GeneratorResult result = pla::generate_pla(generator, table);
+  session.set_compaction(request);
+  const GeneratorResult result = session.generate(read_text_file(designs_path("pla.par")), "pla");
   ASSERT_TRUE(result.compacted);
   EXPECT_TRUE(result.compaction.converged);
   EXPECT_TRUE(result.compaction.x_infeasible);
